@@ -37,14 +37,12 @@ from .linalg import (
     CovarianceModel,
     EigenSolverError,
     SampleSet,
-    SpectralDecomposition,
     derive_seed,
     load_samples_csv,
     rng_from,
     sample_covariance,
     sample_gaussian,
     save_samples_csv,
-    sym_eig,
     sym_eigvalues,
 )
 from .montecarlo import (

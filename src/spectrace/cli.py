@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -42,6 +42,8 @@ from .linalg import (
     sym_eigvalues,
 )
 from .montecarlo import (
+    _MODES,
+    _STANDARDIZE,
     ExperimentConfig,
     ReplicateError,
     config_hash,
@@ -57,8 +59,6 @@ from .theory import esd_mp_ks, mp_cdf, rate_budget
 
 __all__ = ["ConfigError", "main", "entrypoint"]
 
-_MODES = ("plugin", "aggregate", "jackknife")
-
 # Stream tag for the supnorm function grid, distinct from replicate streams.
 _GRID_STREAM = 2
 
@@ -69,10 +69,19 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class _Key:
+    """One option: its config-file key, its --flag and how to convert it.
+
+    Flags spell the key with dashes (``n_list`` is ``--n-list``). Values
+    arrive as strings from both flags and config files, and ``conv``
+    turns them into their type.
+    """
+
     name: str
-    conv: Callable[[str], object] | None = None  # applied to config-file strings
+    conv: Callable[[str], object] | None = None
     default: object = None
     required: bool = False
+    help: str | None = None
+    short: str | None = None  # extra one-letter flag
 
 
 def _conv_n_list(text: str) -> tuple[int, ...]:
@@ -85,67 +94,90 @@ def _conv_n_list(text: str) -> tuple[int, ...]:
     return values
 
 
+_MODEL = _Key("model", required=True,
+              help="identity:<d> | poly_decay:<d>:<beta> | custom:<v1>,<v2>,...")
+_F = _Key("f", required=True, help="test function, e.g. log1p or scaled_sine:0.5")
+_MODE = _Key("mode", default="plugin", help=" | ".join(_MODES))
+_M = _Key("m", int, default=2, help="number of aggregation levels")
+_Q = _Key("q", float, default=2.0, help="geometric spacing of subsample sizes")
+_SUBSETS = _Key("subsets", int, default=50, help="jackknife subsets per level",
+                short="-B")
+_N = _Key("n", int, required=True, help="sample size")
+_REPS = _Key("reps", int, default=1000, help="Monte Carlo replications")
+_WORKERS = _Key("workers", int, default=1,
+                help="replicate worker threads; outputs do not depend on it")
+_OUT = _Key("out", default=".", help="output directory")
+
 _COMMON = [
-    _Key("seed", int, required=True),
-    _Key("out", None, default="."),
+    _Key("seed", int, required=True, help="master seed"),
+    _OUT,
 ]
 
 _EXPERIMENT = [
-    _Key("model", None, required=True),
-    _Key("f", None, required=True),
-    _Key("mode", None, default="plugin"),
-    _Key("m", int, default=2),
-    _Key("q", float, default=2.0),
-    _Key("subsets", int, default=50),
-    _Key("reps", int, default=1000),
-    _Key("workers", int, default=1),
-    _Key("standardize", None, default="oracle"),
+    _MODEL,
+    _F,
+    _MODE,
+    _M,
+    _Q,
+    _SUBSETS,
+    _REPS,
+    _WORKERS,
+    _Key("standardize", default="oracle", help=" | ".join(_STANDARDIZE)),
 ]
+
+_COMMAND_HELP = {
+    "estimate": "estimate a trace functional on one dataset",
+    "coeffs": "print an aggregation scheme's sizes and weights",
+    "rates": "RMSE vs n sweep with a fitted log-log slope",
+    "normality": "KS/W1 distance of standardized replicates to normal",
+    "supnorm": "worst-case error over a derivative-bounded family",
+    "mp-compare": "empirical spectral law vs the limiting bulk law",
+}
 
 _COMMAND_KEYS: dict[str, list[_Key]] = {
     "estimate": [
-        _Key("model"),
-        _Key("data"),
-        _Key("f", None, required=True),
-        _Key("mode", None, default="plugin"),
-        _Key("m", int, default=2),
-        _Key("q", float, default=2.0),
-        _Key("subsets", int, default=50),
-        _Key("n", int),
+        replace(_MODEL, required=False),
+        _Key("data", help="CSV of observations, one row each"),
+        _F,
+        _MODE,
+        _M,
+        _Q,
+        _SUBSETS,
+        replace(_N, required=False, help="sample size (with --model)"),
         *_COMMON,
     ],
     "coeffs": [
-        _Key("m", int, required=True),
-        _Key("n", int, required=True),
-        _Key("q", float, default=2.0),
-        _Key("out", None, default="."),
+        replace(_M, default=None, required=True),
+        _N,
+        _Q,
+        _OUT,
     ],
     "rates": [
         *_EXPERIMENT,
-        _Key("n_list", _conv_n_list, required=True),
+        _Key("n_list", _conv_n_list, required=True, help="comma-separated sizes"),
         *_COMMON,
     ],
     "normality": [
         *_EXPERIMENT,
-        _Key("n", int, required=True),
+        _N,
         *_COMMON,
     ],
     "supnorm": [
-        _Key("model", None, required=True),
-        _Key("mode", None, default="aggregate"),
-        _Key("m", int, default=2),
-        _Key("q", float, default=2.0),
-        _Key("subsets", int, default=50),
-        _Key("reps", int, default=200),
-        _Key("workers", int, default=1),
-        _Key("grid_size", int, default=5),
-        _Key("n", int, required=True),
+        _MODEL,
+        replace(_MODE, default="aggregate"),
+        _M,
+        _Q,
+        _SUBSETS,
+        replace(_REPS, default=200),
+        _WORKERS,
+        _Key("grid_size", int, default=5, help="number of functions in the test family"),
+        _N,
         *_COMMON,
     ],
     "mp-compare": [
-        _Key("gamma", float, required=True),
-        _Key("d", int, required=True),
-        _Key("n", int, required=True),
+        _Key("gamma", float, required=True, help="dimension-to-sample ratio of the law"),
+        _Key("d", int, required=True, help="dimension"),
+        _N,
         *_COMMON,
     ],
 }
@@ -158,79 +190,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "Gaussian covariance models, with Monte Carlo checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
+    for command, keys in _COMMAND_KEYS.items():
+        p = sub.add_parser(command, help=_COMMAND_HELP[command])
         p.add_argument("--config", help="flat key=value config file")
-        return p
-
-    p = add("estimate", "estimate a trace functional on one dataset")
-    p.add_argument("--model", help="identity:<d> | poly_decay:<d>:<beta> | custom:<v1>,<v2>,...")
-    p.add_argument("--data", help="CSV of observations, one row each")
-    p.add_argument("--f", help="test function, e.g. log1p or scaled_sine:0.5")
-    p.add_argument("--mode", choices=_MODES)
-    p.add_argument("--m", type=int, help="number of aggregation levels")
-    p.add_argument("--q", type=float, help="geometric spacing of subsample sizes")
-    p.add_argument("--subsets", "-B", type=int, dest="subsets",
-                   help="jackknife subsets per level")
-    p.add_argument("--n", type=int, help="sample size (with --model)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-
-    p = add("coeffs", "print an aggregation scheme's sizes and weights")
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--q", type=float)
-    p.add_argument("--out")
-
-    p = add("rates", "RMSE vs n sweep with a fitted log-log slope")
-    p.add_argument("--model")
-    p.add_argument("--f")
-    p.add_argument("--mode", choices=_MODES)
-    p.add_argument("--m", type=int)
-    p.add_argument("--q", type=float)
-    p.add_argument("--subsets", "-B", type=int, dest="subsets")
-    p.add_argument("--n-list", dest="n_list", help="comma-separated sizes")
-    p.add_argument("--reps", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--standardize", choices=("oracle", "plugin"))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-
-    p = add("normality", "KS/W1 distance of standardized replicates to normal")
-    p.add_argument("--model")
-    p.add_argument("--f")
-    p.add_argument("--mode", choices=_MODES)
-    p.add_argument("--m", type=int)
-    p.add_argument("--q", type=float)
-    p.add_argument("--subsets", "-B", type=int, dest="subsets")
-    p.add_argument("--n", type=int)
-    p.add_argument("--reps", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--standardize", choices=("oracle", "plugin"))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-
-    p = add("supnorm", "worst-case error over a derivative-bounded family")
-    p.add_argument("--model")
-    p.add_argument("--mode", choices=_MODES)
-    p.add_argument("--m", type=int)
-    p.add_argument("--q", type=float)
-    p.add_argument("--subsets", "-B", type=int, dest="subsets")
-    p.add_argument("--n", type=int)
-    p.add_argument("--reps", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--grid-size", dest="grid_size", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-
-    p = add("mp-compare", "empirical spectral law vs the limiting bulk law")
-    p.add_argument("--gamma", type=float, help="dimension-to-sample ratio of the law")
-    p.add_argument("--d", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-
+        for key in keys:
+            flags = ["--" + key.name.replace("_", "-")]
+            if key.short:
+                flags.append(key.short)
+            p.add_argument(*flags, dest=key.name, help=key.help)
     return parser
 
 
@@ -304,9 +271,9 @@ def _validate(command: str, cfg: dict) -> None:
             raise ConfigError("gamma must be > 0")
     if "mode" in cfg and cfg["mode"] not in _MODES:
         raise ConfigError(f"mode must be one of {_MODES}, got {cfg['mode']!r}")
-    if cfg.get("standardize") not in (None, "oracle", "plugin"):
+    if cfg.get("standardize") not in (None, *_STANDARDIZE):
         raise ConfigError(
-            f"standardize must be oracle or plugin, got {cfg['standardize']!r}"
+            f"standardize must be one of {_STANDARDIZE}, got {cfg['standardize']!r}"
         )
     for name in ("m", "n", "subsets", "reps", "workers", "grid_size"):
         if name in cfg and cfg[name] is not None and cfg[name] < 1:

@@ -6,6 +6,11 @@ coefficients chosen so that all inverse-power bias terms up to order m-1
 cancel. The jackknife variant replaces each prefix by an average over
 random subsets of the same size, which symmetrizes the estimate over the
 sample at extra compute cost.
+
+All three multi-level estimators read one engine, ``_level_spectra``,
+which computes the subsample covariance spectra of every level once: the
+aggregate and jackknife estimates are weighted sums of tau_f over its
+output, and the signed spectral measure is the same output as atoms.
 """
 
 from __future__ import annotations
@@ -52,6 +57,9 @@ _SUM_TOL = 1e-10
 _CANCEL_TOL = 1e-10
 _CROSSCHECK_TOL = 1e-8
 
+# Most covariance eigendecompositions a single estimate may request.
+_MAX_EVALS = 10_000
+
 
 class SchemeError(ValueError):
     """Aggregation scheme cannot be built or is inconsistent."""
@@ -66,9 +74,11 @@ class AggregationScheme:
     """Subsample sizes n_1 < ... < n_m = n and signed weights C_1..C_m.
 
     The weights satisfy sum_j C_j = 1 and sum_j C_j / n_j**l = 0 for
-    l = 1..m-1, which is what cancels the low-order bias terms. Both are
-    re-checked at construction; the cancellation check is relative to the
-    largest term, since the raw sums shrink like n**-l.
+    l = 1..m-1, which is what cancels the low-order bias terms: this is
+    Richardson extrapolation in 1/n, C_j being the Lagrange weights at 0
+    for the nodes 1/n_1, ..., 1/n_m. Both identities are re-checked at
+    construction; the cancellation check is relative to the largest term,
+    since the raw sums shrink like n**-l.
     """
 
     sizes: tuple[int, ...]
@@ -122,7 +132,12 @@ class AggregationScheme:
 
 
 def coeffs_closed_form(sizes) -> np.ndarray:
-    """Weights C_j = prod_{i != j} n_j / (n_j - n_i) for distinct sizes."""
+    """Weights C_j = prod_{i != j} n_j / (n_j - n_i) for distinct sizes.
+
+    These are the Lagrange interpolation weights at 0 for the nodes
+    h_j = 1/n_j, i.e. the Richardson extrapolation of the plug-in to
+    1/n = 0.
+    """
     ns = np.asarray(sizes, dtype=float)
     m = ns.size
     if m == 1:
@@ -201,11 +216,56 @@ def _cov_eigvalues(x: np.ndarray) -> np.ndarray:
     return sym_eigvalues(a)
 
 
-def _check_scheme_fits(scheme: AggregationScheme, samples: SampleSet) -> None:
+def _level_spectra(
+    samples: SampleSet, scheme: AggregationScheme, subsets: int | None, seed: int
+) -> list[tuple[float, list[np.ndarray]]]:
+    """Subsample covariance spectra, one (C_j, spectra) pair per level.
+
+    With ``subsets=None`` level j holds the spectrum of the prefix of the
+    first n_j observations. Otherwise every level with n_j < n holds the
+    spectra of ``subsets`` uniformly drawn size-n_j subsets, seeded per
+    (seed, level, subset) so the result does not depend on evaluation
+    order; the full-sample level always holds one spectrum.
+    """
     if scheme.n != samples.n:
         raise SchemeError(
             f"scheme expects n={scheme.n} observations, sample has n={samples.n}"
         )
+    if subsets is not None and subsets < 1:
+        raise ValueError("subsets_per_level must be >= 1")
+    # only the last level has n_j = n, and it is never subsampled
+    evals = scheme.m if subsets is None else 1 + subsets * (scheme.m - 1)
+    if evals > _MAX_EVALS:
+        raise ComputeBudgetError(
+            f"{evals} covariance eigendecompositions requested, budget is "
+            f"{_MAX_EVALS}; lower subsets_per_level"
+        )
+    x = samples.data
+    n = samples.n
+    levels = []
+    for level, (size, weight) in enumerate(zip(scheme.sizes, scheme.coeffs)):
+        if subsets is None or size == n:
+            spectra = [_cov_eigvalues(x[:size])]
+        else:
+            spectra = [
+                _cov_eigvalues(
+                    x[rng_from(seed, level, b).choice(n, size=size, replace=False)]
+                )
+                for b in range(subsets)
+            ]
+        levels.append((weight, spectra))
+    return levels
+
+
+def _combine(f: TestFunction, levels) -> float:
+    # sum_j C_j * mean_b tau_f(spectrum_{j,b})
+    total = 0.0
+    for weight, spectra in levels:
+        acc = 0.0
+        for lam in spectra:
+            acc += tau_f(f, lam)
+        total += weight * (acc / len(spectra))
+    return float(total)
 
 
 def plugin_estimate(f: TestFunction, samples: SampleSet) -> float:
@@ -221,28 +281,7 @@ def aggregate_estimate(
     Level j uses the first n_j observations; the full sample is always the
     last level.
     """
-    _check_scheme_fits(scheme, samples)
-    x = samples.data
-    total = 0.0
-    for size, weight in zip(scheme.sizes, scheme.coeffs):
-        total += weight * tau_f(f, _cov_eigvalues(x[:size]))
-    return float(total)
-
-
-def _subset_indices(
-    seed: int, level: int, b: int, n: int, size: int, rule: str
-) -> np.ndarray:
-    if rule == "prefix":
-        return np.arange(size)
-    if rule == "random":
-        return rng_from(seed, level, b).choice(n, size=size, replace=False)
-    raise ValueError(f"unknown subset rule {rule!r}")
-
-
-def _count_evals(scheme: AggregationScheme, subsets_per_level: int) -> int:
-    return sum(
-        1 if size == scheme.n else subsets_per_level for size in scheme.sizes
-    )
+    return _combine(f, _level_spectra(samples, scheme, None, 0))
 
 
 def jackknife_estimate(
@@ -251,8 +290,6 @@ def jackknife_estimate(
     scheme: AggregationScheme,
     subsets_per_level: int = 50,
     seed: int = 0,
-    subset_rule: str = "random",
-    max_evals: int = 10_000,
 ) -> float:
     """Aggregation with each prefix replaced by an average over subsets.
 
@@ -260,30 +297,10 @@ def jackknife_estimate(
     ``subsets_per_level`` uniformly drawn size-n_j subsets; the full-sample
     level needs no averaging. Subset draws are seeded per (seed, level,
     subset), so the result is a pure function of the inputs regardless of
-    evaluation order.
+    evaluation order. One estimate may request at most 10,000 covariance
+    eigendecompositions; more raises :class:`ComputeBudgetError`.
     """
-    _check_scheme_fits(scheme, samples)
-    if subsets_per_level < 1:
-        raise ValueError("subsets_per_level must be >= 1")
-    evals = _count_evals(scheme, subsets_per_level)
-    if evals > max_evals:
-        raise ComputeBudgetError(
-            f"{evals} covariance eigendecompositions requested, budget is "
-            f"{max_evals}; lower subsets_per_level or raise max_evals"
-        )
-    x = samples.data
-    n = samples.n
-    total = 0.0
-    for level, (size, weight) in enumerate(zip(scheme.sizes, scheme.coeffs)):
-        if size == n:
-            total += weight * tau_f(f, _cov_eigvalues(x))
-            continue
-        acc = 0.0
-        for b in range(subsets_per_level):
-            idx = _subset_indices(seed, level, b, n, size, subset_rule)
-            acc += tau_f(f, _cov_eigvalues(x[idx]))
-        total += weight * (acc / subsets_per_level)
-    return float(total)
+    return _combine(f, _level_spectra(samples, scheme, subsets_per_level, seed))
 
 
 @dataclass(frozen=True)
@@ -329,8 +346,6 @@ def spectral_measure_estimate(
     mode: str = "aggregate",
     subsets_per_level: int = 50,
     seed: int = 0,
-    subset_rule: str = "random",
-    max_evals: int = 10_000,
 ) -> SignedSpectralMeasure:
     """Signed combination of subsample spectral measures.
 
@@ -338,40 +353,17 @@ def spectral_measure_estimate(
     mode) as the scalar estimators, so integrating a test function against
     the result reproduces the scalar estimate up to summation round-off.
     """
-    _check_scheme_fits(scheme, samples)
-    x = samples.data
-    n = samples.n
-    loc_blocks: list[np.ndarray] = []
-    wgt_blocks: list[np.ndarray] = []
-
-    def add(eigs: np.ndarray, weight: float) -> None:
-        loc_blocks.append(eigs)
-        wgt_blocks.append(np.full(eigs.size, weight))
-
-    if mode == "aggregate":
-        for size, weight in zip(scheme.sizes, scheme.coeffs):
-            add(_cov_eigvalues(x[:size]), weight)
-    elif mode == "jackknife":
-        if subsets_per_level < 1:
-            raise ValueError("subsets_per_level must be >= 1")
-        evals = _count_evals(scheme, subsets_per_level)
-        if evals > max_evals:
-            raise ComputeBudgetError(
-                f"{evals} covariance eigendecompositions requested, budget is "
-                f"{max_evals}; lower subsets_per_level or raise max_evals"
-            )
-        for level, (size, weight) in enumerate(zip(scheme.sizes, scheme.coeffs)):
-            if size == n:
-                add(_cov_eigvalues(x), weight)
-                continue
-            for b in range(subsets_per_level):
-                idx = _subset_indices(seed, level, b, n, size, subset_rule)
-                add(_cov_eigvalues(x[idx]), weight / subsets_per_level)
-    else:
+    if mode not in ("aggregate", "jackknife"):
         raise ValueError(f"mode must be 'aggregate' or 'jackknife', got {mode!r}")
-
+    subsets = subsets_per_level if mode == "jackknife" else None
+    levels = _level_spectra(samples, scheme, subsets, seed)
     return SignedSpectralMeasure(
-        np.concatenate(loc_blocks), np.concatenate(wgt_blocks)
+        np.concatenate([lam for _, spectra in levels for lam in spectra]),
+        np.concatenate([
+            np.full(lam.size, weight / len(spectra))
+            for weight, spectra in levels
+            for lam in spectra
+        ]),
     )
 
 

@@ -17,12 +17,10 @@ __all__ = [
     "EigenSolverError",
     "CovarianceModel",
     "SampleSet",
-    "SpectralDecomposition",
     "derive_seed",
     "rng_from",
     "sample_gaussian",
     "sample_covariance",
-    "sym_eig",
     "sym_eigvalues",
     "load_samples_csv",
     "save_samples_csv",
@@ -175,27 +173,6 @@ class SampleSet:
     def dim(self) -> int:
         return self.data.shape[1]
 
-    def prefix(self, k: int) -> "SampleSet":
-        """First k observations, in order."""
-        if not 1 <= k <= self.n:
-            raise ValueError(f"prefix length {k} out of range [1, {self.n}]")
-        return SampleSet(self.data[:k])
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues (non-increasing, round-off clipped) and orthonormal eigenvectors.
-
-    Column k of ``eigenvectors`` pairs with ``eigenvalues[k]``; the input
-    matrix is recovered as V diag(lam) V'.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.T
-
 
 def sample_gaussian(model: CovarianceModel, n: int, seed: int) -> SampleSet:
     """n i.i.d. mean-zero Gaussian rows with covariance ``model``.
@@ -244,26 +221,13 @@ def _check_symmetric(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def sym_eig(a: np.ndarray) -> SpectralDecomposition:
-    """Full eigendecomposition of a symmetric matrix.
-
-    Eigenvalues come back non-increasing, with negatives inside the
-    round-off band clipped to zero. Solver non-convergence raises
-    :class:`EigenSolverError` with the backend diagnostic attached.
-    """
-    a = _check_symmetric(a)
-    try:
-        lam, vec = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(
-            f"eigensolver failed on {a.shape[0]}x{a.shape[0]} input: {exc}"
-        ) from exc
-    lam = _clip_roundoff(lam[::-1].copy())
-    return SpectralDecomposition(lam, vec[:, ::-1].copy())
-
-
 def sym_eigvalues(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues only; cheaper than :func:`sym_eig` on hot paths."""
+    """Eigenvalues of a symmetric matrix, non-increasing.
+
+    Negatives inside the round-off band are clipped to zero. Solver
+    non-convergence raises :class:`EigenSolverError` with the backend
+    diagnostic attached.
+    """
     a = _check_symmetric(a)
     try:
         lam = np.linalg.eigvalsh(a)

@@ -15,6 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from math import sqrt
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -242,6 +243,24 @@ def _summarize(
     return summary
 
 
+def _map_replicates(one: Callable[[int], object], r: int, workers: int) -> list:
+    """[one(0), ..., one(r - 1)] in index order, on ``workers`` threads.
+
+    A failing replicate raises :class:`ReplicateError` naming its index.
+    """
+
+    def guarded(i: int):
+        try:
+            return one(i)
+        except Exception as exc:
+            raise ReplicateError(f"replicate {i}: {exc}") from exc
+
+    if workers == 1:
+        return [guarded(i) for i in range(r)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(guarded, range(r)))
+
+
 def run(config: ExperimentConfig) -> ExperimentResult:
     """Run the configured experiment; deterministic given the config."""
     if config.n is None:
@@ -250,41 +269,30 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     model, f, scheme = _resolve(config, n)
     truth = tau_f(f, model.eigenvalues)
     oracle_std = gaussian_limit_std(f, model)
-    r = config.replications
-    estimates = np.empty(r)
-    scales = np.empty(r)
 
     def one(i: int) -> tuple[float, float]:
-        try:
-            s = sample_gaussian(model, n, derive_seed(config.seed, i))
-            if config.mode == "plugin":
-                est = plugin_estimate(f, s)
-            elif config.mode == "aggregate":
-                est = aggregate_estimate(f, s, scheme)
-            else:
-                est = jackknife_estimate(
-                    f,
-                    s,
-                    scheme,
-                    subsets_per_level=config.subsets,
-                    seed=derive_seed(config.seed, i, _SUBSET_STREAM),
-                )
-            if config.standardize == "plugin":
-                scale = _plugin_std(f, s)
-            else:
-                scale = oracle_std
-            return est, scale
-        except Exception as exc:
-            raise ReplicateError(f"replicate {i}: {exc}") from exc
+        s = sample_gaussian(model, n, derive_seed(config.seed, i))
+        if config.mode == "plugin":
+            est = plugin_estimate(f, s)
+        elif config.mode == "aggregate":
+            est = aggregate_estimate(f, s, scheme)
+        else:
+            est = jackknife_estimate(
+                f,
+                s,
+                scheme,
+                subsets_per_level=config.subsets,
+                seed=derive_seed(config.seed, i, _SUBSET_STREAM),
+            )
+        if config.standardize == "plugin":
+            scale = _plugin_std(f, s)
+        else:
+            scale = oracle_std
+        return est, scale
 
-    if config.workers == 1:
-        for i in range(r):
-            estimates[i], scales[i] = one(i)
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            for i, (est, scale) in enumerate(pool.map(one, range(r))):
-                estimates[i] = est
-                scales[i] = scale
+    pairs = _map_replicates(one, config.replications, config.workers)
+    estimates = np.array([est for est, _ in pairs], dtype=float)
+    scales = np.array([scale for _, scale in pairs], dtype=float)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         standardized = np.where(
@@ -348,32 +356,20 @@ def supnorm_experiment(
         scheme = make_scheme(config.m, n, config.q)
         mode = config.mode
     truths = np.array([tau_f(f, model.eigenvalues) for f in grid.members])
-    r = config.replications
-    errors = np.empty((r, len(grid)))
 
     def one(i: int) -> np.ndarray:
-        try:
-            s = sample_gaussian(model, n, derive_seed(config.seed, i))
-            measure = spectral_measure_estimate(
-                s,
-                scheme,
-                mode=mode,
-                subsets_per_level=config.subsets,
-                seed=derive_seed(config.seed, i, _SUBSET_STREAM),
-            )
-            ests = np.array([measure.integrate(f) for f in grid.members])
-            return np.abs(ests - truths)
-        except Exception as exc:
-            raise ReplicateError(f"replicate {i}: {exc}") from exc
+        s = sample_gaussian(model, n, derive_seed(config.seed, i))
+        measure = spectral_measure_estimate(
+            s,
+            scheme,
+            mode=mode,
+            subsets_per_level=config.subsets,
+            seed=derive_seed(config.seed, i, _SUBSET_STREAM),
+        )
+        ests = np.array([measure.integrate(f) for f in grid.members])
+        return np.abs(ests - truths)
 
-    if config.workers == 1:
-        for i in range(r):
-            errors[i] = one(i)
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            for i, row in enumerate(pool.map(one, range(r))):
-                errors[i] = row
-
+    errors = np.array(_map_replicates(one, config.replications, config.workers))
     max_error = errors.max(axis=1)
     return SupnormResult(
         config=config,

@@ -30,19 +30,12 @@ __all__ = [
 ]
 
 
-def effective_rank(model: CovarianceModel, power: float = 1.0) -> float:
-    """trace(Sigma**power) / ||Sigma**power||, in [1, dim].
-
-    power=1 is the trace-to-operator-norm ratio; power=2 measures the
-    spread of squared eigenvalues. Needs a nonzero spectrum.
-    """
+def effective_rank(model: CovarianceModel) -> float:
+    """trace(Sigma) / ||Sigma||, in [1, dim]. Needs a nonzero spectrum."""
     lam = model.eigenvalues
     if lam[0] <= 0.0:
         raise ValueError("effective rank is undefined for an all-zero spectrum")
-    if power <= 0:
-        raise ValueError("power must be > 0")
-    lp = lam ** power
-    return float(lp.sum() / lp[0])
+    return float(lam.sum() / lam[0])
 
 
 def gaussian_limit_std(f: TestFunction, model: CovarianceModel) -> float:

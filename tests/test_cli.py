@@ -261,3 +261,17 @@ def test_help_and_bad_subcommand_exit_codes(capsys):
     assert code == 0
     code, _, _ = run_cli(capsys, "not-a-command")
     assert code == 2
+
+
+def test_bad_mode_and_standardize_exit_2_before_any_output(tmp_path, capsys):
+    base = ("--model", "identity:3", "--f", "log1p", "--seed", "1")
+    for argv, word in [
+        (("normality", *base, "--n", "100", "--mode", "bogus"), "mode"),
+        (("estimate", *base, "--n", "100", "--mode", "bogus", "-B", "4"), "mode"),
+        (("rates", *base, "--n-list", "50,100,200", "--standardize", "nope"),
+         "standardize"),
+    ]:
+        out = tmp_path / argv[0]
+        code, _, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 2 and word in err
+        assert not out.exists()

@@ -178,15 +178,6 @@ def test_square_first_order_bias_identity_matches_moments():
     assert abs(bias - expect) < 3 * se
 
 
-def test_jackknife_prefix_single_subset_equals_aggregate():
-    x = sample_gaussian(CovarianceModel.identity(6), 120, 2)
-    f = builtin("rational")
-    scheme = make_scheme(3, 120, 2.0)
-    agg = aggregate_estimate(f, x, scheme)
-    jk = jackknife_estimate(f, x, scheme, subsets_per_level=1, subset_rule="prefix")
-    assert jk == agg
-
-
 def test_jackknife_on_identical_observations_equals_aggregate():
     # every subset has the same covariance, so averaging changes nothing
     s = SampleSet(np.tile([1.0, -2.0, 0.5], (20, 1)))
@@ -242,8 +233,64 @@ def test_jackknife_averaging_does_not_increase_variance():
 def test_jackknife_budget_error():
     x = sample_gaussian(CovarianceModel.identity(3), 100, 0)
     scheme = make_scheme(2, 100, 2.0)
-    with pytest.raises(ComputeBudgetError, match="budget"):
-        jackknife_estimate(builtin("identity"), x, scheme, 50, max_evals=10)
+    # 1 + 10_000 eigendecompositions, one over the fixed budget
+    with pytest.raises(ComputeBudgetError, match="budget is 10000"):
+        jackknife_estimate(builtin("identity"), x, scheme, 10_000)
+
+
+def _reference_levels(x, scheme, subsets, seed):
+    # (C_j, spectra) per level, one subset at a time; subsets=None means
+    # nested prefixes
+    levels = []
+    for level, (size, weight) in enumerate(zip(scheme.sizes, scheme.coeffs)):
+        if subsets is None or size == x.n:
+            draws = [np.arange(size)]
+        else:
+            draws = [
+                rng_from(seed, level, b).choice(x.n, size=size, replace=False)
+                for b in range(subsets)
+            ]
+        spectra = [
+            sym_eigvalues(sample_covariance(SampleSet(x.data[idx]))) for idx in draws
+        ]
+        levels.append((weight, spectra))
+    return levels
+
+
+def test_estimators_match_naive_per_subset_reference():
+    # the scalar and measure paths share one subsample-spectrum engine, so
+    # comparing them with each other cannot catch an engine fault; compare
+    # both against the loop above, bit for bit
+    rng = rng_from(778)
+    for _ in range(12):
+        d = int(rng.integers(2, 12))
+        m = int(rng.integers(2, 5))
+        n = int(rng.integers(4 * 2 ** (m - 1), 240))
+        subsets = int(rng.integers(1, 9))
+        seed = int(rng.integers(0, 2 ** 32))
+        model = CovarianceModel.from_values(rng.uniform(0.2, 3.0, size=d))
+        x = sample_gaussian(model, n, seed)
+        scheme = make_scheme(m, n, 2.0)
+        f = builtin(["log1p", "square", "rational"][int(rng.integers(0, 3))])
+        for mode, b in (("aggregate", None), ("jackknife", subsets)):
+            levels = _reference_levels(x, scheme, b, seed + 1)
+            expect = 0.0
+            atoms = []
+            for weight, spectra in levels:
+                acc = 0.0
+                for lam in spectra:
+                    acc += tau_f(f, lam)
+                    atoms += [(v, weight / len(spectra)) for v in lam.tolist()]
+                expect += weight * (acc / len(spectra))
+            if mode == "aggregate":
+                got = aggregate_estimate(f, x, scheme)
+            else:
+                got = jackknife_estimate(f, x, scheme, subsets, seed=seed + 1)
+            assert got == expect
+            mu = spectral_measure_estimate(x, scheme, mode, subsets, seed=seed + 1)
+            order = np.lexsort((mu.weights, mu.locations))
+            got_atoms = list(zip(mu.locations[order].tolist(), mu.weights[order].tolist()))
+            assert got_atoms == sorted(atoms)
 
 
 # --- spectral measures ----------------------------------------------------
@@ -306,7 +353,7 @@ def test_measure_rejects_bad_mode_and_budget():
     with pytest.raises(ValueError, match="mode"):
         spectral_measure_estimate(x, scheme, "plugin")
     with pytest.raises(ComputeBudgetError):
-        spectral_measure_estimate(x, scheme, "jackknife", 50, max_evals=3)
+        spectral_measure_estimate(x, scheme, "jackknife", 10_000)
 
 
 def test_measure_csv_sorted_and_stable(tmp_path):

@@ -34,11 +34,6 @@ def test_effective_rank_partial_zeta_limit():
     assert abs(r - np.pi ** 2 / 6) < 1e-3
 
 
-def test_effective_rank_power_two():
-    model = CovarianceModel.from_values([2.0, 1.0])
-    assert effective_rank(model, power=2.0) == 1.25
-
-
 def test_effective_rank_rejects_zero_spectrum():
     with pytest.raises(ValueError, match="zero"):
         effective_rank(CovarianceModel(np.zeros(3)))
