@@ -29,7 +29,6 @@ from .estimators import (
     aggregate_estimate,
     jackknife_estimate,
     make_scheme,
-    plugin_estimate,
 )
 from .functions import builtin, default_grid, grid_to_csv, tau_f
 from .linalg import (
@@ -59,7 +58,8 @@ from .theory import esd_mp_ks, mp_cdf, rate_budget
 
 __all__ = ["ConfigError", "main", "entrypoint"]
 
-# Stream tag for the supnorm function grid, distinct from replicate streams.
+# Stream tag for the supnorm function grid, seeded (master, 0, tag) like the
+# three-part subset seeds, so it cannot meet a two-part replicate seed.
 _GRID_STREAM = 2
 
 
@@ -267,8 +267,10 @@ def _validate(command: str, cfg: dict) -> None:
     if command == "mp-compare":
         if cfg["d"] < 50 or cfg["n"] < 50:
             raise ConfigError("mp-compare needs d >= 50 and n >= 50")
-        if cfg["gamma"] <= 0:
-            raise ConfigError("gamma must be > 0")
+        if not (cfg["gamma"] > 0 and np.isfinite(cfg["gamma"])):
+            raise ConfigError("gamma must be finite and > 0")
+    if "q" in cfg and not (cfg["q"] > 1 and np.isfinite(cfg["q"])):
+        raise ConfigError("q must be finite and > 1")
     if "mode" in cfg and cfg["mode"] not in _MODES:
         raise ConfigError(f"mode must be one of {_MODES}, got {cfg['mode']!r}")
     if cfg.get("standardize") not in (None, *_STANDARDIZE):
@@ -334,8 +336,9 @@ def _cmd_estimate(cfg: dict) -> int:
         samples = sample_gaussian(model, cfg["n"], cfg["seed"])
     mode = cfg["mode"]
     scheme = None
+    lam = sym_eigvalues(sample_covariance(samples))
     if mode == "plugin":
-        estimate = plugin_estimate(f, samples)
+        estimate = tau_f(f, lam)
     else:
         scheme = make_scheme(cfg["m"], samples.n, cfg["q"])
         if mode == "aggregate":
@@ -345,7 +348,6 @@ def _cmd_estimate(cfg: dict) -> int:
                 f, samples, scheme,
                 subsets_per_level=cfg["subsets"], seed=cfg["seed"],
             )
-    lam = sym_eigvalues(sample_covariance(samples))
     print(f"estimate: {estimate!r}")
     print(f"f: {f.name}  mode: {mode}  n: {samples.n}  dim: {samples.dim}")
     if scheme is not None:
@@ -452,7 +454,8 @@ def _cmd_normality(cfg: dict) -> int:
 
 def _cmd_supnorm(cfg: dict) -> int:
     config = _experiment_config(cfg)
-    grid = default_grid(cfg["m"], cfg["grid_size"], derive_seed(cfg["seed"], _GRID_STREAM))
+    grid_seed = derive_seed(cfg["seed"], 0, _GRID_STREAM)
+    grid = default_grid(cfg["m"], cfg["grid_size"], grid_seed)
     result = supnorm_experiment(grid, config)
     outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)

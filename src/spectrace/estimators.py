@@ -175,7 +175,7 @@ def make_scheme(m: int, n: int, q: float = 2.0) -> AggregationScheme:
     """
     if m < 2:
         raise SchemeError("m must be >= 2 (degenerate_scheme covers m = 1)")
-    if q <= 1.0:
+    if not q > 1.0:
         raise SchemeError("q must be > 1")
     if n < 2.0 * q ** (m - 1):
         raise SchemeError(

@@ -214,8 +214,7 @@ def _resolve(config: ExperimentConfig, n: int):
 
 def _plugin_std(f: TestFunction, samples) -> float:
     lam = sym_eigvalues(sample_covariance(samples))
-    vals = lam * f.deriv(1, lam)
-    return float(np.sqrt(np.sum(vals * vals)))
+    return gaussian_limit_std(f, CovarianceModel(lam))
 
 
 def _summarize(

@@ -5,6 +5,9 @@ These are the deterministic quantities the Monte Carlo harness compares
 against: the scale of the Gaussian fluctuation of trace estimates, the
 structural error budget for the aggregated estimator, and the limiting
 spectral distribution of sample covariances in the proportional regime.
+The Marchenko-Pastur distribution function is evaluated in closed form
+(Marchenko & Pastur 1967; Bai & Silverstein 2010, ch. 3), vectorized over
+the evaluation points.
 """
 
 from __future__ import annotations
@@ -120,83 +123,37 @@ def mp_density(gamma: float, x) -> np.ndarray | float:
     return float(out[0]) if scalar else out
 
 
-def _adaptive_simpson(fn, lo: float, hi: float, tol: float = 1e-8) -> float:
-    """Adaptive Simpson quadrature with local error control.
+def mp_cdf(gamma: float, x) -> np.ndarray | float:
+    """Distribution function including the atom at zero when gamma > 1.
 
-    Plain recursion on interval halves; the integrands fed to it here are
-    smooth by construction (edge singularities are removed by substitution
-    before calling), so the recursion stays shallow.
+    Closed form (Marchenko & Pastur 1967; Bai & Silverstein 2010, ch. 3).
+    With r = sqrt((x - a)(b - x)), G(x) / (2 pi gamma) is an antiderivative
+    of the bulk density on [a, b], where
+
+        G(x) = r + (a + b)/2 * asin((2x - a - b) / (b - a))
+                 - sqrt(ab) * asin(((a + b)x - 2ab) / ((b - a)x)),
+
+    so F(x) = atom + (G(x) - G(a)) / (2 pi gamma) there. Each asin is
+    evaluated as arctan2 of its exact sine and cosine, since rounding
+    pushes the plain asin argument off +-1 near the edges.
     """
-    if hi <= lo:
-        return 0.0
+    gamma = _check_gamma(gamma)
+    a, b = mp_support(gamma)
+    sab = sqrt(a * b)
 
-    def simpson(x0: float, x2: float, f0: float, f1: float, f2: float) -> float:
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, eps, depth):
-        x1 = 0.5 * (x0 + x2)
-        lm = 0.5 * (x0 + x1)
-        rm = 0.5 * (x1 + x2)
-        flm = fn(lm)
-        frm = fn(rm)
-        left = simpson(x0, x1, f0, flm, f1)
-        right = simpson(x1, x2, f1, frm, f2)
-        if depth >= 50 or abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        half = 0.5 * eps
-        return recurse(x0, x1, f0, flm, f1, left, half, depth + 1) + recurse(
-            x1, x2, f1, frm, f2, right, half, depth + 1
+    def antiderivative(x, r):
+        return (
+            r
+            + 0.5 * (a + b) * np.arctan2(2.0 * x - a - b, 2.0 * r)
+            - sab * np.arctan2((a + b) * x - 2.0 * a * b, 2.0 * sab * r)
         )
 
-    mid = 0.5 * (lo + hi)
-    f_lo, f_mid, f_hi = fn(lo), fn(mid), fn(hi)
-    whole = simpson(lo, hi, f_lo, f_mid, f_hi)
-    return recurse(lo, hi, f_lo, f_mid, f_hi, whole, tol, 0)
-
-
-def _mp_bulk_mass(gamma: float, upto: float) -> float:
-    """Integral of the bulk density over [a, min(upto, b)].
-
-    The density has inverse-square-root edges; substituting x = a + t**2
-    near the left edge and x = b - t**2 near the right one hands the
-    quadrature smooth integrands.
-    """
-    a, b = mp_support(gamma)
-    hi = min(float(upto), b)
-    if hi <= a:
-        return 0.0
-    mid = 0.5 * (a + b)
-
-    def left_sub(t: float) -> float:
-        x = a + t * t
-        return float(mp_density(gamma, x)) * 2.0 * t
-
-    def right_sub(t: float) -> float:
-        x = b - t * t
-        return float(mp_density(gamma, x)) * 2.0 * t
-
-    if hi <= mid:
-        return _adaptive_simpson(left_sub, 0.0, sqrt(hi - a))
-    mass = _adaptive_simpson(left_sub, 0.0, sqrt(mid - a))
-    mass += _adaptive_simpson(right_sub, sqrt(b - hi), sqrt(b - mid))
-    return mass
-
-
-def mp_cdf(gamma: float, x) -> np.ndarray | float:
-    """Distribution function including the atom at zero when gamma > 1."""
-    gamma = _check_gamma(gamma)
-    atom = mp_atom(gamma)
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.zeros_like(arr)
-    for i, xi in enumerate(arr):
-        if xi < 0.0:
-            out[i] = 0.0
-        else:
-            out[i] = atom + _mp_bulk_mass(gamma, xi)
-    out = np.minimum(out, 1.0)
-    return float(out[0]) if scalar else out
+    xc = np.clip(arr, a, b)
+    r = np.sqrt((xc - a) * (b - xc))
+    bulk = (antiderivative(xc, r) - antiderivative(a, 0.0)) / (2.0 * pi * gamma)
+    out = np.where(arr < 0.0, 0.0, np.minimum(mp_atom(gamma) + bulk, 1.0))
+    return float(out) if arr.ndim == 0 else out
 
 
 def esd_mp_ks(eigenvalues, gamma: float) -> float:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spectrace import cli, montecarlo
 from spectrace.cli import main
 from spectrace.estimators import jackknife_estimate, make_scheme, plugin_estimate
 from spectrace.functions import builtin
@@ -256,6 +257,40 @@ def test_supnorm_smoke(tmp_path, capsys):
     assert len(lines) == 4
 
 
+def test_supnorm_grid_seed_is_not_a_replicate_or_subset_seed(
+    tmp_path, capsys, monkeypatch
+):
+    grid_seeds, sample_seeds, subset_seeds = [], [], []
+    real_grid = cli.default_grid
+    real_sample = montecarlo.sample_gaussian
+    real_measure = montecarlo.spectral_measure_estimate
+
+    def grid(m, size, seed):
+        grid_seeds.append(seed)
+        return real_grid(m, size, seed)
+
+    def sample(model, n, seed):
+        sample_seeds.append(seed)
+        return real_sample(model, n, seed)
+
+    def measure(*args, **kwargs):
+        subset_seeds.append(kwargs["seed"])
+        return real_measure(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "default_grid", grid)
+    monkeypatch.setattr(montecarlo, "sample_gaussian", sample)
+    monkeypatch.setattr(montecarlo, "spectral_measure_estimate", measure)
+    code, _, _ = run_cli(
+        capsys, "supnorm", "--model", "identity:4", "--mode", "jackknife",
+        "--m", "2", "-B", "3", "--n", "60", "--reps", "5", "--grid-size", "3",
+        "--seed", "44", "--out", str(tmp_path),
+    )
+    assert code == 0
+    assert len(grid_seeds) == 1
+    assert len(set(sample_seeds)) == len(set(subset_seeds)) == 5
+    assert grid_seeds[0] not in set(sample_seeds) | set(subset_seeds)
+
+
 def test_help_and_bad_subcommand_exit_codes(capsys):
     code, _, _ = run_cli(capsys, "--help")
     assert code == 0
@@ -270,6 +305,12 @@ def test_bad_mode_and_standardize_exit_2_before_any_output(tmp_path, capsys):
         (("estimate", *base, "--n", "100", "--mode", "bogus", "-B", "4"), "mode"),
         (("rates", *base, "--n-list", "50,100,200", "--standardize", "nope"),
          "standardize"),
+        (("coeffs", "--m", "2", "--n", "100", "--q", "nan"), "q"),
+        (("coeffs", "--m", "2", "--n", "100", "--q", "1"), "q"),
+        (("mp-compare", "--gamma", "nan", "--d", "60", "--n", "60", "--seed", "1"),
+         "gamma"),
+        (("mp-compare", "--gamma", "inf", "--d", "60", "--n", "60", "--seed", "1"),
+         "gamma"),
     ]:
         out = tmp_path / argv[0]
         code, _, err = run_cli(capsys, *argv, "--out", str(out))

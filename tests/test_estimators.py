@@ -73,6 +73,8 @@ def test_scheme_rejects_small_n_with_hint():
         make_scheme(1, 100, 2.0)  # m too small
     with pytest.raises(SchemeError):
         make_scheme(2, 100, 1.0)  # q too small
+    with pytest.raises(SchemeError):
+        make_scheme(2, 100, float("nan"))
 
 
 def test_scheme_largest_size_pinned_to_n():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from scipy.integrate import quad
 
 from spectrace.functions import builtin, combine
 from spectrace.linalg import CovarianceModel, sample_covariance, sample_gaussian, sym_eigvalues
@@ -142,6 +143,7 @@ def test_mp_cdf_monotone_and_edges():
         a, b = mp_support(gamma)
         grid = np.linspace(-0.5, b + 0.5, 80)
         cdf = mp_cdf(gamma, grid)
+        assert cdf.shape == grid.shape and isinstance(mp_cdf(gamma, b), float)
         assert np.all(np.diff(cdf) >= -1e-12)
         assert mp_cdf(gamma, -0.1) == 0.0
         assert abs(mp_cdf(gamma, b) - 1.0) <= 1e-6
@@ -158,6 +160,52 @@ def test_mp_cdf_midpoint_symmetry_gamma_one():
     # the density piles up near zero; sanity-pin two quantile brackets
     assert mp_cdf(1.0, 1.0) > 0.5
     assert mp_cdf(1.0, 0.2) < 0.5
+
+
+def _quadpack_mp_cdf(gamma, x):
+    """The law's cdf by QUADPACK, an oracle independent of the closed form.
+
+    The inverse-square-root edges go into quad's algebraic weight: the left
+    edge (x - a)**0.5, or x**-0.5 when gamma = 1 puts a at 0, for points in
+    the lower half, and the right edge (b - x)**0.5 for the complement of
+    points in the upper half.
+    """
+    a, b = mp_support(gamma)
+    c = 2.0 * np.pi * gamma
+    atom = mp_atom(gamma)
+    if x <= a:
+        return atom if x >= 0.0 else 0.0
+    if x >= b:
+        return 1.0
+    kw = dict(weight="alg", epsabs=1e-14, epsrel=0.0, limit=200)
+    if a > 0.0:
+        left, left_w = (lambda t: np.sqrt(b - t) / (c * t)), (0.5, 0.0)
+    else:
+        left, left_w = (lambda t: np.sqrt(b - t) / c), (-0.5, 0.0)
+
+    def right(t):
+        return np.sqrt(t - a) / (c * t)
+
+    mid = 0.5 * (a + b)
+    if x <= mid:
+        return atom + quad(left, a, x, wvar=left_w, **kw)[0]
+    bulk = quad(left, a, mid, wvar=left_w, **kw)[0]
+    bulk += quad(right, mid, b, wvar=(0.0, 0.5), **kw)[0]
+    return atom + bulk - quad(right, x, b, wvar=(0.0, 0.5), **kw)[0]
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.5, 1.0, 2.0, 5.0])
+def test_mp_cdf_matches_quadpack(gamma):
+    a, b = mp_support(gamma)
+    near = (b - a) * 10.0 ** -np.arange(1.0, 16.0)
+    x = np.concatenate([
+        np.linspace(a, b, 401),
+        np.random.default_rng(20240).uniform(a, b, 200),
+        a + near,
+        b - near,
+    ])
+    expect = np.array([_quadpack_mp_cdf(gamma, v) for v in x])
+    assert np.max(np.abs(mp_cdf(gamma, x) - expect)) <= 1e-12
 
 
 def test_esd_close_to_mp_at_moderate_scale():
