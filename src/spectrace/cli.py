@@ -24,10 +24,12 @@ from typing import Callable
 import numpy as np
 
 from .estimators import (
+    MODES,
     ComputeBudgetError,
     SchemeError,
-    aggregate_estimate,
-    jackknife_estimate,
+    combine_levels,
+    level_plan,
+    level_spectra,
     make_scheme,
 )
 from .functions import builtin, default_grid, grid_to_csv, tau_f
@@ -41,7 +43,6 @@ from .linalg import (
     sym_eigvalues,
 )
 from .montecarlo import (
-    _MODES,
     _STANDARDIZE,
     ExperimentConfig,
     ReplicateError,
@@ -97,7 +98,7 @@ def _conv_n_list(text: str) -> tuple[int, ...]:
 _MODEL = _Key("model", required=True,
               help="identity:<d> | poly_decay:<d>:<beta> | custom:<v1>,<v2>,...")
 _F = _Key("f", required=True, help="test function, e.g. log1p or scaled_sine:0.5")
-_MODE = _Key("mode", default="plugin", help=" | ".join(_MODES))
+_MODE = _Key("mode", default="plugin", help=" | ".join(MODES))
 _M = _Key("m", int, default=2, help="number of aggregation levels")
 _Q = _Key("q", float, default=2.0, help="geometric spacing of subsample sizes")
 _SUBSETS = _Key("subsets", int, default=50, help="jackknife subsets per level",
@@ -271,8 +272,8 @@ def _validate(command: str, cfg: dict) -> None:
             raise ConfigError("gamma must be finite and > 0")
     if "q" in cfg and not (cfg["q"] > 1 and np.isfinite(cfg["q"])):
         raise ConfigError("q must be finite and > 1")
-    if "mode" in cfg and cfg["mode"] not in _MODES:
-        raise ConfigError(f"mode must be one of {_MODES}, got {cfg['mode']!r}")
+    if "mode" in cfg and cfg["mode"] not in MODES:
+        raise ConfigError(f"mode must be one of {MODES}, got {cfg['mode']!r}")
     if cfg.get("standardize") not in (None, *_STANDARDIZE):
         raise ConfigError(
             f"standardize must be one of {_STANDARDIZE}, got {cfg['standardize']!r}"
@@ -280,6 +281,9 @@ def _validate(command: str, cfg: dict) -> None:
     for name in ("m", "n", "subsets", "reps", "workers", "grid_size"):
         if name in cfg and cfg[name] is not None and cfg[name] < 1:
             raise ConfigError(f"{name} must be >= 1")
+    # an aggregation scheme needs two levels; the plug-in ignores m
+    if cfg.get("m") is not None and cfg["m"] < 2 and cfg.get("mode") != "plugin":
+        raise ConfigError("m must be >= 2 to build an aggregation scheme")
     # resolve names early so typos exit with a config error, not a run error
     if cfg.get("model"):
         try:
@@ -310,6 +314,12 @@ def _resolved_text(command: str, cfg: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _output_tag(command: str, cfg: dict) -> str:
+    # names output files; workers and out do not change the outputs
+    kept = {k: v for k, v in cfg.items() if k not in ("workers", "out")}
+    return hashlib.sha256(_resolved_text(command, kept).encode()).hexdigest()[:12]
+
+
 def _write_resolved(command: str, cfg: dict) -> str:
     text = _resolved_text(command, cfg)
     outdir = Path(cfg.get("out") or ".")
@@ -335,22 +345,13 @@ def _cmd_estimate(cfg: dict) -> int:
         model = parse_model(cfg["model"])
         samples = sample_gaussian(model, cfg["n"], cfg["seed"])
     mode = cfg["mode"]
-    scheme = None
-    lam = sym_eigvalues(sample_covariance(samples))
-    if mode == "plugin":
-        estimate = tau_f(f, lam)
-    else:
-        scheme = make_scheme(cfg["m"], samples.n, cfg["q"])
-        if mode == "aggregate":
-            estimate = aggregate_estimate(f, samples, scheme)
-        else:
-            estimate = jackknife_estimate(
-                f, samples, scheme,
-                subsets_per_level=cfg["subsets"], seed=cfg["seed"],
-            )
+    scheme, subsets = level_plan(mode, samples.n, cfg["m"], cfg["q"], cfg["subsets"])
+    levels = level_spectra(samples, scheme, subsets, cfg["seed"])
+    estimate = combine_levels(f, levels)
+    lam = levels[-1][1][0]  # the full-sample spectrum
     print(f"estimate: {estimate!r}")
     print(f"f: {f.name}  mode: {mode}  n: {samples.n}  dim: {samples.dim}")
-    if scheme is not None:
+    if scheme.m > 1:
         print(f"sizes: {','.join(str(s) for s in scheme.sizes)}")
         print(f"coeffs: {','.join(repr(c) for c in scheme.coeffs.tolist())}")
         print(f"coeff_l1: {scheme.coeff_l1()!r}")
@@ -358,9 +359,7 @@ def _cmd_estimate(cfg: dict) -> int:
         print(f"sample effective rank: {float(lam.sum() / lam[0]):.6g}")
     if model is not None:
         truth = tau_f(f, model.eigenvalues)
-        budget = rate_budget(
-            f, model, samples.n, cfg["m"] if mode != "plugin" else 1
-        )
+        budget = rate_budget(f, model, samples.n, scheme.m)
         print(f"model value: {truth!r}  deviation: {estimate - truth!r}")
         print(
             f"rate budget: main {budget.main_term:.6g} "
@@ -459,7 +458,7 @@ def _cmd_supnorm(cfg: dict) -> int:
     result = supnorm_experiment(grid, config)
     outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)
-    tag = hashlib.sha256(_resolved_text("supnorm", cfg).encode()).hexdigest()[:12]
+    tag = _output_tag("supnorm", cfg)
     grid_path = outdir / f"supnorm_{tag}_grid.csv"
     grid_to_csv(grid, grid_path)
     table_path = outdir / f"supnorm_{tag}_errors.csv"
@@ -496,7 +495,7 @@ def _cmd_mp_compare(cfg: dict) -> int:
     ks = esd_mp_ks(lam, gamma)
     outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)
-    tag = hashlib.sha256(_resolved_text("mp-compare", cfg).encode()).hexdigest()[:12]
+    tag = _output_tag("mp-compare", cfg)
     path = outdir / f"mp_compare_{tag}.csv"
     lam_sorted = np.sort(lam)
     cdf = np.asarray(mp_cdf(gamma, lam_sorted))

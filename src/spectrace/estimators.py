@@ -5,12 +5,13 @@ sample at geometrically spaced sizes and combines them with signed
 coefficients chosen so that all inverse-power bias terms up to order m-1
 cancel. The jackknife variant replaces each prefix by an average over
 random subsets of the same size, which symmetrizes the estimate over the
-sample at extra compute cost.
+sample at extra compute cost. The plug-in is the one-level scheme.
 
-All three multi-level estimators read one engine, ``_level_spectra``,
-which computes the subsample covariance spectra of every level once: the
-aggregate and jackknife estimates are weighted sums of tau_f over its
-output, and the signed spectral measure is the same output as atoms.
+``level_plan`` turns a mode into the (scheme, subsets) pair that one
+engine, ``level_spectra``, runs; it computes the covariance spectra of
+every level once, the full sample always last. Scalar estimates are the
+weighted sum ``combine_levels`` of tau_f over its output, and the signed
+spectral measure is the same output as atoms.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .linalg import (
     CovarianceModel,
     SampleSet,
     derive_seed,
+    gram_covariance,
     rng_from,
     sample_covariance,
     sample_gaussian,
@@ -59,6 +61,8 @@ _CROSSCHECK_TOL = 1e-8
 
 # Most covariance eigendecompositions a single estimate may request.
 _MAX_EVALS = 10_000
+
+MODES = ("plugin", "aggregate", "jackknife")
 
 
 class SchemeError(ValueError):
@@ -208,15 +212,23 @@ def degenerate_scheme(n: int) -> AggregationScheme:
     return AggregationScheme((int(n),), np.ones(1), 1.0)
 
 
-def _cov_eigvalues(x: np.ndarray) -> np.ndarray:
-    # covariance of the rows of x, eigenvalues only (sorted, clipped)
-    a = x.T @ x
-    a += a.T
-    a /= 2.0 * x.shape[0]
-    return sym_eigvalues(a)
+def level_plan(
+    mode: str, n: int, m: int, q: float, subsets: int
+) -> tuple[AggregationScheme, int | None]:
+    """The (scheme, subsets) pair that ``level_spectra`` runs for ``mode``.
+
+    The plug-in is the one-level scheme and ignores m and q; aggregate
+    and jackknife use the geometric m-level scheme, and only the
+    jackknife draws ``subsets`` random subsets per sub-full level.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode == "plugin":
+        return degenerate_scheme(n), None
+    return make_scheme(m, n, q), (subsets if mode == "jackknife" else None)
 
 
-def _level_spectra(
+def level_spectra(
     samples: SampleSet, scheme: AggregationScheme, subsets: int | None, seed: int
 ) -> list[tuple[float, list[np.ndarray]]]:
     """Subsample covariance spectra, one (C_j, spectra) pair per level.
@@ -245,20 +257,20 @@ def _level_spectra(
     levels = []
     for level, (size, weight) in enumerate(zip(scheme.sizes, scheme.coeffs)):
         if subsets is None or size == n:
-            spectra = [_cov_eigvalues(x[:size])]
+            spectra = [sym_eigvalues(gram_covariance(x[:size]))]
         else:
             spectra = [
-                _cov_eigvalues(
+                sym_eigvalues(gram_covariance(
                     x[rng_from(seed, level, b).choice(n, size=size, replace=False)]
-                )
+                ))
                 for b in range(subsets)
             ]
         levels.append((weight, spectra))
     return levels
 
 
-def _combine(f: TestFunction, levels) -> float:
-    # sum_j C_j * mean_b tau_f(spectrum_{j,b})
+def combine_levels(f: TestFunction, levels) -> float:
+    """sum_j C_j * mean_b tau_f(spectrum_{j,b}) over ``level_spectra`` output."""
     total = 0.0
     for weight, spectra in levels:
         acc = 0.0
@@ -281,7 +293,7 @@ def aggregate_estimate(
     Level j uses the first n_j observations; the full sample is always the
     last level.
     """
-    return _combine(f, _level_spectra(samples, scheme, None, 0))
+    return combine_levels(f, level_spectra(samples, scheme, None, 0))
 
 
 def jackknife_estimate(
@@ -300,7 +312,7 @@ def jackknife_estimate(
     evaluation order. One estimate may request at most 10,000 covariance
     eigendecompositions; more raises :class:`ComputeBudgetError`.
     """
-    return _combine(f, _level_spectra(samples, scheme, subsets_per_level, seed))
+    return combine_levels(f, level_spectra(samples, scheme, subsets_per_level, seed))
 
 
 @dataclass(frozen=True)
@@ -356,7 +368,7 @@ def spectral_measure_estimate(
     if mode not in ("aggregate", "jackknife"):
         raise ValueError(f"mode must be 'aggregate' or 'jackknife', got {mode!r}")
     subsets = subsets_per_level if mode == "jackknife" else None
-    levels = _level_spectra(samples, scheme, subsets, seed)
+    levels = level_spectra(samples, scheme, subsets, seed)
     return SignedSpectralMeasure(
         np.concatenate([lam for _, spectra in levels for lam in spectra]),
         np.concatenate([

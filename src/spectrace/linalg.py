@@ -192,10 +192,14 @@ def sample_gaussian(model: CovarianceModel, n: int, seed: int) -> SampleSet:
 
 def sample_covariance(samples: SampleSet) -> np.ndarray:
     """Gram-based covariance X'X / n (no centering), exactly symmetrized."""
-    x = samples.data
+    return gram_covariance(samples.data)
+
+
+def gram_covariance(x: np.ndarray) -> np.ndarray:
+    """X'X / k for the k rows of a raw array, exactly symmetrized; no checks."""
     a = x.T @ x
     a += a.T
-    a /= 2.0 * samples.n
+    a /= 2.0 * x.shape[0]
     return a
 
 

@@ -21,22 +21,14 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .estimators import (
-    AggregationScheme,
-    aggregate_estimate,
-    degenerate_scheme,
-    jackknife_estimate,
-    make_scheme,
-    plugin_estimate,
+    MODES,
+    combine_levels,
+    level_plan,
+    level_spectra,
     spectral_measure_estimate,
 )
-from .functions import FunctionClassGrid, TestFunction, builtin, tau_f
-from .linalg import (
-    CovarianceModel,
-    derive_seed,
-    sample_covariance,
-    sample_gaussian,
-    sym_eigvalues,
-)
+from .functions import FunctionClassGrid, builtin, tau_f
+from .linalg import CovarianceModel, derive_seed, sample_gaussian
 from .theory import gaussian_limit_std
 
 __all__ = [
@@ -58,7 +50,6 @@ __all__ = [
     "write_qq_csv",
 ]
 
-_MODES = ("plugin", "aggregate", "jackknife")
 _STANDARDIZE = ("oracle", "plugin")
 
 # Stream tag separating jackknife subset seeds from sampling seeds.
@@ -66,7 +57,7 @@ _SUBSET_STREAM = 1
 
 
 class ReplicateError(RuntimeError):
-    """A replicate failed; the message carries its index."""
+    """A replicate failed; the message carries its index and derived seeds."""
 
 
 def parse_model(profile: str) -> CovarianceModel:
@@ -117,8 +108,8 @@ class ExperimentConfig:
     standardize: str = "oracle"
 
     def __post_init__(self) -> None:
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.standardize not in _STANDARDIZE:
             raise ValueError(
                 f"standardize must be one of {_STANDARDIZE}, got {self.standardize!r}"
@@ -202,21 +193,6 @@ def wasserstein1_to_normal(sample) -> float:
     return float(np.mean(np.abs(z - q)))
 
 
-def _resolve(config: ExperimentConfig, n: int):
-    model = parse_model(config.model)
-    f = builtin(config.f)
-    if config.mode == "plugin":
-        scheme = None
-    else:
-        scheme = make_scheme(config.m, n, config.q)
-    return model, f, scheme
-
-
-def _plugin_std(f: TestFunction, samples) -> float:
-    lam = sym_eigvalues(sample_covariance(samples))
-    return gaussian_limit_std(f, CovarianceModel(lam))
-
-
 def _summarize(
     truth: float, n: int, estimates: np.ndarray, standardized: np.ndarray
 ) -> dict:
@@ -242,22 +218,30 @@ def _summarize(
     return summary
 
 
-def _map_replicates(one: Callable[[int], object], r: int, workers: int) -> list:
-    """[one(0), ..., one(r - 1)] in index order, on ``workers`` threads.
+def _map_replicates(
+    one: Callable[[int], object], config: ExperimentConfig, subsets: int | None
+) -> list:
+    """[one(0), ..., one(R - 1)] in index order, on ``config.workers`` threads.
 
-    A failing replicate raises :class:`ReplicateError` naming its index.
+    A failing replicate raises :class:`ReplicateError` naming its index,
+    its sampling seed and, when it draws subsets, its subset seed, so it
+    can be re-run alone.
     """
 
     def guarded(i: int):
         try:
             return one(i)
         except Exception as exc:
-            raise ReplicateError(f"replicate {i}: {exc}") from exc
+            seeds = f"sampling seed {derive_seed(config.seed, i)}"
+            if subsets is not None:
+                seeds += f", subset seed {derive_seed(config.seed, i, _SUBSET_STREAM)}"
+            raise ReplicateError(f"replicate {i} ({seeds}): {exc}") from exc
 
-    if workers == 1:
-        return [guarded(i) for i in range(r)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(guarded, range(r)))
+    indices = range(config.replications)
+    if config.workers == 1:
+        return [guarded(i) for i in indices]
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        return list(pool.map(guarded, indices))
 
 
 def run(config: ExperimentConfig) -> ExperimentResult:
@@ -265,31 +249,23 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     if config.n is None:
         raise ValueError("config.n is required for run(); n_list is for rate_sweep")
     n = int(config.n)
-    model, f, scheme = _resolve(config, n)
+    model = parse_model(config.model)
+    f = builtin(config.f)
+    scheme, subsets = level_plan(config.mode, n, config.m, config.q, config.subsets)
     truth = tau_f(f, model.eigenvalues)
     oracle_std = gaussian_limit_std(f, model)
 
     def one(i: int) -> tuple[float, float]:
         s = sample_gaussian(model, n, derive_seed(config.seed, i))
-        if config.mode == "plugin":
-            est = plugin_estimate(f, s)
-        elif config.mode == "aggregate":
-            est = aggregate_estimate(f, s, scheme)
-        else:
-            est = jackknife_estimate(
-                f,
-                s,
-                scheme,
-                subsets_per_level=config.subsets,
-                seed=derive_seed(config.seed, i, _SUBSET_STREAM),
-            )
+        seed = 0 if subsets is None else derive_seed(config.seed, i, _SUBSET_STREAM)
+        levels = level_spectra(s, scheme, subsets, seed)
+        est = combine_levels(f, levels)
         if config.standardize == "plugin":
-            scale = _plugin_std(f, s)
-        else:
-            scale = oracle_std
-        return est, scale
+            # the last level holds the full-sample spectrum
+            return est, gaussian_limit_std(f, CovarianceModel(levels[-1][1][0]))
+        return est, oracle_std
 
-    pairs = _map_replicates(one, config.replications, config.workers)
+    pairs = _map_replicates(one, config, subsets)
     estimates = np.array([est for est, _ in pairs], dtype=float)
     scales = np.array([scale for _, scale in pairs], dtype=float)
 
@@ -348,12 +324,7 @@ def supnorm_experiment(
         raise ValueError("config.n is required for supnorm_experiment")
     n = int(config.n)
     model = parse_model(config.model)
-    if config.mode == "plugin":
-        scheme: AggregationScheme = degenerate_scheme(n)
-        mode = "aggregate"
-    else:
-        scheme = make_scheme(config.m, n, config.q)
-        mode = config.mode
+    scheme, subsets = level_plan(config.mode, n, config.m, config.q, config.subsets)
     truths = np.array([tau_f(f, model.eigenvalues) for f in grid.members])
 
     def one(i: int) -> np.ndarray:
@@ -361,14 +332,14 @@ def supnorm_experiment(
         measure = spectral_measure_estimate(
             s,
             scheme,
-            mode=mode,
+            mode="aggregate" if subsets is None else "jackknife",
             subsets_per_level=config.subsets,
             seed=derive_seed(config.seed, i, _SUBSET_STREAM),
         )
         ests = np.array([measure.integrate(f) for f in grid.members])
         return np.abs(ests - truths)
 
-    errors = np.array(_map_replicates(one, config.replications, config.workers))
+    errors = np.array(_map_replicates(one, config, subsets))
     max_error = errors.max(axis=1)
     return SupnormResult(
         config=config,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spectrace import cli, montecarlo
+from spectrace import cli, estimators, linalg, montecarlo, theory
 from spectrace.cli import main
 from spectrace.estimators import jackknife_estimate, make_scheme, plugin_estimate
 from spectrace.functions import builtin
@@ -257,6 +257,45 @@ def test_supnorm_smoke(tmp_path, capsys):
     assert len(lines) == 4
 
 
+def test_supnorm_output_names_and_bytes_ignore_workers(tmp_path, capsys):
+    args = (
+        "supnorm", "--model", "identity:4", "--mode", "jackknife", "--m", "2",
+        "-B", "3", "--n", "60", "--reps", "6", "--grid-size", "3", "--seed", "45",
+    )
+    out1, out2 = tmp_path / "w1", tmp_path / "w2"
+    code1, _, _ = run_cli(capsys, *args, "--workers", "1", "--out", str(out1))
+    code2, _, _ = run_cli(capsys, *args, "--workers", "2", "--out", str(out2))
+    assert code1 == code2 == 0
+    names = sorted(p.name for p in out1.glob("supnorm_*"))
+    assert len(names) == 2
+    assert names == sorted(p.name for p in out2.glob("supnorm_*"))
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_estimate_eigendecomposes_once_per_engine_spectrum(
+    tmp_path, capsys, monkeypatch
+):
+    # the effective-rank line reads the engine's full-sample spectrum
+    calls = []
+    real = linalg.sym_eigvalues
+
+    def counted(a):
+        calls.append(a.shape)
+        return real(a)
+
+    for mod in (linalg, estimators, montecarlo, theory, cli):
+        if getattr(mod, "sym_eigvalues", None) is real:
+            monkeypatch.setattr(mod, "sym_eigvalues", counted)
+    base = ("estimate", "--model", "identity:6", "--f", "log1p", "--n", "64",
+            "--m", "3", "-B", "5", "--seed", "8", "--out", str(tmp_path))
+    for mode, expect in (("plugin", 1), ("aggregate", 3), ("jackknife", 1 + 5 * 2)):
+        calls.clear()
+        code, out, _ = run_cli(capsys, *base, "--mode", mode)
+        assert code == 0 and "sample effective rank" in out
+        assert len(calls) == expect, mode
+
+
 def test_supnorm_grid_seed_is_not_a_replicate_or_subset_seed(
     tmp_path, capsys, monkeypatch
 ):
@@ -307,6 +346,9 @@ def test_bad_mode_and_standardize_exit_2_before_any_output(tmp_path, capsys):
          "standardize"),
         (("coeffs", "--m", "2", "--n", "100", "--q", "nan"), "q"),
         (("coeffs", "--m", "2", "--n", "100", "--q", "1"), "q"),
+        (("coeffs", "--m", "1", "--n", "100"), "m must be >= 2"),
+        (("normality", *base, "--n", "100", "--mode", "aggregate", "--m", "1"),
+         "m must be >= 2"),
         (("mp-compare", "--gamma", "nan", "--d", "60", "--n", "60", "--seed", "1"),
          "gamma"),
         (("mp-compare", "--gamma", "inf", "--d", "60", "--n", "60", "--seed", "1"),

@@ -1,12 +1,27 @@
+from math import sqrt
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from spectrace.estimators import plugin_estimate
+from spectrace import montecarlo
+from spectrace.estimators import (
+    aggregate_estimate,
+    jackknife_estimate,
+    make_scheme,
+    plugin_estimate,
+)
 from spectrace.functions import builtin, default_grid, tau_f
-from spectrace.linalg import CovarianceModel, derive_seed, sample_gaussian
+from spectrace.linalg import (
+    CovarianceModel,
+    derive_seed,
+    sample_covariance,
+    sample_gaussian,
+    sym_eigvalues,
+)
 from spectrace.montecarlo import (
     ExperimentConfig,
+    ReplicateError,
     config_hash,
     ks_to_normal,
     normality_check,
@@ -17,6 +32,7 @@ from spectrace.montecarlo import (
     wasserstein1_to_normal,
     write_result_csvs,
 )
+from spectrace.theory import gaussian_limit_std
 
 
 def test_parse_model_profiles():
@@ -247,5 +263,52 @@ def test_replicate_failure_carries_index():
         model="identity:3", f="identity", seed=0, mode="jackknife",
         n=40, m=2, subsets=20_000, replications=2,
     )
-    with pytest.raises(RuntimeError, match="replicate 0"):
+    with pytest.raises(RuntimeError, match="replicate 0") as info:
         run(cfg)
+    # the message alone is enough to re-run the replicate
+    assert f"sampling seed {derive_seed(0, 0)}," in str(info.value)
+    assert f"subset seed {derive_seed(0, 0, 1)})" in str(info.value)
+
+
+def test_replicate_failure_without_subsets_names_sampling_seed_only(monkeypatch):
+    def fail(samples, scheme, subsets, seed):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(montecarlo, "level_spectra", fail)
+    cfg = ExperimentConfig(
+        model="identity:3", f="identity", seed=5, mode="aggregate",
+        n=40, m=2, replications=2,
+    )
+    with pytest.raises(ReplicateError) as info:
+        run(cfg)
+    assert str(info.value) == f"replicate 0 (sampling seed {derive_seed(5, 0)}): boom"
+
+
+def test_plugin_standardization_matches_reference_in_every_mode():
+    # the scale is gaussian_limit_std on the full-sample spectrum, which the
+    # run takes from the engine's last level rather than a second eigensolve
+    model = CovarianceModel.from_values([3.0, 2.0, 1.0, 0.5, 0.25, 0.1])
+    f, n, seed = builtin("log1p"), 40, 61
+    for mode in ("plugin", "aggregate", "jackknife"):
+        cfg = ExperimentConfig(
+            model="custom:3.0,2.0,1.0,0.5,0.25,0.1", f="log1p", seed=seed,
+            mode=mode, n=n, m=2, subsets=3, replications=6, standardize="plugin",
+        )
+        res = run(cfg)
+        for i in range(cfg.replications):
+            s = sample_gaussian(model, n, derive_seed(seed, i))
+            if mode == "plugin":
+                est = plugin_estimate(f, s)
+            elif mode == "aggregate":
+                est = aggregate_estimate(f, s, make_scheme(2, n))
+            else:
+                est = jackknife_estimate(
+                    f, s, make_scheme(2, n), 3, seed=derive_seed(seed, i, 1)
+                )
+            scale = gaussian_limit_std(
+                f, CovarianceModel(sym_eigvalues(sample_covariance(s)))
+            )
+            assert res.estimates[i] == est
+            assert res.standardized[i] == sqrt(n) * (est - res.truth) / (
+                sqrt(2.0) * scale
+            )
