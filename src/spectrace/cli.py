@@ -28,6 +28,7 @@ from .estimators import (
     ComputeBudgetError,
     SchemeError,
     combine_levels,
+    full_spectrum,
     level_plan,
     level_spectra,
     make_scheme,
@@ -348,7 +349,7 @@ def _cmd_estimate(cfg: dict) -> int:
     scheme, subsets = level_plan(mode, samples.n, cfg["m"], cfg["q"], cfg["subsets"])
     levels = level_spectra(samples, scheme, subsets, cfg["seed"])
     estimate = combine_levels(f, levels)
-    lam = levels[-1][1][0]  # the full-sample spectrum
+    lam = full_spectrum(levels)
     print(f"estimate: {estimate!r}")
     print(f"f: {f.name}  mode: {mode}  n: {samples.n}  dim: {samples.dim}")
     if scheme.m > 1:

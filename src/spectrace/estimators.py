@@ -9,9 +9,9 @@ sample at extra compute cost. The plug-in is the one-level scheme.
 
 ``level_plan`` turns a mode into the (scheme, subsets) pair that one
 engine, ``level_spectra``, runs; it computes the covariance spectra of
-every level once, the full sample always last. Scalar estimates are the
-weighted sum ``combine_levels`` of tau_f over its output, and the signed
-spectral measure is the same output as atoms.
+every level once, the full sample always last (``full_spectrum``).
+Scalar estimates are the weighted sum ``combine_levels`` of tau_f over
+its output, and the signed spectral measure is the same output as atoms.
 """
 
 from __future__ import annotations
@@ -223,9 +223,13 @@ def level_plan(
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if mode == "plugin":
-        return degenerate_scheme(n), None
-    return make_scheme(m, n, q), (subsets if mode == "jackknife" else None)
+    scheme = degenerate_scheme(n) if mode == "plugin" else make_scheme(m, n, q)
+    return scheme, _mode_subsets(mode, subsets)
+
+
+def _mode_subsets(mode: str, subsets: int) -> int | None:
+    """Subsets per sub-full level: only the jackknife draws them."""
+    return subsets if mode == "jackknife" else None
 
 
 def level_spectra(
@@ -267,6 +271,11 @@ def level_spectra(
             ]
         levels.append((weight, spectra))
     return levels
+
+
+def full_spectrum(levels) -> np.ndarray:
+    """The full-sample covariance spectrum, the last level of ``level_spectra``."""
+    return levels[-1][1][0]
 
 
 def combine_levels(f: TestFunction, levels) -> float:
@@ -361,14 +370,15 @@ def spectral_measure_estimate(
 ) -> SignedSpectralMeasure:
     """Signed combination of subsample spectral measures.
 
-    Uses the same prefixes (aggregate mode) or seeded subsets (jackknife
-    mode) as the scalar estimators, so integrating a test function against
-    the result reproduces the scalar estimate up to summation round-off.
+    Uses the same prefixes (plugin mode, one-level scheme only, and
+    aggregate mode) or seeded subsets (jackknife mode) as the scalar
+    estimators, so integrating a test function against the result
+    reproduces the scalar estimate up to summation round-off.
     """
-    if mode not in ("aggregate", "jackknife"):
-        raise ValueError(f"mode must be 'aggregate' or 'jackknife', got {mode!r}")
-    subsets = subsets_per_level if mode == "jackknife" else None
-    levels = level_spectra(samples, scheme, subsets, seed)
+    if mode not in MODES or (mode == "plugin" and scheme.m != 1):
+        raise ValueError(f"mode must be one of {MODES} (plugin needs m=1), "
+                         f"got {mode!r} with m={scheme.m}")
+    levels = level_spectra(samples, scheme, _mode_subsets(mode, subsets_per_level), seed)
     return SignedSpectralMeasure(
         np.concatenate([lam for _, spectra in levels for lam in spectra]),
         np.concatenate([

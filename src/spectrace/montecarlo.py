@@ -23,12 +23,15 @@ from scipy.special import ndtr, ndtri
 from .estimators import (
     MODES,
     combine_levels,
+    full_spectrum,
     level_plan,
     level_spectra,
     spectral_measure_estimate,
 )
 from .functions import FunctionClassGrid, builtin, tau_f
 from .linalg import CovarianceModel, derive_seed, sample_gaussian
+# unused; bench/bench_tests.py expects this module among its import sites
+from .linalg import sym_eigvalues  # noqa: F401
 from .theory import gaussian_limit_std
 
 __all__ = [
@@ -219,22 +222,25 @@ def _summarize(
 
 
 def _map_replicates(
-    one: Callable[[int], object], config: ExperimentConfig, subsets: int | None
+    one: Callable[[int, int], object], config: ExperimentConfig, subsets: int | None
 ) -> list:
-    """[one(0), ..., one(R - 1)] in index order, on ``config.workers`` threads.
+    """One result per replicate, in index order, on ``config.workers`` threads.
 
-    A failing replicate raises :class:`ReplicateError` naming its index,
-    its sampling seed and, when it draws subsets, its subset seed, so it
-    can be re-run alone.
+    Replicate i is ``one(sampling seed, subset seed)``, both derived here
+    only (the subset seed is 0, and unread, when the plan draws no
+    subsets). A failing replicate raises :class:`ReplicateError` naming
+    its index and those seeds, so it can be re-run alone.
     """
 
     def guarded(i: int):
+        sampling = derive_seed(config.seed, i)
+        subset = 0 if subsets is None else derive_seed(config.seed, i, _SUBSET_STREAM)
         try:
-            return one(i)
+            return one(sampling, subset)
         except Exception as exc:
-            seeds = f"sampling seed {derive_seed(config.seed, i)}"
+            seeds = f"sampling seed {sampling}"
             if subsets is not None:
-                seeds += f", subset seed {derive_seed(config.seed, i, _SUBSET_STREAM)}"
+                seeds += f", subset seed {subset}"
             raise ReplicateError(f"replicate {i} ({seeds}): {exc}") from exc
 
     indices = range(config.replications)
@@ -255,14 +261,12 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     truth = tau_f(f, model.eigenvalues)
     oracle_std = gaussian_limit_std(f, model)
 
-    def one(i: int) -> tuple[float, float]:
-        s = sample_gaussian(model, n, derive_seed(config.seed, i))
-        seed = 0 if subsets is None else derive_seed(config.seed, i, _SUBSET_STREAM)
-        levels = level_spectra(s, scheme, subsets, seed)
+    def one(sampling_seed: int, subset_seed: int) -> tuple[float, float]:
+        s = sample_gaussian(model, n, sampling_seed)
+        levels = level_spectra(s, scheme, subsets, subset_seed)
         est = combine_levels(f, levels)
         if config.standardize == "plugin":
-            # the last level holds the full-sample spectrum
-            return est, gaussian_limit_std(f, CovarianceModel(levels[-1][1][0]))
+            return est, gaussian_limit_std(f, CovarianceModel(full_spectrum(levels)))
         return est, oracle_std
 
     pairs = _map_replicates(one, config, subsets)
@@ -327,14 +331,10 @@ def supnorm_experiment(
     scheme, subsets = level_plan(config.mode, n, config.m, config.q, config.subsets)
     truths = np.array([tau_f(f, model.eigenvalues) for f in grid.members])
 
-    def one(i: int) -> np.ndarray:
-        s = sample_gaussian(model, n, derive_seed(config.seed, i))
+    def one(sampling_seed: int, subset_seed: int) -> np.ndarray:
+        s = sample_gaussian(model, n, sampling_seed)
         measure = spectral_measure_estimate(
-            s,
-            scheme,
-            mode="aggregate" if subsets is None else "jackknife",
-            subsets_per_level=config.subsets,
-            seed=derive_seed(config.seed, i, _SUBSET_STREAM),
+            s, scheme, config.mode, config.subsets, seed=subset_seed
         )
         ests = np.array([measure.integrate(f) for f in grid.members])
         return np.abs(ests - truths)

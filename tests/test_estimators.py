@@ -358,6 +358,16 @@ def test_measure_rejects_bad_mode_and_budget():
         spectral_measure_estimate(x, scheme, "jackknife", 10_000)
 
 
+def test_measure_plugin_mode_is_the_one_level_aggregate():
+    x = sample_gaussian(CovarianceModel.identity(3), 40, 2)
+    plugin = spectral_measure_estimate(x, degenerate_scheme(40), "plugin", seed=9)
+    agg = spectral_measure_estimate(x, degenerate_scheme(40), "aggregate")
+    assert np.array_equal(plugin.locations, agg.locations)
+    assert np.array_equal(plugin.weights, agg.weights)
+    assert plugin.integrate(builtin("log1p")) == pytest.approx(
+        plugin_estimate(builtin("log1p"), x), rel=1e-12)
+
+
 def test_measure_csv_sorted_and_stable(tmp_path):
     x = sample_gaussian(CovarianceModel.identity(3), 40, 4)
     mu = spectral_measure_estimate(x, make_scheme(2, 40, 2.0), "aggregate")
