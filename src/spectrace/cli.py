@@ -8,8 +8,8 @@ the accepted format, so re-running with ``--config <out>/config.resolved``
 reproduces the outputs byte for byte.
 
 Exit codes: 0 on success, 2 for configuration errors (bad flags, missing
-keys, conflicting sources), 3 for numerical failures (scheme collisions,
-eigensolver non-convergence, compute-budget overruns).
+keys, conflicting sources, a jackknife run over the compute budget), 3 for
+numerical failures (scheme collisions, eigensolver non-convergence).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .estimators import (
     MODES,
     ComputeBudgetError,
     SchemeError,
+    check_compute_budget,
     combine_levels,
     full_spectrum,
     level_plan,
@@ -285,6 +286,12 @@ def _validate(command: str, cfg: dict) -> None:
     # an aggregation scheme needs two levels; the plug-in ignores m
     if cfg.get("m") is not None and cfg["m"] < 2 and cfg.get("mode") != "plugin":
         raise ConfigError("m must be >= 2 to build an aggregation scheme")
+    # the jackknife budget depends on the config alone: refuse before any work
+    if cfg.get("mode") == "jackknife":
+        try:
+            check_compute_budget(cfg["m"], cfg["subsets"])
+        except ComputeBudgetError as exc:
+            raise ConfigError(str(exc))
     # resolve names early so typos exit with a config error, not a run error
     if cfg.get("model"):
         try:

@@ -12,6 +12,12 @@ engine, ``level_spectra``, runs; it computes the covariance spectra of
 every level once, the full sample always last (``full_spectrum``).
 Scalar estimates are the weighted sum ``combine_levels`` of tau_f over
 its output, and the signed spectral measure is the same output as atoms.
+
+The engine works a level at a time: subsets are drawn one seeded
+generator each, their rows gathered and their Grams formed in blocks of
+at most ``_BLOCK_BYTES``, and each Gram eigendecomposed on its own;
+``combine_levels`` evaluates f once per level. Both give the same bits
+as the per-subset loop.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .functions import TestFunction, tau_f
+from .functions import TestFunction, tau_f, tau_f_rows
 from .linalg import (
     CovarianceModel,
     SampleSet,
@@ -61,6 +67,11 @@ _CROSSCHECK_TOL = 1e-8
 
 # Most covariance eigendecompositions a single estimate may request.
 _MAX_EVALS = 10_000
+
+# Most bytes of gathered subset rows ``level_spectra`` holds at once; a
+# block takes at least one subset, so a large-d level never holds the rows
+# of all its subsets at once.
+_BLOCK_BYTES = 512 * 1024
 
 MODES = ("plugin", "aggregate", "jackknife")
 
@@ -232,16 +243,33 @@ def _mode_subsets(mode: str, subsets: int) -> int | None:
     return subsets if mode == "jackknife" else None
 
 
+def check_compute_budget(m: int, subsets: int | None) -> None:
+    """Raise :class:`ComputeBudgetError` if ``level_spectra`` would exceed it.
+
+    An m-level run computes m spectra, or 1 + subsets * (m - 1) when it
+    draws subsets: only the last level has n_j = n, and it is never
+    subsampled.
+    """
+    evals = m if subsets is None else 1 + subsets * (m - 1)
+    if evals > _MAX_EVALS:
+        raise ComputeBudgetError(
+            f"{evals} covariance eigendecompositions requested, budget is "
+            f"{_MAX_EVALS}; lower the number of subsets per level"
+        )
+
+
 def level_spectra(
     samples: SampleSet, scheme: AggregationScheme, subsets: int | None, seed: int
-) -> list[tuple[float, list[np.ndarray]]]:
+) -> list[tuple[float, np.ndarray]]:
     """Subsample covariance spectra, one (C_j, spectra) pair per level.
 
-    With ``subsets=None`` level j holds the spectrum of the prefix of the
-    first n_j observations. Otherwise every level with n_j < n holds the
-    spectra of ``subsets`` uniformly drawn size-n_j subsets, seeded per
-    (seed, level, subset) so the result does not depend on evaluation
-    order; the full-sample level always holds one spectrum.
+    ``spectra`` has one row per spectrum. With ``subsets=None`` level j
+    holds the spectrum of the prefix of the first n_j observations.
+    Otherwise every level with n_j < n holds the spectra of ``subsets``
+    uniformly drawn size-n_j subsets, seeded per (seed, level, subset) so
+    the result does not depend on evaluation order; the full-sample level
+    always holds one spectrum. Subsets are gathered and their Grams formed
+    a block at a time, each Gram still eigendecomposed on its own.
     """
     if scheme.n != samples.n:
         raise SchemeError(
@@ -249,26 +277,23 @@ def level_spectra(
         )
     if subsets is not None and subsets < 1:
         raise ValueError("subsets_per_level must be >= 1")
-    # only the last level has n_j = n, and it is never subsampled
-    evals = scheme.m if subsets is None else 1 + subsets * (scheme.m - 1)
-    if evals > _MAX_EVALS:
-        raise ComputeBudgetError(
-            f"{evals} covariance eigendecompositions requested, budget is "
-            f"{_MAX_EVALS}; lower subsets_per_level"
-        )
+    check_compute_budget(scheme.m, subsets)
     x = samples.data
-    n = samples.n
+    n, d = x.shape
     levels = []
     for level, (size, weight) in enumerate(zip(scheme.sizes, scheme.coeffs)):
         if subsets is None or size == n:
-            spectra = [sym_eigvalues(gram_covariance(x[:size]))]
+            spectra = sym_eigvalues(gram_covariance(x[:size]))[np.newaxis]
         else:
-            spectra = [
-                sym_eigvalues(gram_covariance(
-                    x[rng_from(seed, level, b).choice(n, size=size, replace=False)]
-                ))
-                for b in range(subsets)
-            ]
+            spectra = np.empty((subsets, d))
+            block = max(1, _BLOCK_BYTES // (size * d * x.itemsize))
+            for start in range(0, subsets, block):
+                rows = np.stack([
+                    rng_from(seed, level, b).choice(n, size=size, replace=False)
+                    for b in range(start, min(start + block, subsets))
+                ])
+                for b, a in enumerate(gram_covariance(x[rows]), start):
+                    spectra[b] = sym_eigvalues(a)
         levels.append((weight, spectra))
     return levels
 
@@ -279,12 +304,16 @@ def full_spectrum(levels) -> np.ndarray:
 
 
 def combine_levels(f: TestFunction, levels) -> float:
-    """sum_j C_j * mean_b tau_f(spectrum_{j,b}) over ``level_spectra`` output."""
+    """sum_j C_j * mean_b tau_f(spectrum_{j,b}) over ``level_spectra`` output.
+
+    f is evaluated once per level; the per-subset values are summed in
+    subset order, so the result equals the same sum of ``tau_f`` calls.
+    """
     total = 0.0
     for weight, spectra in levels:
         acc = 0.0
-        for lam in spectra:
-            acc += tau_f(f, lam)
+        for value in tau_f_rows(f, spectra).tolist():
+            acc += value
         total += weight * (acc / len(spectra))
     return float(total)
 
@@ -380,11 +409,9 @@ def spectral_measure_estimate(
                          f"got {mode!r} with m={scheme.m}")
     levels = level_spectra(samples, scheme, _mode_subsets(mode, subsets_per_level), seed)
     return SignedSpectralMeasure(
-        np.concatenate([lam for _, spectra in levels for lam in spectra]),
+        np.concatenate([spectra.ravel() for _, spectra in levels]),
         np.concatenate([
-            np.full(lam.size, weight / len(spectra))
-            for weight, spectra in levels
-            for lam in spectra
+            np.full(spectra.size, weight / len(spectra)) for weight, spectra in levels
         ]),
     )
 

@@ -22,6 +22,7 @@ __all__ = [
     "builtin",
     "combine",
     "tau_f",
+    "tau_f_rows",
     "default_grid",
     "grid_to_csv",
     "grid_from_csv",
@@ -138,11 +139,23 @@ def tau_f(f: TestFunction, eigenvalues) -> float:
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.ndim != 1 or lam.size == 0:
         raise ValueError("eigenvalues must be a nonempty 1-d vector")
+    return float(tau_f_rows(f, lam[np.newaxis])[0])
+
+
+def tau_f_rows(f: TestFunction, spectra) -> np.ndarray:
+    """tau_f of every row of a (B, d) stack of spectra, in one f-evaluation.
+
+    ``tau_f`` is this on a single row, so entry b equals
+    ``tau_f(f, spectra[b])`` bit for bit.
+    """
+    lam = np.asarray(spectra, dtype=float)
+    if lam.ndim != 2 or lam.size == 0:
+        raise ValueError("spectra must be a nonempty 2-d array, one spectrum per row")
     if np.any(lam < 0):
         raise ValueError(
             f"eigenvalues must be nonnegative, min = {float(lam.min()):.3e}"
         )
-    return float(np.sum(f.deriv(0, lam)))
+    return np.sum(f.deriv(0, lam), axis=1)
 
 
 # --- builtin families ---------------------------------------------------

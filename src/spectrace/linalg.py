@@ -196,15 +196,22 @@ def sample_covariance(samples: SampleSet) -> np.ndarray:
 
 
 def gram_covariance(x: np.ndarray) -> np.ndarray:
-    """X'X / k for the k rows of a raw array, exactly symmetrized; no checks."""
-    a = x.T @ x
-    a += a.T
-    a /= 2.0 * x.shape[0]
+    """X'X / k for the k rows of a raw array, exactly symmetrized; no checks.
+
+    A stacked ``(..., k, d)`` input gives the ``(..., d, d)`` stack of its
+    Grams, each bit-identical to the Gram of its own ``(k, d)`` slice.
+    """
+    a = np.swapaxes(x, -1, -2) @ x
+    a += np.swapaxes(a, -1, -2)
+    a /= 2.0 * x.shape[-2]
     return a
 
 
 def _clip_roundoff(lam: np.ndarray) -> np.ndarray:
-    # lam is sorted non-increasing; band width scales with the top magnitude
+    # lam is sorted non-increasing; band width scales with the top magnitude.
+    # Nothing to clip when the smallest is >= 0 (a NaN fails the test).
+    if lam[-1] >= 0.0:
+        return lam
     scale = max(abs(lam[0]), abs(lam[-1]))
     eps = CLIP_REL * scale
     lam[(lam < 0.0) & (lam > -eps)] = 0.0
@@ -215,8 +222,10 @@ def _check_symmetric(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    asym = float(np.abs(a - a.T).max())
+    if asym == 0.0:  # exactly symmetric, as every gram_covariance output is
+        return a
     scale = float(np.max(np.abs(a))) if a.size else 0.0
-    asym = float(np.max(np.abs(a - a.T)))
     if asym > SYM_TOL * max(scale, 1.0):
         raise ValueError(
             f"matrix is not symmetric: max |A - A'| = {asym:.3e} "

@@ -353,6 +353,15 @@ def test_bad_mode_and_standardize_exit_2_before_any_output(tmp_path, capsys):
          "gamma"),
         (("mp-compare", "--gamma", "inf", "--d", "60", "--n", "60", "--seed", "1"),
          "gamma"),
+        # 1 + subsets * (m - 1) > 10,000 is known before any replicate runs
+        (("normality", *base, "--n", "100", "--mode", "jackknife", "-B", "20000"),
+         "budget is 10000"),
+        (("estimate", *base, "--n", "100", "--mode", "jackknife", "--m", "3",
+          "-B", "5000"), "budget is 10000"),
+        (("supnorm", "--model", "identity:3", "--seed", "1", "--n", "100",
+          "--mode", "jackknife", "-B", "10000"), "budget is 10000"),
+        (("rates", *base, "--n-list", "50,100,200", "--mode", "jackknife",
+          "-B", "20000"), "budget is 10000"),
     ]:
         out = tmp_path / argv[0]
         code, _, err = run_cli(capsys, *argv, "--out", str(out))

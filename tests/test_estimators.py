@@ -3,16 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from spectrace import estimators
 from spectrace.estimators import (
+    MODES,
     AggregationScheme,
     ComputeBudgetError,
     SchemeError,
     aggregate_estimate,
+    combine_levels,
     coeffs_closed_form,
     coeffs_linear_system,
     degenerate_scheme,
     fit_bias_expansion,
     jackknife_estimate,
+    level_plan,
+    level_spectra,
     linear_term,
     make_scheme,
     plugin_estimate,
@@ -293,6 +298,80 @@ def test_estimators_match_naive_per_subset_reference():
             order = np.lexsort((mu.weights, mu.locations))
             got_atoms = list(zip(mu.locations[order].tolist(), mu.weights[order].tolist()))
             assert got_atoms == sorted(atoms)
+
+
+def test_level_spectra_do_not_depend_on_the_block_size(monkeypatch):
+    # d = 6, sizes 100 and 200: the default block holds each level whole;
+    # one subset per block, then 6 and 3 per block (50 = 8 * 6 + 2 =
+    # 16 * 3 + 2), must give the same bits
+    x = sample_gaussian(CovarianceModel.from_values([3.0, 2.0, 1.0, 1.0, 0.5, 0.1]),
+                        400, 51)
+    scheme = make_scheme(3, 400, 2.0)
+    default = level_spectra(x, scheme, 50, 9)
+    for block_bytes in (1, 3 * 200 * 6 * 8):
+        monkeypatch.setattr(estimators, "_BLOCK_BYTES", block_bytes)
+        levels = level_spectra(x, scheme, 50, 9)
+        assert [w for w, _ in levels] == [w for w, _ in default]
+        for (_, got), (_, expect) in zip(levels, default):
+            assert got.shape == expect.shape and (got == expect).all()
+
+
+def test_combine_levels_refuses_a_negative_spectrum_as_tau_f_does():
+    f = builtin("log1p")
+    bad = np.array([0.7, 0.2, -1e-3])
+    levels = [(-1.0, np.array([[0.5, 0.1, 0.0], bad, [0.4, 0.3, 0.2]])),
+              (2.0, np.array([[1.0, 0.5, 0.25]]))]
+    with pytest.raises(ValueError) as from_tau_f:
+        tau_f(f, bad)
+    with pytest.raises(ValueError) as from_combine:
+        combine_levels(f, levels)
+    assert str(from_combine.value) == str(from_tau_f.value)
+    assert "nonnegative" in str(from_tau_f.value)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    d=hst.integers(5, 24),
+    n=hst.integers(4, 23),
+    log_scale=hst.floats(-3.0, 3.0),
+    seed=hst.integers(0, 2 ** 32 - 1),
+)
+def test_rank_deficient_data_never_trips_the_negativity_check(d, n, log_scale, seed):
+    # n < d, so every level (n_j <= n) has a null space of dimension
+    # d - n_j whose round-off must land in the clip band, in every mode
+    n = min(n, d - 1)
+    rng = rng_from(seed)
+    x = SampleSet(10.0 ** log_scale * rng.standard_normal((n, d))
+                  * rng.uniform(0.5, 2.0, size=d))
+    for mode in MODES:
+        scheme, subsets = level_plan(mode, n, 2, 2.0, 4)
+        levels = level_spectra(x, scheme, subsets, seed)
+        for f in (builtin("log1p"), builtin("rational")):
+            assert np.isfinite(combine_levels(f, levels))
+        for (_, spectra), size in zip(levels, scheme.sizes):
+            assert (spectra >= 0.0).all()
+            # the d - n_j smallest are the null space, zero up to round-off
+            assert (spectra[:, size:] <= 1e-10 * spectra[:, :1]).all()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    d=hst.integers(1, 12),
+    n=hst.integers(1, 60),
+    seed=hst.integers(0, 2 ** 32 - 1),
+)
+def test_plugin_is_invariant_under_row_permutation(d, n, seed):
+    # a permutation reorders the Gram's sums only: equal to round-off,
+    # 1e-10 relative being far above the float64 error of n-term sums
+    rng = rng_from(seed)
+    x = rng.standard_normal((n, d)) * rng.uniform(0.1, 3.0, size=d)
+    f = builtin("log1p")
+    scheme, subsets = level_plan("plugin", n, 2, 2.0, 1)
+    base = combine_levels(f, level_spectra(SampleSet(x), scheme, subsets, 0))
+    permuted = SampleSet(x[rng.permutation(n)])
+    got = combine_levels(f, level_spectra(permuted, scheme, subsets, 0))
+    assert abs(got - base) <= 1e-10 * max(1.0, abs(base))
+    assert got == plugin_estimate(f, permuted)
 
 
 # --- spectral measures ----------------------------------------------------

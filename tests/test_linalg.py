@@ -4,9 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from spectrace.linalg import (
+    CLIP_REL,
+    SYM_TOL,
     CovarianceModel,
+    EigenSolverError,
     SampleSet,
     derive_seed,
+    gram_covariance,
     load_samples_csv,
     rng_from,
     sample_covariance,
@@ -134,6 +138,13 @@ def test_sym_eig_rejects_asymmetric_input():
     a = np.array([[1.0, 2.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="symmetric"):
         sym_eigvalues(a)
+    # asymmetry within SYM_TOL * max|entry| passes, just beyond it does not
+    near = np.diag([4.0, 2.0, 1.0])
+    near[0, 1] = 0.5 * SYM_TOL * 4.0
+    assert sym_eigvalues(near).shape == (3,)
+    near[0, 1] = 2.0 * SYM_TOL * 4.0
+    with pytest.raises(ValueError, match="not symmetric"):
+        sym_eigvalues(near)
 
 
 def test_eigvalue_clipping_zeroes_roundoff_negatives():
@@ -142,6 +153,65 @@ def test_eigvalue_clipping_zeroes_roundoff_negatives():
     assert np.array_equal(lam, [1.0, 0.0])
     lam = sym_eigvalues(np.diag([1.0, -1e-8]))
     assert np.array_equal(lam, [1.0, -1e-8])
+    lam = sym_eigvalues(np.diag([1.0, -1e-13, -0.5]))
+    assert np.array_equal(lam, [1.0, 0.0, -0.5])
+    # all-nonnegative spectra come back unchanged, zeros included
+    lam = sym_eigvalues(np.diag([2.0, 0.0, 1e-300]))
+    assert np.array_equal(lam, [2.0, 1e-300, 0.0])
+
+
+def _reference_sym_eigvalues(a):
+    # sym_eigvalues with every check always run: the scaled symmetry test
+    # and the clip band, without the early returns
+    a = np.asarray(a, dtype=float)
+    scale = float(np.max(np.abs(a)))
+    asym = float(np.max(np.abs(a - a.T)))
+    if asym > SYM_TOL * max(scale, 1.0):
+        raise ValueError("not symmetric")
+    try:
+        lam = np.linalg.eigvalsh(a)[::-1].copy()
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolverError(str(exc)) from exc
+    band = CLIP_REL * max(abs(lam[0]), abs(lam[-1]))
+    lam[(lam < 0.0) & (lam > -band)] = 0.0
+    return lam
+
+
+def _outcome(fn, a):
+    try:
+        return fn(a.copy()).tobytes()
+    except (ValueError, EigenSolverError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=hst.sampled_from(["gram", "wide_gram", "averaged", "near", "asym",
+                           "indefinite", "nan_off", "nan_diag"]),
+    d=hst.integers(1, 7),
+    seed=hst.integers(0, 2 ** 32 - 1),
+)
+def test_sym_eigvalues_fast_paths_match_the_full_checks(kind, d, seed):
+    rng = rng_from(seed)
+    x = rng.standard_normal((d + 3 if kind == "gram" else max(d - 2, 1), d))
+    a = gram_covariance(x)
+    if kind == "averaged":
+        b = rng.standard_normal((d, d))
+        a = (b + b.T) / 2
+    elif kind == "near":
+        a[0, -1] += 1e-14
+    elif kind == "asym":
+        a[-1, 0] += 1.0
+    elif kind == "indefinite":
+        a -= np.eye(d) * float(np.trace(a)) / d
+    elif kind == "nan_off":
+        a[0, -1] = a[-1, 0] = np.nan
+    elif kind == "nan_diag":
+        a[-1, -1] = np.nan
+    expect = _outcome(_reference_sym_eigvalues, a)
+    assert _outcome(sym_eigvalues, a) == expect
+    if kind == "asym" and d > 1:
+        assert expect is ValueError
 
 
 def test_rank_deficient_gram_has_no_negative_eigenvalues():
