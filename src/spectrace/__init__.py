@@ -7,7 +7,6 @@ against, and a seeded Monte Carlo harness with a CLI.
 
 from .estimators import (
     AggregationScheme,
-    BiasFit,
     ComputeBudgetError,
     SchemeError,
     SignedSpectralMeasure,
@@ -15,7 +14,6 @@ from .estimators import (
     coeffs_closed_form,
     coeffs_linear_system,
     degenerate_scheme,
-    fit_bias_expansion,
     jackknife_estimate,
     linear_term,
     make_scheme,
@@ -29,7 +27,6 @@ from .functions import (
     builtin,
     combine,
     default_grid,
-    grid_from_csv,
     grid_to_csv,
     tau_f,
 )
@@ -42,7 +39,6 @@ from .linalg import (
     rng_from,
     sample_covariance,
     sample_gaussian,
-    save_samples_csv,
     sym_eigvalues,
 )
 from .montecarlo import (
@@ -70,7 +66,6 @@ from .theory import (
     gaussian_limit_std,
     mp_atom,
     mp_cdf,
-    mp_density,
     mp_support,
     rate_budget,
 )

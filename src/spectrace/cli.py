@@ -9,7 +9,8 @@ reproduces the outputs byte for byte.
 
 Exit codes: 0 on success, 2 for configuration errors (bad flags, missing
 keys, conflicting sources, a jackknife run over the compute budget), 3 for
-numerical failures (scheme collisions, eigensolver non-convergence).
+numerical failures (scheme collisions, eigensolver non-convergence, a
+sample covariance that overflows).
 """
 
 from __future__ import annotations
@@ -52,12 +53,11 @@ from .montecarlo import (
     normality_check,
     parse_model,
     rate_sweep,
-    run,
     supnorm_experiment,
     write_qq_csv,
     write_result_csvs,
 )
-from .theory import esd_mp_ks, mp_cdf, rate_budget
+from .theory import effective_rank, esd_mp_ks, mp_cdf, rate_budget
 
 __all__ = ["ConfigError", "main", "entrypoint"]
 
@@ -364,7 +364,7 @@ def _cmd_estimate(cfg: dict) -> int:
         print(f"coeffs: {','.join(repr(c) for c in scheme.coeffs.tolist())}")
         print(f"coeff_l1: {scheme.coeff_l1()!r}")
     if lam[0] > 0:
-        print(f"sample effective rank: {float(lam.sum() / lam[0]):.6g}")
+        print(f"sample effective rank: {effective_rank(CovarianceModel(lam)):.6g}")
     if model is not None:
         truth = tau_f(f, model.eigenvalues)
         budget = rate_budget(f, model, samples.n, scheme.m)

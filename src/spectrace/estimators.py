@@ -22,10 +22,8 @@ as the per-subset loop.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from math import floor, sqrt
-from pathlib import Path
+from math import floor
 
 import numpy as np
 
@@ -33,13 +31,13 @@ from .functions import TestFunction, tau_f, tau_f_rows
 from .linalg import (
     CovarianceModel,
     SampleSet,
-    derive_seed,
     gram_covariance,
     rng_from,
     sample_covariance,
-    sample_gaussian,
     sym_eigvalues,
 )
+# unused; bench/bench_tests.py expects this module among its import sites
+from .linalg import derive_seed, sample_gaussian  # noqa: F401
 
 __all__ = [
     "SchemeError",
@@ -56,8 +54,6 @@ __all__ = [
     "spectral_measure_estimate",
     "linear_term",
     "taylor_remainder",
-    "BiasFit",
-    "fit_bias_expansion",
 ]
 
 # Tolerances tied to the scheme's defining identities.
@@ -375,19 +371,6 @@ class SignedSpectralMeasure:
     def integrate(self, f: TestFunction) -> float:
         return float(np.dot(self.weights, f.deriv(0, self.locations)))
 
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
-
-    def to_csv(self, path) -> None:
-        path = Path(path)
-        order = np.lexsort((self.weights, self.locations))
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["location", "weight"])
-            for i in order:
-                writer.writerow(
-                    [repr(float(self.locations[i])), repr(float(self.weights[i]))]
-                )
 
 
 def spectral_measure_estimate(
@@ -444,73 +427,3 @@ def taylor_remainder(
     value_hat = float(np.sum(f.deriv(0, lam_hat)))
     value = float(np.sum(f.deriv(0, model.eigenvalues)))
     return value_hat - value - lin
-
-
-@dataclass(frozen=True)
-class BiasFit:
-    """Weighted least-squares fit of empirical bias against 1/n**l terms."""
-
-    orders: tuple[int, ...]
-    coefficients: np.ndarray
-    standard_errors: np.ndarray
-    n_values: tuple[int, ...]
-    bias: np.ndarray
-    bias_se: np.ndarray
-
-
-def fit_bias_expansion(
-    f: TestFunction,
-    model: CovarianceModel,
-    num_terms: int,
-    n_values,
-    reps: int,
-    seed: int,
-) -> BiasFit:
-    """Estimate inverse-power bias coefficients of the plug-in by Monte Carlo.
-
-    For each n, runs ``reps`` seeded replicates of the plug-in, takes the
-    empirical bias against tau_f(model), and fits
-    bias(n) ~ sum_l b_l / n**l for l = 1..num_terms by least squares
-    weighted with the inverse variances of the bias estimates. Standard
-    errors of the fitted b_l come from the weighted normal equations;
-    whether they are small enough to resolve a coefficient is the caller's
-    judgment, the fit does not enforce it.
-    """
-    ns = sorted(set(int(v) for v in n_values))
-    if num_terms < 1:
-        raise ValueError("num_terms must be >= 1")
-    if len(ns) < max(3, num_terms):
-        raise ValueError(
-            f"need at least {max(3, num_terms)} distinct n values, got {len(ns)}"
-        )
-    if reps < 2:
-        raise ValueError("reps must be >= 2")
-    truth = tau_f(f, model.eigenvalues)
-    bias = np.empty(len(ns))
-    bias_se = np.empty(len(ns))
-    for i, n in enumerate(ns):
-        ests = np.empty(reps)
-        for r in range(reps):
-            s = sample_gaussian(model, n, derive_seed(seed, n, r))
-            ests[r] = plugin_estimate(f, s)
-        bias[i] = ests.mean() - truth
-        bias_se[i] = ests.std(ddof=1) / sqrt(reps)
-    design = np.column_stack(
-        [1.0 / np.asarray(ns, dtype=float) ** ell for ell in range(1, num_terms + 1)]
-    )
-    w = 1.0 / bias_se ** 2 if np.all(bias_se > 0) else np.ones(len(ns))
-    xtw = design.T * w
-    normal = xtw @ design
-    try:
-        cov = np.linalg.inv(normal)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"singular design for n values {ns}: {exc}") from exc
-    coef = cov @ (xtw @ bias)
-    return BiasFit(
-        orders=tuple(range(1, num_terms + 1)),
-        coefficients=coef,
-        standard_errors=np.sqrt(np.diag(cov)),
-        n_values=tuple(ns),
-        bias=bias,
-        bias_se=bias_se,
-    )

@@ -25,7 +25,6 @@ __all__ = [
     "tau_f_rows",
     "default_grid",
     "grid_to_csv",
-    "grid_from_csv",
 ]
 
 _GRID_POINTS = 2001  # resolution for grid-based derivative bounds
@@ -410,7 +409,7 @@ def default_grid(
 
 
 def grid_to_csv(grid: FunctionClassGrid, path) -> None:
-    """Write (family, parameters) rows; :func:`grid_from_csv` reads them back."""
+    """Write (family, parameters) rows; :func:`builtin` parses ``family:parameters``."""
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -418,20 +417,3 @@ def grid_to_csv(grid: FunctionClassGrid, path) -> None:
         for f in grid.members:
             family, _, params = f.name.partition(":")
             writer.writerow([family, params])
-
-
-def grid_from_csv(path, order: int, check_upper: float = 20.0) -> FunctionClassGrid:
-    path = Path(path)
-    members = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["name", "parameters"]:
-            raise ValueError(f"{path}: expected header name,parameters")
-        for row in reader:
-            if not row:
-                continue
-            family, params = row[0], row[1] if len(row) > 1 else ""
-            full = f"{family}:{params}" if params else family
-            members.append(builtin(full))
-    return FunctionClassGrid(order, members, check_upper)

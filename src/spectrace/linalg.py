@@ -23,7 +23,6 @@ __all__ = [
     "sample_covariance",
     "sym_eigvalues",
     "load_samples_csv",
-    "save_samples_csv",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -114,9 +113,6 @@ class CovarianceModel:
             return np.diag(self.eigenvalues)
         return (self.basis * self.eigenvalues) @ self.basis.T
 
-    def trace(self) -> float:
-        return float(self.eigenvalues.sum())
-
     def operator_norm(self) -> float:
         return float(self.eigenvalues[0])
 
@@ -196,14 +192,22 @@ def sample_covariance(samples: SampleSet) -> np.ndarray:
 
 
 def gram_covariance(x: np.ndarray) -> np.ndarray:
-    """X'X / k for the k rows of a raw array, exactly symmetrized; no checks.
+    """X'X / k for the k rows of a raw array, exactly symmetrized.
 
     A stacked ``(..., k, d)`` input gives the ``(..., d, d)`` stack of its
     Grams, each bit-identical to the Gram of its own ``(k, d)`` slice.
+    The input is not validated; finite data whose Gram overflows raise
+    :class:`FloatingPointError`, checked once over the whole stack.
     """
-    a = np.swapaxes(x, -1, -2) @ x
-    a += np.swapaxes(a, -1, -2)
-    a /= 2.0 * x.shape[-2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.swapaxes(x, -1, -2) @ x
+        a += np.swapaxes(a, -1, -2)
+        a /= 2.0 * x.shape[-2]
+    if not np.isfinite(a).all():
+        raise FloatingPointError(
+            f"sample covariance overflows: the Gram of {x.shape[-2]} rows with "
+            f"entries up to {float(np.abs(x).max()):.3e} is not finite"
+        )
     return a
 
 
@@ -280,13 +284,3 @@ def load_samples_csv(path) -> SampleSet:
                 f"{path}: row {i + 1} has {len(row)} cells, expected {width}"
             )
     return SampleSet(np.asarray(rows, dtype=float))
-
-
-def save_samples_csv(samples: SampleSet, path, header: bool = True) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        if header:
-            writer.writerow([f"x{j}" for j in range(samples.dim)])
-        for row in samples.data:
-            writer.writerow([repr(float(v)) for v in row])

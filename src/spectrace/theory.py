@@ -27,7 +27,6 @@ __all__ = [
     "rate_budget",
     "mp_support",
     "mp_atom",
-    "mp_density",
     "mp_cdf",
     "esd_mp_ks",
 ]
@@ -107,20 +106,6 @@ def mp_atom(gamma: float) -> float:
     """Mass at zero: max(0, 1 - 1/gamma); positive only for gamma > 1."""
     gamma = _check_gamma(gamma)
     return max(0.0, 1.0 - 1.0 / gamma)
-
-
-def mp_density(gamma: float, x) -> np.ndarray | float:
-    """Bulk density sqrt((x - a)(b - x)) / (2 pi gamma x) on [a, b], else 0."""
-    gamma = _check_gamma(gamma)
-    a, b = mp_support(gamma)
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.zeros_like(arr)
-    inside = (arr > a) & (arr < b) & (arr > 0.0)
-    xv = arr[inside]
-    out[inside] = np.sqrt((xv - a) * (b - xv)) / (2.0 * pi * gamma * xv)
-    return float(out[0]) if scalar else out
 
 
 def mp_cdf(gamma: float, x) -> np.ndarray | float:

@@ -7,10 +7,8 @@ from spectrace.estimators import jackknife_estimate, make_scheme, plugin_estimat
 from spectrace.functions import builtin
 from spectrace.linalg import (
     CovarianceModel,
-    SampleSet,
     load_samples_csv,
     sample_gaussian,
-    save_samples_csv,
 )
 
 
@@ -64,7 +62,7 @@ def test_estimate_jackknife_deterministic(tmp_path, capsys):
 def test_estimate_from_data_csv(tmp_path, capsys):
     samples = sample_gaussian(CovarianceModel.from_values([2.0, 1.0]), 30, 5)
     path = tmp_path / "data.csv"
-    save_samples_csv(samples, path)
+    np.savetxt(path, samples.data, delimiter=",", fmt="%.17g", header="x0,x1", comments="")
     code, out, _ = run_cli(
         capsys, "estimate", "--data", str(path), "--f", "log1p",
         "--seed", "1", "--out", str(tmp_path),
@@ -84,13 +82,27 @@ def test_estimate_scheme_collision_exits_3(tmp_path, capsys):
     assert "increase n or decrease q" in err
 
 
+@pytest.mark.parametrize("mode", ["plugin", "jackknife"])
+def test_estimate_on_overflowing_data_exits_3_without_result(tmp_path, capsys, mode):
+    # finite entries whose squares overflow: the Gram is not finite
+    data = tmp_path / "big.csv"
+    data.write_text("1e200,2e200\n-1e200,3e200\n2e200,1e200\n")
+    code, out, err = run_cli(
+        capsys, "estimate", "--data", str(data), "--f", "identity", "--mode", mode,
+        "--m", "2", "--q", "1.5", "--subsets", "4", "--seed", "1", "--out", str(tmp_path),
+    )
+    assert code == 3
+    assert "sample covariance overflows" in err
+    assert "RESULT" not in out and "estimate:" not in out
+
+
 def test_estimate_source_conflicts_exit_2(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "estimate", "--f", "log1p", "--seed", "1", "--out", str(tmp_path)
     )
     assert code == 2 and "model or data" in err
     data = tmp_path / "d.csv"
-    save_samples_csv(SampleSet(np.eye(3)), data)
+    np.savetxt(data, np.eye(3), delimiter=",", fmt="%.17g")
     code, _, err = run_cli(
         capsys, "estimate", "--model", "identity:3", "--data", str(data),
         "--f", "log1p", "--seed", "1", "--out", str(tmp_path),

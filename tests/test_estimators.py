@@ -14,7 +14,7 @@ from spectrace.estimators import (
     coeffs_closed_form,
     coeffs_linear_system,
     degenerate_scheme,
-    fit_bias_expansion,
+    full_spectrum,
     jackknife_estimate,
     level_plan,
     level_spectra,
@@ -316,6 +316,38 @@ def test_level_spectra_do_not_depend_on_the_block_size(monkeypatch):
             assert got.shape == expect.shape and (got == expect).all()
 
 
+@pytest.mark.parametrize("mode", ["plugin", "jackknife"])
+def test_level_spectra_raise_on_an_overflowing_gram(mode):
+    # finite data whose Gram overflows; jackknife overflows in a stacked block
+    x = SampleSet(1e200 * rng_from(3).standard_normal((8, 2)))
+    scheme, subsets = level_plan(mode, 8, 2, 2.0, 4)
+    with pytest.raises(FloatingPointError, match="sample covariance overflows"):
+        level_spectra(x, scheme, subsets, 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    mode=hst.sampled_from(MODES),
+    d=hst.integers(2, 8),
+    n=hst.integers(16, 80),
+    m=hst.integers(2, 3),
+    log_c=hst.floats(-3.0, 3.0),
+    seed=hst.integers(0, 2 ** 32 - 1),
+)
+def test_identity_estimates_scale_with_the_square_of_the_data(mode, d, n, m, log_c, seed):
+    # tr of c X'X/k is c^2 tr X'X/k; round-off per spectrum is far below
+    # 1e-12 of its trace, and the scheme weighs spectra by at most coeff_l1
+    c = 10.0 ** log_c
+    f = builtin("identity")
+    x = sample_gaussian(CovarianceModel.from_values(np.linspace(2.0, 0.1, d)), n, seed)
+    scheme, subsets = level_plan(mode, n, m, 2.0, 5)
+    base = combine_levels(f, level_spectra(x, scheme, subsets, seed))
+    levels = level_spectra(SampleSet(c * x.data), scheme, subsets, seed)
+    scaled = combine_levels(f, levels)
+    tol = 1e-12 * scheme.coeff_l1() * float(full_spectrum(levels).sum())
+    assert abs(scaled - c * c * base) <= tol
+
+
 def test_combine_levels_refuses_a_negative_spectrum_as_tau_f_does():
     f = builtin("log1p")
     bad = np.array([0.7, 0.2, -1e-3])
@@ -382,7 +414,7 @@ def test_measure_total_mass_and_identity_integral():
     scheme = make_scheme(2, 100, 2.0)
     mu = spectral_measure_estimate(x, scheme, "aggregate")
     # each level carries dim atoms of weight C_j; masses sum to dim * 1
-    assert abs(mu.total_mass() - 4.0) < 1e-12
+    assert abs(mu.weights.sum() - 4.0) < 1e-12
     assert mu.locations.size == 8
     f = builtin("identity")
     assert abs(mu.integrate(f) - aggregate_estimate(f, x, scheme)) < 1e-12
@@ -425,7 +457,7 @@ def test_measure_jackknife_atoms_and_weights():
     # 4 subsets x 3 atoms at level 1 plus 3 full-sample atoms
     assert mu.locations.size == 15
     assert np.allclose(np.sort(np.unique(mu.weights)), [-0.25, 2.0])
-    assert abs(mu.total_mass() - 3.0) < 1e-12
+    assert abs(mu.weights.sum() - 3.0) < 1e-12
 
 
 def test_measure_rejects_bad_mode_and_budget():
@@ -445,19 +477,6 @@ def test_measure_plugin_mode_is_the_one_level_aggregate():
     assert np.array_equal(plugin.weights, agg.weights)
     assert plugin.integrate(builtin("log1p")) == pytest.approx(
         plugin_estimate(builtin("log1p"), x), rel=1e-12)
-
-
-def test_measure_csv_sorted_and_stable(tmp_path):
-    x = sample_gaussian(CovarianceModel.identity(3), 40, 4)
-    mu = spectral_measure_estimate(x, make_scheme(2, 40, 2.0), "aggregate")
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    mu.to_csv(p1)
-    mu.to_csv(p2)
-    assert p1.read_bytes() == p2.read_bytes()
-    rows = p1.read_text().strip().splitlines()
-    assert rows[0] == "location,weight"
-    locs = [float(r.split(",")[0]) for r in rows[1:]]
-    assert locs == sorted(locs)
 
 
 # --- expansion terms ------------------------------------------------------
@@ -525,39 +544,3 @@ def test_remainder_bounded_by_lipschitz_quadratic(name):
         upper = max(model.operator_norm(), float(np.max(sym_eigvalues(sigma_hat))))
         bound = 0.5 * f.lipschitz_fprime(upper) * float(np.sum(h * h))
         assert abs(taylor_remainder(f, model, sigma_hat)) <= bound * (1 + 1e-9)
-
-
-# --- bias expansion fit ------------------------------------------------
-
-
-def test_fit_bias_identity_is_null():
-    model = CovarianceModel.identity(4)
-    fit = fit_bias_expansion(builtin("identity"), model, 2, [30, 60, 120], 2000, 71)
-    for b, se in zip(fit.coefficients, fit.standard_errors):
-        assert abs(b) < 3 * se
-
-
-def test_fit_bias_square_recovers_moment_coefficient():
-    # first-order coefficient for f = x^2 is tr Sigma^2 + (tr Sigma)^2 = 20
-    model = CovarianceModel.identity(4)
-    fit = fit_bias_expansion(builtin("square"), model, 2, [40, 80, 160], 4000, 72)
-    b1, se1 = fit.coefficients[0], fit.standard_errors[0]
-    assert abs(b1 - 20.0) < 3 * se1
-    assert se1 < 8.0  # resolvable, not vacuous
-
-
-def test_fit_bias_log1p_first_coefficient_negative():
-    model = CovarianceModel.identity(5)
-    fit = fit_bias_expansion(
-        builtin("log1p"), model, 2, [250, 500, 1000, 2000], 10000, 73
-    )
-    b1, se1 = fit.coefficients[0], fit.standard_errors[0]
-    assert b1 < 0
-    assert b1 + 3 * se1 < 0  # significantly negative
-    assert fit.n_values == (250, 500, 1000, 2000)
-
-
-def test_fit_bias_rejects_degenerate_design():
-    model = CovarianceModel.identity(3)
-    with pytest.raises(ValueError, match="distinct n"):
-        fit_bias_expansion(builtin("square"), model, 2, [100, 200], 50, 0)

@@ -1,0 +1,47 @@
+"""Every name a library module imports at module level is used there."""
+
+import ast
+from pathlib import Path
+
+import spectrace
+
+SRC = Path(spectrace.__file__).parent
+
+# Imported but unused on purpose, each pinned by a benchmark test.
+ALLOWED = {
+    # bench/bench_tests.py::test_wrappers_reach_every_import_site_and_are_removed
+    ("montecarlo", "sym_eigvalues"),
+    # bench/bench_tests.py::test_wrappers_reach_every_import_site_and_are_removed
+    ("estimators", "derive_seed"),
+    # bench/bench_tests.py::test_wrappers_reach_every_import_site_and_are_removed
+    ("estimators", "sample_gaussian"),
+}
+
+
+def _imports_and_loads(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name == "annotations" and getattr(node, "module", None) == "__future__":
+                    continue
+                imported.add((alias.asname or alias.name).split(".")[0])
+    loaded = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return imported, loaded
+
+
+def test_module_imports_are_all_used():
+    unused, missing = [], set(ALLOWED)
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        imported, loaded = _imports_and_loads(path)
+        missing -= {(path.stem, name) for name in imported}
+        unused += [f"{path.stem}: {name}" for name in sorted(imported - loaded)
+                   if (path.stem, name) not in ALLOWED]
+    assert unused == []
+    assert missing == set()  # every allow-listed import still exists
