@@ -5,6 +5,10 @@ uses a seed derived from (master seed, i), subset draws inside the
 jackknife get their own derived stream, and summaries are computed over
 index-ordered arrays. Worker threads only change scheduling, never
 results.
+
+The normal distribution function and quantiles behind the KS and W1
+distances come from the standard library (``math.erf``/``math.erfc``
+and ``statistics.NormalDist``), so the package needs numpy only.
 """
 
 from __future__ import annotations
@@ -13,12 +17,13 @@ import csv
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from math import sqrt
+from functools import lru_cache
+from math import erf, erfc, sqrt
 from pathlib import Path
+from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .estimators import (
     MODES,
@@ -171,6 +176,37 @@ class NormalityResult:
     qq: np.ndarray  # columns: normal quantile, sample quantile
 
 
+_SQRT1_2 = sqrt(0.5)
+
+
+def _normal_cdf(x: float) -> float:
+    """Standard normal distribution function, with cephes ``ndtr``'s branches.
+
+    erf near zero, where it is accurate; erfc in the tails, where
+    1 - erf would cancel.
+    """
+    t = x * _SQRT1_2
+    if abs(t) < _SQRT1_2:
+        return 0.5 + 0.5 * erf(t)
+    tail = 0.5 * erfc(abs(t))
+    return 1.0 - tail if t > 0.0 else tail
+
+
+@lru_cache(maxsize=8)
+def normal_quantiles(r: int) -> np.ndarray:
+    """Standard normal quantiles at the plotting positions (i - 1/2)/r.
+
+    Wichura's AS241 through ``statistics.NormalDist``. Cached and read-only,
+    so a normality check evaluates them once for its W1 distance and QQ
+    pairs.
+    """
+    p = (np.arange(1, r + 1) - 0.5) / r
+    inv_cdf = NormalDist().inv_cdf
+    q = np.array([inv_cdf(v) for v in p.tolist()])
+    q.flags.writeable = False
+    return q
+
+
 def ks_to_normal(sample) -> float:
     """Two-sided Kolmogorov-Smirnov distance to the standard normal."""
     z = np.sort(np.asarray(sample, dtype=float))
@@ -179,7 +215,7 @@ def ks_to_normal(sample) -> float:
     if not np.all(np.isfinite(z)):
         return float("nan")
     r = z.size
-    cdf = ndtr(z)
+    cdf = np.array([_normal_cdf(v) for v in z.tolist()])
     i = np.arange(1, r + 1)
     return float(max(np.max(i / r - cdf), np.max(cdf - (i - 1) / r), 0.0))
 
@@ -191,28 +227,36 @@ def wasserstein1_to_normal(sample) -> float:
         raise ValueError("sample must be nonempty")
     if not np.all(np.isfinite(z)):
         return float("nan")
-    r = z.size
-    q = ndtri((np.arange(1, r + 1) - 0.5) / r)
-    return float(np.mean(np.abs(z - q)))
+    return float(np.mean(np.abs(z - normal_quantiles(z.size))))
 
 
-def _summarize(
-    truth: float, n: int, estimates: np.ndarray, standardized: np.ndarray
-) -> dict:
+def _summarize(truth: float, estimates: np.ndarray, standardized: np.ndarray) -> dict:
+    """Moments of the estimates and normality of the standardized errors.
+
+    Raises FloatingPointError when a moment of finite errors overflows.
+    """
     est = np.sort(estimates)
     err = est - truth
     r = est.size
-    mean = float(est.mean())
-    std = float(est.std(ddof=1)) if r > 1 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(est.mean())
+        moments = {
+            "std": float(est.std(ddof=1)) if r > 1 else 0.0,
+            "rmse": float(np.sqrt(np.mean(err * err))),
+            "l4_error": float(np.mean(err ** 4) ** 0.25),
+        }
+    if np.all(np.isfinite(err)):
+        for key, value in moments.items():
+            if not np.isfinite(value):
+                raise FloatingPointError(f"{key} of the {r} estimates overflows")
+    std = moments["std"]
     z = np.sort(standardized)
     finite = bool(np.all(np.isfinite(z)))
     summary = {
         "mean": mean,
         "bias": mean - truth,
         "bias_se": std / sqrt(r) if r > 1 else float("nan"),
-        "std": std,
-        "rmse": float(np.sqrt(np.mean(err * err))),
-        "l4_error": float(np.mean(err ** 4) ** 0.25),
+        **moments,
         "ks_normal": ks_to_normal(z) if finite else float("nan"),
         "w1_normal": wasserstein1_to_normal(z) if finite else float("nan"),
         "standardized_mean": float(z.mean()) if finite else float("nan"),
@@ -279,7 +323,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
             sqrt(n) * (estimates - truth) / (sqrt(2.0) * scales),
             float("nan"),
         )
-    summary = _summarize(truth, n, estimates, standardized)
+    summary = _summarize(truth, estimates, standardized)
     return ExperimentResult(config, truth, estimates, standardized, summary)
 
 
@@ -364,9 +408,7 @@ def normality_check(config: ExperimentConfig) -> NormalityResult:
         )
     result = run(config)
     z = np.sort(result.standardized)
-    r = z.size
-    q = ndtri((np.arange(1, r + 1) - 0.5) / r)
-    qq = np.column_stack([q, z])
+    qq = np.column_stack([normal_quantiles(z.size), z])
     return NormalityResult(
         result=result,
         ks=result.summary["ks_normal"],

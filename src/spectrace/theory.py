@@ -44,11 +44,18 @@ def gaussian_limit_std(f: TestFunction, model: CovarianceModel) -> float:
     """Frobenius norm of Sigma f'(Sigma): sqrt(sum_k (lam_k f'(lam_k))**2).
 
     Scales the Gaussian fluctuation of trace estimates; the standardized
-    statistic divides by sqrt(2) times this.
+    statistic divides by sqrt(2) times this. When the plain sum of squares
+    overflows, the norm is taken of vals / max|vals| and scaled back.
     """
     lam = model.eigenvalues
     vals = lam * f.deriv(1, lam)
-    return float(np.sqrt(np.sum(vals * vals)))
+    with np.errstate(over="ignore"):
+        norm = float(np.sqrt(np.sum(vals * vals)))
+    if not np.isfinite(norm) and np.all(np.isfinite(vals)):
+        scale = float(np.max(np.abs(vals)))
+        unit = vals / scale
+        norm = scale * float(np.sqrt(np.sum(unit * unit)))
+    return norm
 
 
 @dataclass(frozen=True)

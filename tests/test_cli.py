@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,20 @@ def test_estimate_on_overflowing_data_exits_3_without_result(tmp_path, capsys, m
     assert code == 3
     assert "sample covariance overflows" in err
     assert "RESULT" not in out and "estimate:" not in out
+
+
+def test_normality_with_an_overflowing_error_moment_exits_3_without_result(tmp_path, capsys):
+    # the limit scale is finite at eigenvalues 1e300, the spread of the estimates is not
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(
+            capsys, "normality", "--model", "custom:1e300,1e300", "--f", "identity",
+            "--n", "50", "--reps", "200", "--seed", "3", "--out", str(tmp_path),
+        )
+    assert code == 3
+    assert "std of the 200 estimates overflows" in err
+    assert "RESULT" not in out
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_estimate_source_conflicts_exit_2(tmp_path, capsys):

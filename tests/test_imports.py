@@ -1,6 +1,9 @@
-"""Every name a library module imports at module level is used there."""
+"""Every name a library module imports at module level is used there, and
+the package imports nothing from scipy, anywhere."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import spectrace
@@ -45,3 +48,33 @@ def test_module_imports_are_all_used():
                    if (path.stem, name) not in ALLOWED]
     assert unused == []
     assert missing == set()  # every allow-listed import still exists
+
+
+def _imported_modules(path):
+    """Every module an import statement or import call in the file names."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+        elif (isinstance(node, ast.Call) and node.args
+              and isinstance(node.args[0], ast.Constant)
+              and isinstance(node.args[0].value, str)
+              and getattr(node.func, "id", getattr(node.func, "attr", None))
+              in ("import_module", "__import__")):
+            yield node.args[0].value
+
+
+def test_no_scipy_import_anywhere_in_the_package():
+    found = [f"{path.stem}: {name}" for path in sorted(SRC.glob("*.py"))
+             for name in _imported_modules(path) if name.split(".")[0] == "scipy"]
+    assert found == []
+
+
+def test_importing_the_package_and_cli_loads_no_scipy():
+    code = ("import sys, spectrace, spectrace.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=SRC.parent,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -2,7 +2,7 @@ from math import sqrt
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from spectrace import montecarlo
 from spectrace.estimators import (
@@ -24,6 +24,7 @@ from spectrace.montecarlo import (
     ReplicateError,
     config_hash,
     ks_to_normal,
+    normal_quantiles,
     normality_check,
     parse_model,
     rate_sweep,
@@ -132,9 +133,29 @@ def test_oracle_vs_plugin_standardization():
 
 def test_ks_and_w1_on_perfect_quantile_sample():
     r = 500
-    z = ndtri((np.arange(1, r + 1) - 0.5) / r)
+    z = normal_quantiles(r)
     assert ks_to_normal(z) <= 0.5 / r + 1e-12
     assert wasserstein1_to_normal(z) == 0.0
+
+
+def test_normal_cdf_matches_scipy_ndtr():
+    rng = np.random.default_rng(derive_seed(41, 10**4))
+    x = np.concatenate([np.linspace(-8.0, 8.0, 1601), rng.standard_normal(10**4)])
+    got = np.array([montecarlo._normal_cdf(v) for v in x.tolist()])
+    np.testing.assert_allclose(got, ndtr(x), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("r", [200, 300, 1000, 2000])
+def test_normal_quantiles_match_scipy_ndtri(r):
+    expect = ndtri((np.arange(1, r + 1) - 0.5) / r)
+    np.testing.assert_allclose(normal_quantiles(r), expect, rtol=0.0, atol=4e-15)
+
+
+def test_summary_raises_naming_an_overflowing_moment():
+    # mean 0 and std 1e100 are finite, but the fourth power of the errors is not
+    estimates = np.array([1e100, -1e100])
+    with pytest.raises(FloatingPointError, match="l4_error"):
+        montecarlo._summarize(0.0, estimates, np.zeros(2))
 
 
 def test_ks_on_constant_sample_is_large():

@@ -71,6 +71,11 @@ def test_gaussian_limit_std_zero_for_flat_function():
     assert gaussian_limit_std(flat, CovarianceModel.identity(4)) == 0.0
 
 
+def test_gaussian_limit_std_is_finite_when_the_sum_of_squares_overflows():
+    got = gaussian_limit_std(builtin("identity"), CovarianceModel.from_values([1e300, 1e300]))
+    assert got == pytest.approx(np.sqrt(2.0) * 1e300, rel=1e-15)
+
+
 def test_gaussian_limit_std_scales_linearly_for_identity_f():
     f = builtin("identity")
     base = gaussian_limit_std(f, CovarianceModel.from_values([2.0, 1.0]))
