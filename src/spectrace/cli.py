@@ -7,10 +7,18 @@ effective configuration is echoed to ``<out>/config.resolved`` in exactly
 the accepted format, so re-running with ``--config <out>/config.resolved``
 reproduces the outputs byte for byte.
 
+Options are validated by building what the command runs: the
+``ExperimentConfig`` of an experiment, the plan (``check_plan``) of
+estimate and coeffs, the law of mp-compare, and the model and test
+function. Only the rules no library object knows stay here: estimate's
+data sources, mp-compare's sizes and the >= 1 floors of the keys.
+
 Exit codes: 0 on success, 2 for configuration errors (bad flags, missing
-keys, conflicting sources, a jackknife run over the compute budget), 3 for
-numerical failures (scheme collisions, eigensolver non-convergence, a
-sample covariance that overflows).
+keys, conflicting sources, a plan that cannot run at any n, such as a
+jackknife run over the compute budget), 3 for numerical failures (scheme
+collisions, eigensolver non-convergence, a sample covariance that
+overflows, a test function that is not finite at the eigenvalues, a zero
+or overflowing limit scale).
 """
 
 from __future__ import annotations
@@ -27,8 +35,7 @@ import numpy as np
 from .estimators import (
     MODES,
     ComputeBudgetError,
-    SchemeError,
-    check_compute_budget,
+    check_plan,
     combine_levels,
     full_spectrum,
     level_plan,
@@ -46,7 +53,7 @@ from .linalg import (
     sym_eigvalues,
 )
 from .montecarlo import (
-    _STANDARDIZE,
+    STANDARDIZE,
     ExperimentConfig,
     ReplicateError,
     config_hash,
@@ -57,7 +64,7 @@ from .montecarlo import (
     write_qq_csv,
     write_result_csvs,
 )
-from .theory import effective_rank, esd_mp_ks, mp_cdf, rate_budget
+from .theory import effective_rank, ks_distance, mp_cdf, mp_support, rate_budget
 
 __all__ = ["ConfigError", "main", "entrypoint"]
 
@@ -111,79 +118,18 @@ _WORKERS = _Key("workers", int, default=1,
                 help="replicate worker threads; outputs do not depend on it")
 _OUT = _Key("out", default=".", help="output directory")
 
-_COMMON = [
-    _Key("seed", int, required=True, help="master seed"),
-    _OUT,
-]
+_COMMON = [_Key("seed", int, required=True, help="master seed"), _OUT]
+_EXPERIMENT = [_MODEL, _F, _MODE, _M, _Q, _SUBSETS, _REPS, _WORKERS,
+               _Key("standardize", default="oracle", help=" | ".join(STANDARDIZE))]
 
-_EXPERIMENT = [
-    _MODEL,
-    _F,
-    _MODE,
-    _M,
-    _Q,
-    _SUBSETS,
-    _REPS,
-    _WORKERS,
-    _Key("standardize", default="oracle", help=" | ".join(_STANDARDIZE)),
-]
 
-_COMMAND_HELP = {
-    "estimate": "estimate a trace functional on one dataset",
-    "coeffs": "print an aggregation scheme's sizes and weights",
-    "rates": "RMSE vs n sweep with a fitted log-log slope",
-    "normality": "KS/W1 distance of standardized replicates to normal",
-    "supnorm": "worst-case error over a derivative-bounded family",
-    "mp-compare": "empirical spectral law vs the limiting bulk law",
-}
+@dataclass(frozen=True)
+class _Command:
+    """One subcommand: its help line, its options and its handler."""
 
-_COMMAND_KEYS: dict[str, list[_Key]] = {
-    "estimate": [
-        replace(_MODEL, required=False),
-        _Key("data", help="CSV of observations, one row each"),
-        _F,
-        _MODE,
-        _M,
-        _Q,
-        _SUBSETS,
-        replace(_N, required=False, help="sample size (with --model)"),
-        *_COMMON,
-    ],
-    "coeffs": [
-        replace(_M, default=None, required=True),
-        _N,
-        _Q,
-        _OUT,
-    ],
-    "rates": [
-        *_EXPERIMENT,
-        _Key("n_list", _conv_n_list, required=True, help="comma-separated sizes"),
-        *_COMMON,
-    ],
-    "normality": [
-        *_EXPERIMENT,
-        _N,
-        *_COMMON,
-    ],
-    "supnorm": [
-        _MODEL,
-        replace(_MODE, default="aggregate"),
-        _M,
-        _Q,
-        _SUBSETS,
-        replace(_REPS, default=200),
-        _WORKERS,
-        _Key("grid_size", int, default=5, help="number of functions in the test family"),
-        _N,
-        *_COMMON,
-    ],
-    "mp-compare": [
-        _Key("gamma", float, required=True, help="dimension-to-sample ratio of the law"),
-        _Key("d", int, required=True, help="dimension"),
-        _N,
-        *_COMMON,
-    ],
-}
+    help: str
+    keys: list[_Key]
+    run: Callable[[dict], int]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -193,10 +139,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "Gaussian covariance models, with Monte Carlo checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, keys in _COMMAND_KEYS.items():
-        p = sub.add_parser(command, help=_COMMAND_HELP[command])
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help="flat key=value config file")
-        for key in keys:
+        for key in command.keys:
             flags = ["--" + key.name.replace("_", "-")]
             if key.short:
                 flags.append(key.short)
@@ -221,7 +167,7 @@ def _parse_config_file(path: str) -> dict[str, str]:
 
 
 def _resolve(command: str, args: argparse.Namespace) -> dict:
-    keys = _COMMAND_KEYS[command]
+    keys = _COMMANDS[command].keys
     known = {k.name for k in keys}
     file_cfg: dict[str, str] = {}
     if getattr(args, "config", None):
@@ -267,42 +213,25 @@ def _validate(command: str, cfg: dict) -> None:
             raise ConfigError("n is required when simulating from a model")
         if cfg["data"] is not None and cfg["n"] is not None:
             raise ConfigError("n conflicts with data; the CSV fixes the sample size")
-    if command == "mp-compare":
-        if cfg["d"] < 50 or cfg["n"] < 50:
-            raise ConfigError("mp-compare needs d >= 50 and n >= 50")
-        if not (cfg["gamma"] > 0 and np.isfinite(cfg["gamma"])):
-            raise ConfigError("gamma must be finite and > 0")
-    if "q" in cfg and not (cfg["q"] > 1 and np.isfinite(cfg["q"])):
-        raise ConfigError("q must be finite and > 1")
-    if "mode" in cfg and cfg["mode"] not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {cfg['mode']!r}")
-    if cfg.get("standardize") not in (None, *_STANDARDIZE):
-        raise ConfigError(
-            f"standardize must be one of {_STANDARDIZE}, got {cfg['standardize']!r}"
-        )
+    if command == "mp-compare" and (cfg["d"] < 50 or cfg["n"] < 50):
+        raise ConfigError("mp-compare needs d >= 50 and n >= 50")
     for name in ("m", "n", "subsets", "reps", "workers", "grid_size"):
         if name in cfg and cfg[name] is not None and cfg[name] < 1:
             raise ConfigError(f"{name} must be >= 1")
-    # an aggregation scheme needs two levels; the plug-in ignores m
-    if cfg.get("m") is not None and cfg["m"] < 2 and cfg.get("mode") != "plugin":
-        raise ConfigError("m must be >= 2 to build an aggregation scheme")
-    # the jackknife budget depends on the config alone: refuse before any work
-    if cfg.get("mode") == "jackknife":
-        try:
-            check_compute_budget(cfg["m"], cfg["subsets"])
-        except ComputeBudgetError as exc:
-            raise ConfigError(str(exc))
-    # resolve names early so typos exit with a config error, not a run error
-    if cfg.get("model"):
-        try:
+    # build what the command runs, so a bad value fails before any work
+    try:
+        if command in ("rates", "normality", "supnorm"):
+            _experiment_config(cfg)
+        elif command == "mp-compare":
+            mp_support(cfg["gamma"])
+        else:
+            check_plan(cfg.get("mode", "aggregate"), cfg["m"], cfg["q"], cfg.get("subsets"))
+        if cfg.get("model"):
             parse_model(cfg["model"])
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-    if cfg.get("f"):
-        try:
+        if cfg.get("f"):
             builtin(cfg["f"])
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+    except (ValueError, ComputeBudgetError) as exc:
+        raise ConfigError(str(exc))
 
 
 def _format_value(value) -> str:
@@ -401,14 +330,14 @@ def _cmd_coeffs(cfg: dict) -> int:
     return 0
 
 
-def _experiment_config(cfg: dict, with_n_list: bool = False) -> ExperimentConfig:
+def _experiment_config(cfg: dict) -> ExperimentConfig:
     return ExperimentConfig(
         model=cfg["model"],
         f=cfg.get("f", "identity"),
         seed=cfg["seed"],
         mode=cfg["mode"],
         n=cfg.get("n"),
-        n_list=cfg.get("n_list") if with_n_list else None,
+        n_list=cfg.get("n_list"),
         m=cfg["m"],
         q=cfg["q"],
         subsets=cfg["subsets"],
@@ -419,7 +348,7 @@ def _experiment_config(cfg: dict, with_n_list: bool = False) -> ExperimentConfig
 
 
 def _cmd_rates(cfg: dict) -> int:
-    config = _experiment_config(cfg, with_n_list=True)
+    config = _experiment_config(cfg)
     sweep = rate_sweep(config)
     outdir = Path(cfg["out"])
     for res in sweep.runs:
@@ -499,14 +428,13 @@ def _cmd_mp_compare(cfg: dict) -> int:
             file=sys.stderr,
         )
     samples = sample_gaussian(CovarianceModel.identity(d), n, cfg["seed"])
-    lam = sym_eigvalues(sample_covariance(samples))
-    ks = esd_mp_ks(lam, gamma)
+    lam_sorted = np.sort(sym_eigvalues(sample_covariance(samples)))
+    cdf = mp_cdf(gamma, lam_sorted)
+    ks = ks_distance(cdf)
     outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)
     tag = _output_tag("mp-compare", cfg)
     path = outdir / f"mp_compare_{tag}.csv"
-    lam_sorted = np.sort(lam)
-    cdf = np.asarray(mp_cdf(gamma, lam_sorted))
     with path.open("w", newline="") as fh:
         fh.write("eigenvalue,esd_cdf,mp_cdf\n")
         for i, (x, c) in enumerate(zip(lam_sorted, cdf), start=1):
@@ -517,13 +445,46 @@ def _cmd_mp_compare(cfg: dict) -> int:
     return 0
 
 
-_DISPATCH = {
-    "estimate": _cmd_estimate,
-    "coeffs": _cmd_coeffs,
-    "rates": _cmd_rates,
-    "normality": _cmd_normality,
-    "supnorm": _cmd_supnorm,
-    "mp-compare": _cmd_mp_compare,
+_COMMANDS: dict[str, _Command] = {
+    "estimate": _Command(
+        "estimate a trace functional on one dataset",
+        [replace(_MODEL, required=False),
+         _Key("data", help="CSV of observations, one row each"),
+         _F, _MODE, _M, _Q, _SUBSETS,
+         replace(_N, required=False, help="sample size (with --model)"), *_COMMON],
+        _cmd_estimate,
+    ),
+    "coeffs": _Command(
+        "print an aggregation scheme's sizes and weights",
+        [replace(_M, default=None, required=True), _N, _Q, _OUT],
+        _cmd_coeffs,
+    ),
+    "rates": _Command(
+        "RMSE vs n sweep with a fitted log-log slope",
+        [*_EXPERIMENT,
+         _Key("n_list", _conv_n_list, required=True, help="comma-separated sizes"),
+         *_COMMON],
+        _cmd_rates,
+    ),
+    "normality": _Command(
+        "KS/W1 distance of standardized replicates to normal",
+        [*_EXPERIMENT, _N, *_COMMON],
+        _cmd_normality,
+    ),
+    "supnorm": _Command(
+        "worst-case error over a derivative-bounded family",
+        [_MODEL, replace(_MODE, default="aggregate"), _M, _Q, _SUBSETS,
+         replace(_REPS, default=200), _WORKERS,
+         _Key("grid_size", int, default=5, help="number of functions in the test family"),
+         _N, *_COMMON],
+        _cmd_supnorm,
+    ),
+    "mp-compare": _Command(
+        "empirical spectral law vs the limiting bulk law",
+        [_Key("gamma", float, required=True, help="dimension-to-sample ratio of the law"),
+         _Key("d", int, required=True, help="dimension"), _N, *_COMMON],
+        _cmd_mp_compare,
+    ),
 }
 
 
@@ -539,17 +500,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # scheme and LAPACK errors are ValueErrors, overflows ArithmeticErrors
     try:
-        return _DISPATCH[args.command](cfg)
-    except (
-        SchemeError,
-        EigenSolverError,
-        ComputeBudgetError,
-        ReplicateError,
-        np.linalg.LinAlgError,
-        ValueError,
-        ArithmeticError,
-    ) as exc:
+        return _COMMANDS[args.command].run(cfg)
+    except (EigenSolverError, ComputeBudgetError, ReplicateError, ValueError,
+            ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

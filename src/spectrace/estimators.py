@@ -7,6 +7,7 @@ cancel. The jackknife variant replaces each prefix by an average over
 random subsets of the same size, which symmetrizes the estimate over the
 sample at extra compute cost. The plug-in is the one-level scheme.
 
+``check_plan`` holds the rules a plan must meet at every sample size;
 ``level_plan`` turns a mode into the (scheme, subsets) pair that one
 engine, ``level_spectra``, runs; it computes the covariance spectra of
 every level once, the full sample always last (``full_spectrum``).
@@ -23,7 +24,7 @@ as the per-subset loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import floor
+from math import floor, isfinite
 
 import numpy as np
 
@@ -46,6 +47,7 @@ __all__ = [
     "coeffs_closed_form",
     "coeffs_linear_system",
     "make_scheme",
+    "check_plan",
     "degenerate_scheme",
     "plugin_estimate",
     "aggregate_estimate",
@@ -180,14 +182,12 @@ def coeffs_linear_system(sizes) -> np.ndarray:
 def make_scheme(m: int, n: int, q: float = 2.0) -> AggregationScheme:
     """Geometric scheme: sizes round(q**(j-m) * n), largest pinned to n.
 
-    Requires n >= 2 * q**(m-1) so the smallest subsample has at least two
-    observations; rounding collisions (two levels landing on the same
-    size) are errors rather than silent merges.
+    Requires m >= 2, q finite and > 1 (``check_plan``) and n >= 2 * q**(m-1)
+    so the smallest subsample has at least two observations; rounding
+    collisions (two levels landing on the same size) are errors rather
+    than silent merges.
     """
-    if m < 2:
-        raise SchemeError("m must be >= 2 (degenerate_scheme covers m = 1)")
-    if not q > 1.0:
-        raise SchemeError("q must be > 1")
+    check_plan("aggregate", m, q)
     if n < 2.0 * q ** (m - 1):
         raise SchemeError(
             f"n={n} is too small for m={m}, q={q} (needs n >= {2.0 * q ** (m - 1):g}): "
@@ -214,8 +214,6 @@ def make_scheme(m: int, n: int, q: float = 2.0) -> AggregationScheme:
 
 def degenerate_scheme(n: int) -> AggregationScheme:
     """Single-level scheme; aggregation with it is exactly the plug-in."""
-    if n < 1:
-        raise SchemeError("n must be >= 1")
     return AggregationScheme((int(n),), np.ones(1), 1.0)
 
 
@@ -228,8 +226,7 @@ def level_plan(
     and jackknife use the geometric m-level scheme, and only the
     jackknife draws ``subsets`` random subsets per sub-full level.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    check_plan(mode, m, q, subsets)
     scheme = degenerate_scheme(n) if mode == "plugin" else make_scheme(m, n, q)
     return scheme, _mode_subsets(mode, subsets)
 
@@ -237,6 +234,22 @@ def level_plan(
 def _mode_subsets(mode: str, subsets: int) -> int | None:
     """Subsets per sub-full level: only the jackknife draws them."""
     return subsets if mode == "jackknife" else None
+
+
+def check_plan(mode: str, m: int, q: float, subsets: int | None = None) -> None:
+    """Raise unless a (mode, m, q, subsets) plan can run at some sample size.
+
+    The plug-in is the one-level scheme and ignores m; the rules that
+    depend on n are :func:`make_scheme`'s.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if not (q > 1.0 and isfinite(q)):
+        raise SchemeError("q must be finite and > 1")
+    if mode != "plugin" and m < 2:
+        raise SchemeError("m must be >= 2 to build an aggregation scheme")
+    if mode == "jackknife":
+        check_compute_budget(m, subsets)
 
 
 def check_compute_budget(m: int, subsets: int | None) -> None:
@@ -304,14 +317,18 @@ def combine_levels(f: TestFunction, levels) -> float:
 
     f is evaluated once per level; the per-subset values are summed in
     subset order, so the result equals the same sum of ``tau_f`` calls.
+    Raises FloatingPointError when the sum overflows, which Python floats
+    do without a warning.
     """
     total = 0.0
     for weight, spectra in levels:
         acc = 0.0
         for value in tau_f_rows(f, spectra).tolist():
             acc += value
-        total += weight * (acc / len(spectra))
-    return float(total)
+        total += float(weight) * (acc / len(spectra))
+    if not isfinite(total):
+        raise FloatingPointError(f"the level sum of tau_f of {f.name} overflows")
+    return total
 
 
 def plugin_estimate(f: TestFunction, samples: SampleSet) -> float:
@@ -370,7 +387,6 @@ class SignedSpectralMeasure:
 
     def integrate(self, f: TestFunction) -> float:
         return float(np.dot(self.weights, f.deriv(0, self.locations)))
-
 
 
 def spectral_measure_estimate(

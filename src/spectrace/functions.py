@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 _GRID_POINTS = 2001  # resolution for grid-based derivative bounds
+_CHECK_UPPER = 20.0  # function-class grids bound derivatives on [0, _CHECK_UPPER]
 
 
 class TestFunction:
@@ -145,7 +146,8 @@ def tau_f_rows(f: TestFunction, spectra) -> np.ndarray:
     """tau_f of every row of a (B, d) stack of spectra, in one f-evaluation.
 
     ``tau_f`` is this on a single row, so entry b equals
-    ``tau_f(f, spectra[b])`` bit for bit.
+    ``tau_f(f, spectra[b])`` bit for bit. Raises FloatingPointError when a
+    sum is not finite, as when f overflows at the eigenvalues.
     """
     lam = np.asarray(spectra, dtype=float)
     if lam.ndim != 2 or lam.size == 0:
@@ -154,7 +156,11 @@ def tau_f_rows(f: TestFunction, spectra) -> np.ndarray:
         raise ValueError(
             f"eigenvalues must be nonnegative, min = {float(lam.min()):.3e}"
         )
-    return np.sum(f.deriv(0, lam), axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.sum(f.deriv(0, lam), axis=1)
+    if not np.isfinite(sums).all():
+        raise FloatingPointError(f"tau_f of {f.name} is not finite at these eigenvalues")
+    return sums
 
 
 # --- builtin families ---------------------------------------------------
@@ -335,12 +341,9 @@ class FunctionClassGrid:
     makes worst-case-over-the-family error experiments meaningful.
     """
 
-    def __init__(
-        self,
-        order: int,
-        members: Sequence[TestFunction],
-        check_upper: float = 20.0,
-    ) -> None:
+    check_upper = _CHECK_UPPER
+
+    def __init__(self, order: int, members: Sequence[TestFunction]) -> None:
         if order < 1:
             raise ValueError("order must be >= 1")
         if not members:
@@ -348,7 +351,7 @@ class FunctionClassGrid:
         names = [f.name for f in members]
         if len(set(names)) != len(names):
             raise ValueError("grid members must have distinct names")
-        grid = np.linspace(0.0, float(check_upper), _GRID_POINTS)
+        grid = np.linspace(0.0, _CHECK_UPPER, _GRID_POINTS)
         for f in members:
             if f.max_order < order + 1:
                 raise ValueError(
@@ -358,11 +361,10 @@ class FunctionClassGrid:
                 top = float(np.max(np.abs(f.deriv(j, grid))))
                 if top > 1.0 + 1e-9:
                     raise ValueError(
-                        f"{f.name}: |f^({j})| reaches {top:.6g} > 1 on [0, {check_upper}]"
+                        f"{f.name}: |f^({j})| reaches {top:.6g} > 1 on [0, {_CHECK_UPPER}]"
                     )
         self.order = int(order)
         self.members = tuple(members)
-        self.check_upper = float(check_upper)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -375,9 +377,7 @@ class FunctionClassGrid:
         return tuple(f.name for f in self.members)
 
 
-def default_grid(
-    order: int, count: int, seed: int, check_upper: float = 20.0
-) -> FunctionClassGrid:
+def default_grid(order: int, count: int, seed: int) -> FunctionClassGrid:
     """Seeded default family: sin(x) first, then scaled sines and rescaled bumps.
 
     Sines sin(omega x) are normalized by omega when omega <= 1 and by
@@ -388,7 +388,7 @@ def default_grid(
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = rng_from(seed)
-    check_grid = np.linspace(0.0, float(check_upper), _GRID_POINTS)
+    check_grid = np.linspace(0.0, _CHECK_UPPER, _GRID_POINTS)
     members: list[TestFunction] = [_scaled_sine(1.0)]
     while len(members) < count:
         if len(members) % 2 == 1:
@@ -405,7 +405,7 @@ def default_grid(
             )
             scale = 1.0 if worst <= 1.0 else 1.0 / worst
             members.append(_bump(center, width, scale))
-    return FunctionClassGrid(order, members[:count], check_upper)
+    return FunctionClassGrid(order, members[:count])
 
 
 def grid_to_csv(grid: FunctionClassGrid, path) -> None:

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .estimators import (
-    MODES,
+    check_plan,
     combine_levels,
     full_spectrum,
     level_plan,
@@ -37,9 +37,10 @@ from .functions import FunctionClassGrid, builtin, tau_f
 from .linalg import CovarianceModel, derive_seed, sample_gaussian
 # unused; bench/bench_tests.py expects this module among its import sites
 from .linalg import sym_eigvalues  # noqa: F401
-from .theory import gaussian_limit_std
+from .theory import gaussian_limit_std, ks_distance
 
 __all__ = [
+    "STANDARDIZE",
     "ReplicateError",
     "ExperimentConfig",
     "ExperimentResult",
@@ -58,7 +59,9 @@ __all__ = [
     "write_qq_csv",
 ]
 
-_STANDARDIZE = ("oracle", "plugin")
+# Scales that standardize a run's errors: the model's, or each replicate's
+# full-sample plug-in of it.
+STANDARDIZE = ("oracle", "plugin")
 
 # Stream tag separating jackknife subset seeds from sampling seeds.
 _SUBSET_STREAM = 1
@@ -99,7 +102,8 @@ class ExperimentConfig:
     """Everything that determines an experiment's outputs.
 
     ``workers`` is a scheduling hint and is excluded from the config hash;
-    all other fields are statistical.
+    all other fields are statistical. A config whose plan cannot run at
+    any n (``check_plan``) raises at construction.
     """
 
     model: str
@@ -116,11 +120,10 @@ class ExperimentConfig:
     standardize: str = "oracle"
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.standardize not in _STANDARDIZE:
+        check_plan(self.mode, self.m, self.q, self.subsets)
+        if self.standardize not in STANDARDIZE:
             raise ValueError(
-                f"standardize must be one of {_STANDARDIZE}, got {self.standardize!r}"
+                f"standardize must be one of {STANDARDIZE}, got {self.standardize!r}"
             )
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
@@ -210,14 +213,9 @@ def normal_quantiles(r: int) -> np.ndarray:
 def ks_to_normal(sample) -> float:
     """Two-sided Kolmogorov-Smirnov distance to the standard normal."""
     z = np.sort(np.asarray(sample, dtype=float))
-    if z.size == 0:
-        raise ValueError("sample must be nonempty")
     if not np.all(np.isfinite(z)):
         return float("nan")
-    r = z.size
-    cdf = np.array([_normal_cdf(v) for v in z.tolist()])
-    i = np.arange(1, r + 1)
-    return float(max(np.max(i / r - cdf), np.max(cdf - (i - 1) / r), 0.0))
+    return ks_distance([_normal_cdf(v) for v in z.tolist()])
 
 
 def wasserstein1_to_normal(sample) -> float:
@@ -233,7 +231,8 @@ def wasserstein1_to_normal(sample) -> float:
 def _summarize(truth: float, estimates: np.ndarray, standardized: np.ndarray) -> dict:
     """Moments of the estimates and normality of the standardized errors.
 
-    Raises FloatingPointError when a moment of finite errors overflows.
+    Raises FloatingPointError when a moment of finite errors overflows, or
+    when a standardized error does.
     """
     est = np.sort(estimates)
     err = est - truth
@@ -249,20 +248,19 @@ def _summarize(truth: float, estimates: np.ndarray, standardized: np.ndarray) ->
         for key, value in moments.items():
             if not np.isfinite(value):
                 raise FloatingPointError(f"{key} of the {r} estimates overflows")
-    std = moments["std"]
     z = np.sort(standardized)
-    finite = bool(np.all(np.isfinite(z)))
-    summary = {
+    if not np.isfinite(z).all():
+        raise FloatingPointError(f"the standardized errors of the {r} estimates overflow")
+    return {
         "mean": mean,
         "bias": mean - truth,
-        "bias_se": std / sqrt(r) if r > 1 else float("nan"),
+        "bias_se": moments["std"] / sqrt(r) if r > 1 else float("nan"),
         **moments,
-        "ks_normal": ks_to_normal(z) if finite else float("nan"),
-        "w1_normal": wasserstein1_to_normal(z) if finite else float("nan"),
-        "standardized_mean": float(z.mean()) if finite else float("nan"),
-        "standardized_var": float(z.var(ddof=1)) if finite and r > 1 else float("nan"),
+        "ks_normal": ks_to_normal(z),
+        "w1_normal": wasserstein1_to_normal(z),
+        "standardized_mean": float(z.mean()),
+        "standardized_var": float(z.var(ddof=1)) if r > 1 else float("nan"),
     }
-    return summary
 
 
 def _map_replicates(
@@ -294,8 +292,22 @@ def _map_replicates(
         return list(pool.map(guarded, indices))
 
 
+def _limit_scale(f, model: CovarianceModel) -> float:
+    """``gaussian_limit_std``, refused unless > 0: standardizing divides by it."""
+    scale = gaussian_limit_std(f, model)
+    if not scale > 0.0:
+        raise FloatingPointError(
+            f"limit scale of {f.name} is {scale!r}; the standardized errors divide by it"
+        )
+    return scale
+
+
 def run(config: ExperimentConfig) -> ExperimentResult:
-    """Run the configured experiment; deterministic given the config."""
+    """Run the configured experiment; deterministic given the config.
+
+    The oracle scale is checked before any replicate runs, a plug-in scale
+    inside its replicate, so a zero scale fails naming the seeds.
+    """
     if config.n is None:
         raise ValueError("config.n is required for run(); n_list is for rate_sweep")
     n = int(config.n)
@@ -303,26 +315,23 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     f = builtin(config.f)
     scheme, subsets = level_plan(config.mode, n, config.m, config.q, config.subsets)
     truth = tau_f(f, model.eigenvalues)
-    oracle_std = gaussian_limit_std(f, model)
+    oracle = config.standardize == "oracle"
+    oracle_std = _limit_scale(f, model) if oracle else None
 
     def one(sampling_seed: int, subset_seed: int) -> tuple[float, float]:
         s = sample_gaussian(model, n, sampling_seed)
         levels = level_spectra(s, scheme, subsets, subset_seed)
         est = combine_levels(f, levels)
-        if config.standardize == "plugin":
-            return est, gaussian_limit_std(f, CovarianceModel(full_spectrum(levels)))
-        return est, oracle_std
+        if oracle:
+            return est, oracle_std
+        return est, _limit_scale(f, CovarianceModel(full_spectrum(levels)))
 
     pairs = _map_replicates(one, config, subsets)
     estimates = np.array([est for est, _ in pairs], dtype=float)
     scales = np.array([scale for _, scale in pairs], dtype=float)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        standardized = np.where(
-            scales > 0.0,
-            sqrt(n) * (estimates - truth) / (sqrt(2.0) * scales),
-            float("nan"),
-        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        standardized = sqrt(n) * (estimates - truth) / (sqrt(2.0) * scales)
     summary = _summarize(truth, estimates, standardized)
     return ExperimentResult(config, truth, estimates, standardized, summary)
 

@@ -28,6 +28,7 @@ __all__ = [
     "mp_support",
     "mp_atom",
     "mp_cdf",
+    "ks_distance",
     "esd_mp_ks",
 ]
 
@@ -44,14 +45,19 @@ def gaussian_limit_std(f: TestFunction, model: CovarianceModel) -> float:
     """Frobenius norm of Sigma f'(Sigma): sqrt(sum_k (lam_k f'(lam_k))**2).
 
     Scales the Gaussian fluctuation of trace estimates; the standardized
-    statistic divides by sqrt(2) times this. When the plain sum of squares
+    statistic divides by sqrt(2) times this. Raises FloatingPointError when
+    some lam_k f'(lam_k) is not finite; when only the plain sum of squares
     overflows, the norm is taken of vals / max|vals| and scaled back.
     """
     lam = model.eigenvalues
-    vals = lam * f.deriv(1, lam)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = lam * f.deriv(1, lam)
         norm = float(np.sqrt(np.sum(vals * vals)))
-    if not np.isfinite(norm) and np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
+        raise FloatingPointError(
+            f"lam f'(lam) of {f.name} is not finite at these eigenvalues"
+        )
+    if not np.isfinite(norm):
         scale = float(np.max(np.abs(vals)))
         unit = vals / scale
         norm = scale * float(np.sqrt(np.sum(unit * unit)))
@@ -148,19 +154,24 @@ def mp_cdf(gamma: float, x) -> np.ndarray | float:
     return float(out) if arr.ndim == 0 else out
 
 
+def ks_distance(cdf) -> float:
+    """Two-sided Kolmogorov-Smirnov distance from the values of a cdf F.
+
+    ``cdf`` holds F at the points of a sorted sample, whose empirical
+    distribution puts mass 1/r on each of its r points.
+    """
+    cdf = np.asarray(cdf, dtype=float)
+    r = cdf.size
+    if r == 0:
+        raise ValueError("sample must be nonempty")
+    i = np.arange(1, r + 1)
+    return float(max(np.max(i / r - cdf), np.max(cdf - (i - 1) / r), 0.0))
+
+
 def esd_mp_ks(eigenvalues, gamma: float) -> float:
     """Two-sided sup gap between the empirical spectral cdf and the law.
 
     eigenvalues are the d sample-covariance eigenvalues; their empirical
     distribution (mass 1/d each) is compared against mp_cdf(gamma, .).
     """
-    gamma = _check_gamma(gamma)
-    lam = np.sort(np.asarray(eigenvalues, dtype=float))
-    d = lam.size
-    if d == 0:
-        raise ValueError("eigenvalues must be nonempty")
-    cdf = np.asarray(mp_cdf(gamma, lam))
-    i = np.arange(1, d + 1)
-    upper = float(np.max(i / d - cdf))
-    lower = float(np.max(cdf - (i - 1) / d))
-    return max(upper, lower, 0.0)
+    return ks_distance(mp_cdf(gamma, np.sort(np.asarray(eigenvalues, dtype=float))))

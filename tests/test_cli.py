@@ -112,6 +112,56 @@ def test_normality_with_an_overflowing_error_moment_exits_3_without_result(tmp_p
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
+@pytest.mark.parametrize("argv", [
+    ("normality", "--reps", "200"),
+    ("estimate",),
+])
+def test_a_test_function_overflowing_at_the_eigenvalues_exits_3_without_result(
+    tmp_path, capsys, argv
+):
+    # f = square is not finite at eigenvalues 1e200, so neither is its trace
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(
+            capsys, *argv, "--model", "custom:1e200,1e200", "--f", "square",
+            "--n", "50", "--seed", "3", "--out", str(tmp_path),
+        )
+    assert code == 3
+    assert "tau_f of square is not finite" in err
+    assert "RESULT" not in out
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+def test_estimate_whose_level_sum_overflows_exits_3_without_result(tmp_path, capsys):
+    # each subset's tau_f is finite, twice the full-sample one is not
+    data = tmp_path / "big.csv"
+    np.savetxt(data, 1.1e77 * np.random.default_rng(1).standard_normal((400, 1)),
+               fmt="%.17g")
+    code, out, err = run_cli(
+        capsys, "estimate", "--data", str(data), "--f", "square", "--mode", "jackknife",
+        "-B", "20", "--seed", "3", "--out", str(tmp_path),
+    )
+    assert code == 3
+    assert "level sum of tau_f of square overflows" in err
+    assert "RESULT" not in out and "estimate:" not in out
+
+
+def test_normality_with_a_zero_limit_scale_exits_3_and_plugin_scale_runs(
+    tmp_path, capsys
+):
+    # f'(1) = 0 for this bump, so the oracle scale at the identity is zero
+    base = ("normality", "--model", "identity:5", "--f", "bump:1.0:0.5", "--n", "50",
+            "--reps", "200", "--seed", "3", "--out", str(tmp_path))
+    code, out, err = run_cli(capsys, *base)
+    assert code == 3
+    assert "limit scale of bump:1.0:0.5 is 0.0" in err
+    assert "RESULT" not in out
+    code, out, _ = run_cli(capsys, *base, "--standardize", "plugin")
+    assert code == 0
+    assert all(np.isfinite(float(result_line(out)[k]))
+               for k in ("ks", "w1", "standardized_var"))
+
+
 def test_estimate_source_conflicts_exit_2(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "estimate", "--f", "log1p", "--seed", "1", "--out", str(tmp_path)
@@ -225,6 +275,26 @@ def test_mp_compare_close_and_warning(tmp_path, capsys):
     )
     assert code == 0
     assert "warning" in err and "0.5" in err
+
+
+def test_mp_compare_evaluates_the_law_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = cli.mp_cdf
+
+    def counted(gamma, x):
+        calls.append(np.size(x))
+        return real(gamma, x)
+
+    monkeypatch.setattr(cli, "mp_cdf", counted)
+    monkeypatch.setattr(theory, "mp_cdf", counted)
+    code, out, _ = run_cli(
+        capsys, "mp-compare", "--gamma", "0.5", "--d", "100", "--n", "200",
+        "--seed", "12", "--out", str(tmp_path),
+    )
+    assert code == 0 and calls == [100]
+    csv = next(tmp_path.glob("mp_compare_*.csv")).read_text().splitlines()[1:]
+    cdf = np.array([float(line.split(",")[2]) for line in csv])
+    assert float(result_line(out)["ks"]) == theory.ks_distance(cdf)
 
 
 def test_mp_compare_scale_preconditions(tmp_path, capsys):

@@ -80,6 +80,8 @@ def test_scheme_rejects_small_n_with_hint():
         make_scheme(2, 100, 1.0)  # q too small
     with pytest.raises(SchemeError):
         make_scheme(2, 100, float("nan"))
+    with pytest.raises(SchemeError, match="q must be finite"):
+        make_scheme(2, 100, float("inf"))
 
 
 def test_scheme_largest_size_pinned_to_n():
@@ -346,6 +348,15 @@ def test_identity_estimates_scale_with_the_square_of_the_data(mode, d, n, m, log
     scaled = combine_levels(f, levels)
     tol = 1e-12 * scheme.coeff_l1() * float(full_spectrum(levels).sum())
     assert abs(scaled - c * c * base) <= tol
+
+
+def test_combine_levels_raises_when_its_weighted_sum_overflows():
+    # every tau_f is finite; 2 * 1.5e308 and the mean of two 1e308 rows are not
+    f = builtin("identity")
+    for levels in ([(-1.0, np.array([[1e308]])), (2.0, np.array([[1.5e308]]))],
+                   [(1.0, np.array([[1e308], [1e308]]))]):
+        with pytest.raises(FloatingPointError, match="level sum of tau_f of identity"):
+            combine_levels(f, levels)
 
 
 def test_combine_levels_refuses_a_negative_spectrum_as_tau_f_does():

@@ -122,6 +122,13 @@ def test_tau_f_known_values():
         tau_f(builtin("identity"), [1.0, -0.1])
 
 
+def test_tau_f_raises_naming_f_where_it_overflows():
+    # finite eigenvalues whose squares overflow; no RuntimeWarning escapes
+    with pytest.raises(FloatingPointError, match="tau_f of square is not finite"):
+        tau_f(builtin("square"), [1e200, 1.0])
+    assert tau_f(builtin("square"), [1e150, 1.0]) == 1e150 * 1e150 + 1.0
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     lam=hst.lists(hst.floats(0.0, 10.0), min_size=1, max_size=8),

@@ -1,5 +1,6 @@
-"""Every name a library module imports at module level is used there, and
-the package imports nothing from scipy, anywhere."""
+"""Every name a library module imports at module level is used there, no
+module imports another's private names, and the package imports nothing
+from scipy, anywhere."""
 
 import ast
 import subprocess
@@ -48,6 +49,20 @@ def test_module_imports_are_all_used():
                    if (path.stem, name) not in ALLOWED]
     assert unused == []
     assert missing == set()  # every allow-listed import still exists
+
+
+def test_no_module_imports_a_private_name_from_another():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "spectrace"
+            ):
+                found += [f"{path.stem}: from {'.' * node.level}{node.module or ''} "
+                          f"import {alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
+    assert found == []
 
 
 def _imported_modules(path):

@@ -6,6 +6,7 @@ from scipy.special import ndtr, ndtri
 
 from spectrace import montecarlo
 from spectrace.estimators import (
+    ComputeBudgetError,
     aggregate_estimate,
     jackknife_estimate,
     make_scheme,
@@ -54,6 +55,16 @@ def test_config_validation():
         ExperimentConfig(model="identity:2", f="identity", seed=0)
     with pytest.raises(ValueError, match="replications"):
         ExperimentConfig(model="identity:2", f="identity", seed=0, n=5, replications=0)
+    # a plan that cannot run at any n fails at construction, not in a replicate
+    with pytest.raises(ComputeBudgetError, match="budget is 10000"):
+        ExperimentConfig(model="identity:2", f="identity", seed=0, n=50,
+                         mode="jackknife", subsets=20_000)
+    for q in (float("inf"), 1.0):
+        with pytest.raises(ValueError, match="q must be finite and > 1"):
+            ExperimentConfig(model="identity:2", f="identity", seed=0, n=50, q=q)
+    with pytest.raises(ValueError, match="m must be >= 2"):
+        ExperimentConfig(model="identity:2", f="identity", seed=0, n=50,
+                         mode="aggregate", m=1)
 
 
 def test_single_replicate_matches_direct_computation():
@@ -156,6 +167,42 @@ def test_summary_raises_naming_an_overflowing_moment():
     estimates = np.array([1e100, -1e100])
     with pytest.raises(FloatingPointError, match="l4_error"):
         montecarlo._summarize(0.0, estimates, np.zeros(2))
+
+
+def test_summary_raises_naming_overflowing_standardized_errors():
+    with pytest.raises(FloatingPointError, match="standardized errors of the 2 estimates"):
+        montecarlo._summarize(0.0, np.array([1.0, 2.0]), np.array([1.0, np.inf]))
+
+
+def test_single_replicate_summary_has_nan_spread_statistics():
+    res = run(ExperimentConfig(model="identity:2", f="square", seed=13, n=5,
+                               replications=1))
+    assert np.isnan(res.summary["bias_se"]) and np.isnan(res.summary["standardized_var"])
+    assert np.isfinite(res.summary["ks_normal"])
+
+
+def test_zero_oracle_scale_fails_before_any_replicate(monkeypatch):
+    # f'(1) = 0 for the bump centred at 1, so ||Sigma f'(Sigma)|| = 0 at the identity
+    calls = []
+    monkeypatch.setattr(montecarlo, "sample_gaussian", lambda *a: calls.append(a))
+    cfg = ExperimentConfig(model="identity:5", f="bump:1.0:0.5", seed=3, n=50,
+                           replications=4)
+    with pytest.raises(FloatingPointError, match="limit scale of bump:1.0:0.5 is 0.0"):
+        run(cfg)
+    assert calls == []
+
+
+def test_zero_plugin_scale_fails_naming_the_replicate_seeds(monkeypatch):
+    # the bump's plug-in scale is positive: its sample eigenvalues are not all 1
+    plug = run(ExperimentConfig(model="identity:5", f="bump:1.0:0.5", seed=3, n=50,
+                                replications=4, standardize="plugin"))
+    assert np.isfinite(plug.standardized).all()
+    monkeypatch.setattr(montecarlo, "gaussian_limit_std", lambda f, model: 0.0)
+    cfg = ExperimentConfig(model="identity:3", f="log1p", seed=2, n=20,
+                           replications=3, standardize="plugin")
+    with pytest.raises(ReplicateError, match="limit scale of log1p is 0.0") as info:
+        run(cfg)
+    assert str(info.value).startswith(f"replicate 0 (sampling seed {derive_seed(2, 0)}):")
 
 
 def test_ks_on_constant_sample_is_large():
@@ -278,11 +325,15 @@ def test_result_csvs_byte_identical_across_workers(tmp_path):
     assert (out1 / p1[1].name).read_bytes() == (out2 / p8[1].name).read_bytes()
 
 
-def test_replicate_failure_carries_index():
-    # subsets budget exceeded inside replicate 0
+def test_replicate_failure_carries_index(monkeypatch):
+    # the engine fails inside replicate 0 of a jackknife run
+    def fail(samples, scheme, subsets, seed):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(montecarlo, "level_spectra", fail)
     cfg = ExperimentConfig(
         model="identity:3", f="identity", seed=0, mode="jackknife",
-        n=40, m=2, subsets=20_000, replications=2,
+        n=40, m=2, subsets=5, replications=2,
     )
     with pytest.raises(RuntimeError, match="replicate 0") as info:
         run(cfg)

@@ -10,6 +10,7 @@ from spectrace.theory import (
     effective_rank,
     esd_mp_ks,
     gaussian_limit_std,
+    ks_distance,
     mp_atom,
     mp_cdf,
     mp_support,
@@ -74,6 +75,12 @@ def test_gaussian_limit_std_zero_for_flat_function():
 def test_gaussian_limit_std_is_finite_when_the_sum_of_squares_overflows():
     got = gaussian_limit_std(builtin("identity"), CovarianceModel.from_values([1e300, 1e300]))
     assert got == pytest.approx(np.sqrt(2.0) * 1e300, rel=1e-15)
+
+
+def test_gaussian_limit_std_raises_naming_f_when_a_term_overflows():
+    # lam f'(lam) = 2 lam^2 is not finite at 1e200; no RuntimeWarning escapes
+    with pytest.raises(FloatingPointError, match="of square is not finite"):
+        gaussian_limit_std(builtin("square"), CovarianceModel.from_values([1e200, 1.0]))
 
 
 def test_gaussian_limit_std_scales_linearly_for_identity_f():
@@ -214,3 +221,13 @@ def test_esd_ks_detects_wrong_gamma():
     samples = sample_gaussian(CovarianceModel.identity(200), 800, 303)
     lam = sym_eigvalues(sample_covariance(samples))
     assert esd_mp_ks(lam, 1.0) > 0.2
+
+
+def test_ks_distance_is_the_two_sided_sup_gap():
+    # sample 0.1, 0.5, 0.9 against the uniform cdf: gaps 1/3 - 0.1 and 0.9 - 2/3
+    assert ks_distance([0.1, 0.5, 0.9]) == pytest.approx(0.9 - 2 / 3, abs=1e-15)
+    assert ks_distance([1 / 6, 0.5, 5 / 6]) == pytest.approx(1 / 6, abs=1e-15)
+    lam = np.linspace(0.2, 2.5, 40)
+    assert esd_mp_ks(lam[::-1], 0.4) == ks_distance(mp_cdf(0.4, lam))
+    with pytest.raises(ValueError, match="nonempty"):
+        ks_distance([])
