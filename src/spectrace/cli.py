@@ -46,6 +46,7 @@ from .functions import builtin, default_grid, grid_to_csv, tau_f
 from .linalg import (
     CovarianceModel,
     EigenSolverError,
+    Stream,
     derive_seed,
     load_samples_csv,
     sample_covariance,
@@ -67,10 +68,6 @@ from .montecarlo import (
 from .theory import effective_rank, ks_distance, mp_cdf, mp_support, rate_budget
 
 __all__ = ["ConfigError", "main", "entrypoint"]
-
-# Stream tag for the supnorm function grid, seeded (master, 0, tag) like the
-# three-part subset seeds, so it cannot meet a two-part replicate seed.
-_GRID_STREAM = 2
 
 
 class ConfigError(ValueError):
@@ -390,7 +387,8 @@ def _cmd_normality(cfg: dict) -> int:
 
 def _cmd_supnorm(cfg: dict) -> int:
     config = _experiment_config(cfg)
-    grid_seed = derive_seed(cfg["seed"], 0, _GRID_STREAM)
+    # the grid's tag keeps it off every subset seed (master, i, SUBSET)
+    grid_seed = derive_seed(cfg["seed"], 0, Stream.GRID)
     grid = default_grid(cfg["m"], cfg["grid_size"], grid_seed)
     result = supnorm_experiment(grid, config)
     outdir = Path(cfg["out"])

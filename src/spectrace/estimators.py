@@ -14,11 +14,12 @@ every level once, the full sample always last (``full_spectrum``).
 Scalar estimates are the weighted sum ``combine_levels`` of tau_f over
 its output, and the signed spectral measure is the same output as atoms.
 
-The engine works a level at a time: subsets are drawn one seeded
-generator each, their rows gathered and their Grams formed in blocks of
-at most ``_BLOCK_BYTES``, and each Gram eigendecomposed on its own;
-``combine_levels`` evaluates f once per level. Both give the same bits
-as the per-subset loop.
+The engine works a level at a time: a level's index sets all come from
+one generator seeded by (seed, level), and they are drawn, their rows
+gathered, their Grams formed and eigendecomposed in blocks of at most
+``_BLOCK_BYTES``, one solver call per block; ``combine_levels``
+evaluates f once per level. Both give the same bits as the per-subset
+loop.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .functions import TestFunction, tau_f, tau_f_rows
 from .linalg import (
     CovarianceModel,
     SampleSet,
+    Stream,
     gram_covariance,
     rng_from,
     sample_covariance,
@@ -66,8 +68,9 @@ _CROSSCHECK_TOL = 1e-8
 # Most covariance eigendecompositions a single estimate may request.
 _MAX_EVALS = 10_000
 
-# Most bytes of gathered subset rows ``level_spectra`` holds at once; a
-# block takes at least one subset, so a large-d level never holds the rows
+# Most bytes ``level_spectra`` holds at once for a block of subsets: their
+# uniform draws and its argsort, their gathered rows and their Grams. A
+# block takes at least one subset, so a large level never holds the work
 # of all its subsets at once.
 _BLOCK_BYTES = 512 * 1024
 
@@ -275,10 +278,12 @@ def level_spectra(
     ``spectra`` has one row per spectrum. With ``subsets=None`` level j
     holds the spectrum of the prefix of the first n_j observations.
     Otherwise every level with n_j < n holds the spectra of ``subsets``
-    uniformly drawn size-n_j subsets, seeded per (seed, level, subset) so
-    the result does not depend on evaluation order; the full-sample level
-    always holds one spectrum. Subsets are gathered and their Grams formed
-    a block at a time, each Gram still eigendecomposed on its own.
+    uniformly drawn size-n_j subsets; the full-sample level always holds
+    one spectrum. Subset b of a level is the first n_j entries of the
+    argsort of row b of a ``(subsets, n)`` block of uniforms drawn from
+    one generator seeded by (seed, level), so the result is a pure
+    function of the inputs. The block is drawn in row order, a block of
+    subsets at a time, and each block's spectra come from one solver call.
     """
     if scheme.n != samples.n:
         raise SchemeError(
@@ -294,17 +299,20 @@ def level_spectra(
         if subsets is None or size == n:
             spectra = sym_eigvalues(gram_covariance(x[:size]))[np.newaxis]
         else:
+            rng = rng_from(seed, level, Stream.LEVEL)
             spectra = np.empty((subsets, d))
-            block = max(1, _BLOCK_BYTES // (size * d * x.itemsize))
+            block = _subsets_per_block(n, size, d)
             for start in range(0, subsets, block):
-                rows = np.stack([
-                    rng_from(seed, level, b).choice(n, size=size, replace=False)
-                    for b in range(start, min(start + block, subsets))
-                ])
-                for b, a in enumerate(gram_covariance(x[rows]), start):
-                    spectra[b] = sym_eigvalues(a)
+                stop = min(start + block, subsets)
+                rows = np.argsort(rng.random((stop - start, n)), axis=1)[:, :size]
+                spectra[start:stop] = sym_eigvalues(gram_covariance(x[rows]))
         levels.append((weight, spectra))
     return levels
+
+
+def _subsets_per_block(n: int, size: int, d: int) -> int:
+    """Subsets whose draw, argsort, rows and Gram fit in ``_BLOCK_BYTES``, >= 1."""
+    return max(1, _BLOCK_BYTES // (8 * (2 * n + size * d + d * d)))
 
 
 def full_spectrum(levels) -> np.ndarray:
@@ -358,10 +366,11 @@ def jackknife_estimate(
 
     For every level with n_j < n, the plug-in is averaged over
     ``subsets_per_level`` uniformly drawn size-n_j subsets; the full-sample
-    level needs no averaging. Subset draws are seeded per (seed, level,
-    subset), so the result is a pure function of the inputs regardless of
-    evaluation order. One estimate may request at most 10,000 covariance
-    eigendecompositions; more raises :class:`ComputeBudgetError`.
+    level needs no averaging. A level's subsets come from one generator
+    seeded by (seed, level), so the result is a pure function of the
+    inputs regardless of evaluation order. One estimate may request at most
+    10,000 covariance eigendecompositions; more raises
+    :class:`ComputeBudgetError`.
     """
     return combine_levels(f, level_spectra(samples, scheme, subsets_per_level, seed))
 

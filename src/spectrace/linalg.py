@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from enum import IntEnum, unique
 from pathlib import Path
 
 import numpy as np
 
 __all__ = [
     "EigenSolverError",
+    "Stream",
     "CovarianceModel",
     "SampleSet",
     "derive_seed",
@@ -39,6 +41,23 @@ class EigenSolverError(RuntimeError):
     """Symmetric eigensolver failed to converge."""
 
 
+@unique
+class Stream(IntEnum):
+    """Tags of the seed streams split off by three-part derivations.
+
+    Every three-part derivation reads ``(parent seed, index, tag)`` with
+    one of these tags last. Two of them with different tags therefore
+    differ in the tag word of their entropy and cannot share a stream,
+    whatever their parent seeds and indices; and none can meet a one- or
+    two-part derivation such as a replicate's sampling seed
+    ``(master, i)``, since the length word leads the entropy.
+    """
+
+    SUBSET = 1  # (master, replicate, SUBSET): the replicate's subset seed
+    GRID = 2  # (master, 0, GRID): the supnorm function grid
+    LEVEL = 3  # (subset seed, level, LEVEL): the level's index-set generator
+
+
 def _entropy(parts: tuple[int, ...]) -> list[int]:
     # the length word up front keeps (s,), (s, 0), (s, 0, 0) on distinct
     # streams; trailing zeros alone do not change a SeedSequence pool
@@ -48,9 +67,9 @@ def _entropy(parts: tuple[int, ...]) -> list[int]:
 def derive_seed(*parts: int) -> int:
     """Collapse integer parts into one 64-bit seed, deterministically.
 
-    Used everywhere a child stream is split off a master seed (replicate
-    index, subsample level, subset index), so that results never depend on
-    scheduling or evaluation order.
+    Used everywhere a child stream is split off a parent seed (a replicate
+    index, or an index and a :class:`Stream` tag), so that results never
+    depend on scheduling or evaluation order.
     """
     return int(
         np.random.SeedSequence(_entropy(parts)).generate_state(1, np.uint64)[0]
@@ -212,28 +231,38 @@ def gram_covariance(x: np.ndarray) -> np.ndarray:
 
 
 def _clip_roundoff(lam: np.ndarray) -> np.ndarray:
-    # lam is sorted non-increasing; band width scales with the top magnitude.
-    # Nothing to clip when the smallest is >= 0 (a NaN fails the test).
-    if lam[-1] >= 0.0:
+    # each row is sorted non-increasing, and its band width scales with its
+    # own top magnitude. Nothing to clip when every row's smallest is >= 0
+    # (a NaN fails the test).
+    low = lam[..., -1:]
+    if (low >= 0.0).all():
         return lam
-    scale = max(abs(lam[0]), abs(lam[-1]))
-    eps = CLIP_REL * scale
+    top = np.abs(lam[..., :1])
+    # the larger of top and |low| where low < 0, top where low is NaN
+    eps = CLIP_REL * np.where(-low > top, -low, top)
     lam[(lam < 0.0) & (lam > -eps)] = 0.0
     return lam
 
 
 def _check_symmetric(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    asym = float(np.abs(a - a.T).max())
-    if asym == 0.0:  # exactly symmetric, as every gram_covariance output is
-        return a
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    if asym > SYM_TOL * max(scale, 1.0):
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(
-            f"matrix is not symmetric: max |A - A'| = {asym:.3e} "
-            f"(tolerance {SYM_TOL * max(scale, 1.0):.3e})"
+            f"expected a square matrix or a stack of them, got shape {a.shape}"
+        )
+    at = np.swapaxes(a, -1, -2)
+    if (a == at).all():  # exactly symmetric, as every gram_covariance output is
+        return a
+    asym = np.abs(a - at).max(axis=(-2, -1))
+    # each matrix is judged against its own largest entry
+    tol = SYM_TOL * np.maximum(np.abs(a).max(axis=(-2, -1)), 1.0)
+    bad = asym > tol
+    if bad.any():
+        at = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+        which = "" if not at else f" {at[0]}" if len(at) == 1 else f" {at}"
+        raise ValueError(
+            f"matrix{which} is not symmetric: max |A - A'| = {asym[at]:.3e} "
+            f"(tolerance {tol[at]:.3e})"
         )
     return a
 
@@ -241,7 +270,10 @@ def _check_symmetric(a: np.ndarray) -> np.ndarray:
 def sym_eigvalues(a: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, non-increasing.
 
-    Negatives inside the round-off band are clipped to zero. Solver
+    A ``(..., d, d)`` stack gives the ``(..., d)`` stack of its spectra in
+    one solver call, each row bit-identical to the spectrum of its own
+    matrix: the symmetry check and the clip band are per matrix. Negatives
+    inside a matrix's round-off band are clipped to zero. Solver
     non-convergence raises :class:`EigenSolverError` with the backend
     diagnostic attached.
     """
@@ -249,10 +281,9 @@ def sym_eigvalues(a: np.ndarray) -> np.ndarray:
     try:
         lam = np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(
-            f"eigensolver failed on {a.shape[0]}x{a.shape[0]} input: {exc}"
-        ) from exc
-    return _clip_roundoff(lam[::-1].copy())
+        d = a.shape[-1]
+        raise EigenSolverError(f"eigensolver failed on {d}x{d} input: {exc}") from exc
+    return _clip_roundoff(lam[..., ::-1].copy())
 
 
 def load_samples_csv(path) -> SampleSet:

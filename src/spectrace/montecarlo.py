@@ -34,7 +34,7 @@ from .estimators import (
     spectral_measure_estimate,
 )
 from .functions import FunctionClassGrid, builtin, tau_f
-from .linalg import CovarianceModel, derive_seed, sample_gaussian
+from .linalg import CovarianceModel, Stream, derive_seed, sample_gaussian
 # unused; bench/bench_tests.py expects this module among its import sites
 from .linalg import sym_eigvalues  # noqa: F401
 from .theory import gaussian_limit_std, ks_distance
@@ -62,9 +62,6 @@ __all__ = [
 # Scales that standardize a run's errors: the model's, or each replicate's
 # full-sample plug-in of it.
 STANDARDIZE = ("oracle", "plugin")
-
-# Stream tag separating jackknife subset seeds from sampling seeds.
-_SUBSET_STREAM = 1
 
 
 class ReplicateError(RuntimeError):
@@ -276,7 +273,7 @@ def _map_replicates(
 
     def guarded(i: int):
         sampling = derive_seed(config.seed, i)
-        subset = 0 if subsets is None else derive_seed(config.seed, i, _SUBSET_STREAM)
+        subset = 0 if subsets is None else derive_seed(config.seed, i, Stream.SUBSET)
         try:
             return one(sampling, subset)
         except Exception as exc:

@@ -374,13 +374,15 @@ def test_supnorm_output_names_and_bytes_ignore_workers(tmp_path, capsys):
 def test_estimate_eigendecomposes_once_per_engine_spectrum(
     tmp_path, capsys, monkeypatch
 ):
-    # the effective-rank line reads the engine's full-sample spectrum
-    calls = []
+    # the effective-rank line reads the engine's full-sample spectrum;
+    # counted in spectra, the rows sym_eigvalues returns
+    spectra = []
     real = linalg.sym_eigvalues
 
     def counted(a):
-        calls.append(a.shape)
-        return real(a)
+        lam = real(a)
+        spectra.append(lam.size // lam.shape[-1])
+        return lam
 
     for mod in (linalg, estimators, montecarlo, theory, cli):
         if getattr(mod, "sym_eigvalues", None) is real:
@@ -388,10 +390,10 @@ def test_estimate_eigendecomposes_once_per_engine_spectrum(
     base = ("estimate", "--model", "identity:6", "--f", "log1p", "--n", "64",
             "--m", "3", "-B", "5", "--seed", "8", "--out", str(tmp_path))
     for mode, expect in (("plugin", 1), ("aggregate", 3), ("jackknife", 1 + 5 * 2)):
-        calls.clear()
+        spectra.clear()
         code, out, _ = run_cli(capsys, *base, "--mode", mode)
         assert code == 0 and "sample effective rank" in out
-        assert len(calls) == expect, mode
+        assert sum(spectra) == expect, mode
 
 
 def test_supnorm_grid_seed_is_not_a_replicate_or_subset_seed(
@@ -426,6 +428,38 @@ def test_supnorm_grid_seed_is_not_a_replicate_or_subset_seed(
     assert len(grid_seeds) == 1
     assert len(set(sample_seeds)) == len(set(subset_seeds)) == 5
     assert grid_seeds[0] not in set(sample_seeds) | set(subset_seeds)
+
+
+def test_seed_streams_of_jackknife_runs_are_pairwise_distinct(
+    tmp_path, capsys, monkeypatch
+):
+    subset_seeds = {linalg.derive_seed(45, i, linalg.Stream.SUBSET) for i in range(200)}
+    # every entropy list a run derives a seed or a generator from
+    entropies = []
+    real = linalg._entropy
+
+    def recorded(parts):
+        entropy = real(parts)
+        entropies.append(tuple(entropy))
+        return entropy
+
+    monkeypatch.setattr(linalg, "_entropy", recorded)
+    common = ("--model", "identity:3", "--mode", "jackknife", "--m", "3", "-B", "2",
+              "--n", "40", "--seed", "45", "--out", str(tmp_path))
+    runs = {"normality": (200, ("--f", "log1p")), "supnorm": (5, ("--grid-size", "3"))}
+    for command, (reps, extra) in runs.items():
+        entropies.clear()
+        code, _, _ = run_cli(capsys, command, *common, "--reps", str(reps), *extra)
+        assert code == 0, command
+        assert len(set(entropies)) == len(entropies), command
+        masters = [e for e in entropies if e[0] == 3 and e[1] == 45]
+        levels = [e for e in entropies if e[0] == 3 and e[1] in subset_seeds]
+        # a subset seed per replicate (and the grid seed), a level stream
+        # per replicate and sub-full level
+        assert len(masters) == reps + (command == "supnorm"), command
+        assert len(levels) == 2 * reps and {e[2] for e in levels} == {0, 1}
+        # the tag word alone keeps the level streams off the master's
+        assert {e[3] for e in levels}.isdisjoint({e[3] for e in masters})
 
 
 def test_help_and_bad_subcommand_exit_codes(capsys):

@@ -28,6 +28,7 @@ from spectrace.functions import builtin, tau_f
 from spectrace.linalg import (
     CovarianceModel,
     SampleSet,
+    Stream,
     derive_seed,
     rng_from,
     sample_covariance,
@@ -249,16 +250,15 @@ def test_jackknife_budget_error():
 
 def _reference_levels(x, scheme, subsets, seed):
     # (C_j, spectra) per level, one subset at a time; subsets=None means
-    # nested prefixes
+    # nested prefixes. Subset b is the first n_j entries of the argsort of
+    # row b of the level generator's uniforms, drawn here a row at a time
     levels = []
     for level, (size, weight) in enumerate(zip(scheme.sizes, scheme.coeffs)):
         if subsets is None or size == x.n:
             draws = [np.arange(size)]
         else:
-            draws = [
-                rng_from(seed, level, b).choice(x.n, size=size, replace=False)
-                for b in range(subsets)
-            ]
+            rng = rng_from(seed, level, Stream.LEVEL)
+            draws = [np.argsort(rng.random(x.n))[:size] for _ in range(subsets)]
         spectra = [
             sym_eigvalues(sample_covariance(SampleSet(x.data[idx]))) for idx in draws
         ]
@@ -316,6 +316,33 @@ def test_level_spectra_do_not_depend_on_the_block_size(monkeypatch):
         assert [w for w, _ in levels] == [w for w, _ in default]
         for (_, got), (_, expect) in zip(levels, default):
             assert got.shape == expect.shape and (got == expect).all()
+
+
+def test_level_spectra_do_not_depend_on_the_block_size_when_the_draw_dominates(
+    monkeypatch, level_draws
+):
+    # d = 2, n = 2000: a subset's uniforms and their argsort (2n = 4000
+    # words) outweigh its rows (500 to 2000 words), so the draw must bound
+    # the block. At 96,000 bytes rows alone would allow 24, 12 and 6
+    # subsets per block at sizes 250, 500 and 1000; with the draw counted
+    # at most 2, 2 and 1 fit. 7 = 2 + 2 + 2 + 1 leaves a short last block
+    d, n = 2, 2000
+    x = sample_gaussian(CovarianceModel.from_values([2.0, 0.5]), n, 53)
+    scheme = make_scheme(4, n, 2.0)
+    default = level_spectra(x, scheme, 7, 10)
+    for block_bytes in (1, 96_000):
+        level_draws.clear()
+        monkeypatch.setattr(estimators, "_BLOCK_BYTES", block_bytes)
+        levels = level_spectra(x, scheme, 7, 10)
+        for (_, got), (_, expect) in zip(levels, default):
+            assert got.shape == expect.shape and (got == expect).all()
+        assert sorted({level for level, _ in level_draws}) == [0, 1, 2]
+        for level, (b, width) in level_draws:
+            size = scheme.sizes[level]
+            assert width == n
+            assert b == 1 or 8 * b * (2 * n + size * d) <= block_bytes
+        if block_bytes == 1:
+            assert len(level_draws) == 3 * 7
 
 
 @pytest.mark.parametrize("mode", ["plugin", "jackknife"])

@@ -213,6 +213,53 @@ def test_sym_eigvalues_fast_paths_match_the_full_checks(kind, d, seed):
         assert expect is ValueError
 
 
+@pytest.mark.parametrize("b, k, d", [(50, 100, 20), (50, 10, 20), (3, 400, 200),
+                                     (3, 100, 200), (6, 1, 5)])
+def test_sym_eigvalues_on_a_stack_equals_the_per_matrix_spectra(b, k, d):
+    # Grams of k rows, rank-deficient when k < d, then the same stack
+    # made indefinite; also stacked one level deeper
+    rng = rng_from(b, k, d)
+    grams = gram_covariance(rng.standard_normal((b, k, d)))
+    for a in (grams, grams - np.eye(d) * float(np.trace(grams[0])) / d):
+        lam = sym_eigvalues(a)
+        assert lam.shape == (b, d)
+        assert np.array_equal(lam, np.stack([sym_eigvalues(m) for m in a]))
+        assert np.array_equal(sym_eigvalues(a.reshape(1, b, d, d))[0], lam)
+
+
+def test_sym_eigvalues_clips_each_row_by_its_own_band():
+    # -1e-6 beside a top of 1 is outside that row's band (1e-10) though
+    # inside one scaled by the neighbour's 1e6 (1e-4); -1e-12 is inside
+    stack = np.stack([np.diag([1.0, -1e-6]), np.diag([1e6, 1.0]), np.diag([1.0, -1e-12])])
+    lam = sym_eigvalues(stack)
+    assert np.array_equal(lam, [[1.0, -1e-6], [1e6, 1.0], [1.0, 0.0]])
+
+
+def test_sym_eigvalues_judges_each_matrix_of_a_stack_by_its_own_scale():
+    # |A - A'| = 1e-3 is within SYM_TOL of the stack's top entry 1e6 but
+    # far beyond it for the small matrix, which is refused by its index
+    small = np.array([[1e-3, 1e-3], [0.0, 1e-3]])
+    stack = np.stack([np.diag([1e6, 1e6]), small, np.eye(2)])
+    with pytest.raises(ValueError, match=r"matrix 1 is not symmetric: max \|A - A'\| = 1\.000e-03"):
+        sym_eigvalues(stack)
+    with pytest.raises(ValueError, match=r"matrix \(0, 1\) is not symmetric"):
+        sym_eigvalues(stack.reshape(1, 3, 2, 2))
+    with pytest.raises(ValueError, match="^matrix is not symmetric"):
+        sym_eigvalues(small)
+    with pytest.raises(ValueError, match="square"):
+        sym_eigvalues(np.zeros((3, 2, 4)))
+
+
+def test_eigensolver_failure_names_the_matrix_size(monkeypatch):
+    def failing(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    for a in (np.eye(3), np.stack([np.eye(3)] * 4)):
+        with pytest.raises(EigenSolverError, match="failed on 3x3 input: Eigenvalues"):
+            sym_eigvalues(a)
+
+
 def test_rank_deficient_gram_has_no_negative_eigenvalues():
     x = SampleSet(np.outer(np.ones(5), [1.0, 2.0, 3.0]))
     lam = sym_eigvalues(sample_covariance(x))

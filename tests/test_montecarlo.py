@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
-from spectrace import montecarlo
+from spectrace import estimators, montecarlo
 from spectrace.estimators import (
     ComputeBudgetError,
     aggregate_estimate,
@@ -95,6 +95,29 @@ def test_jackknife_run_worker_independent():
     r1 = run(ExperimentConfig(**base, workers=1))
     r3 = run(ExperimentConfig(**base, workers=3))
     assert np.array_equal(r1.estimates, r3.estimates)
+
+
+def test_jackknife_run_work_per_replicate(monkeypatch, level_draws):
+    # the benchmark's jackknife workload at 3 replicates: 1 + 50 * 2
+    # spectra and 50 * 2 index sets per replicate, and one solver call per
+    # block of subsets
+    spectra, calls = [], []
+    real = estimators.sym_eigvalues
+
+    def counted(a):
+        lam = real(a)
+        calls.append(lam.shape)
+        spectra.append(lam.size // lam.shape[-1])
+        return lam
+
+    monkeypatch.setattr(estimators, "sym_eigvalues", counted)
+    run(ExperimentConfig(model="identity:20", f="log1p", seed=1, mode="jackknife",
+                         n=400, m=3, subsets=50, replications=3))
+    assert sum(spectra) == 3 * (1 + 50 * 2)
+    assert sum(b for _, (b, _) in level_draws) == 3 * 50 * 2
+    blocks = sum(-(-50 // estimators._subsets_per_block(400, size, 20))
+                 for size in (100, 200))
+    assert len(calls) <= 3 * (1 + blocks)
 
 
 def test_config_hash_ignores_workers_only():
