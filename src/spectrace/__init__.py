@@ -35,6 +35,7 @@ from .linalg import (
     EigenSolverError,
     SampleSet,
     derive_seed,
+    gram_spectra,
     load_samples_csv,
     rng_from,
     sample_covariance,

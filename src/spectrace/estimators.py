@@ -20,6 +20,12 @@ gathered, their Grams formed and eigendecomposed in blocks of at most
 ``_BLOCK_BYTES``, one solver call per block; ``combine_levels``
 evaluates f once per level. Both give the same bits as the per-subset
 loop.
+
+Every spectrum, the plug-in's included, comes from ``linalg.gram_spectra``:
+a level of n_j < d rows solves the n_j x n_j dual X X'/n_j and pads its
+spectrum with d - n_j zeros. X'X/n_j has rank at most n_j and the same
+nonzero eigenvalues, so with f(0) = 0 the trace tr f is exactly the same;
+only the solver's round-off differs from the d x d solve.
 """
 
 from __future__ import annotations
@@ -34,9 +40,8 @@ from .linalg import (
     CovarianceModel,
     SampleSet,
     Stream,
-    gram_covariance,
+    gram_spectra,
     rng_from,
-    sample_covariance,
     sym_eigvalues,
 )
 # unused; bench/bench_tests.py expects this module among its import sites
@@ -69,9 +74,9 @@ _CROSSCHECK_TOL = 1e-8
 _MAX_EVALS = 10_000
 
 # Most bytes ``level_spectra`` holds at once for a block of subsets: their
-# uniform draws and its argsort, their gathered rows and their Grams. A
-# block takes at least one subset, so a large level never holds the work
-# of all its subsets at once.
+# uniform draws and its argsort, their gathered rows, the Grams formed
+# (primal or dual) and the padded spectra. A block takes at least one
+# subset, so a large level never holds the work of all its subsets at once.
 _BLOCK_BYTES = 512 * 1024
 
 MODES = ("plugin", "aggregate", "jackknife")
@@ -284,6 +289,9 @@ def level_spectra(
     one generator seeded by (seed, level), so the result is a pure
     function of the inputs. The block is drawn in row order, a block of
     subsets at a time, and each block's spectra come from one solver call.
+    Every spectrum comes from ``gram_spectra``, so a level with n_j < d
+    solves the n_j x n_j dual Gram and pads with d - n_j zeros; tau_f is
+    unchanged because f(0) = 0.
     """
     if scheme.n != samples.n:
         raise SchemeError(
@@ -297,7 +305,7 @@ def level_spectra(
     levels = []
     for level, (size, weight) in enumerate(zip(scheme.sizes, scheme.coeffs)):
         if subsets is None or size == n:
-            spectra = sym_eigvalues(gram_covariance(x[:size]))[np.newaxis]
+            spectra = gram_spectra(x[:size])[np.newaxis]
         else:
             rng = rng_from(seed, level, Stream.LEVEL)
             spectra = np.empty((subsets, d))
@@ -305,14 +313,19 @@ def level_spectra(
             for start in range(0, subsets, block):
                 stop = min(start + block, subsets)
                 rows = np.argsort(rng.random((stop - start, n)), axis=1)[:, :size]
-                spectra[start:stop] = sym_eigvalues(gram_covariance(x[rows]))
+                spectra[start:stop] = gram_spectra(x[rows])
         levels.append((weight, spectra))
     return levels
 
 
 def _subsets_per_block(n: int, size: int, d: int) -> int:
-    """Subsets whose draw, argsort, rows and Gram fit in ``_BLOCK_BYTES``, >= 1."""
-    return max(1, _BLOCK_BYTES // (8 * (2 * n + size * d + d * d)))
+    """Subsets whose draw, argsort, rows, Gram and spectrum fit in ``_BLOCK_BYTES``.
+
+    The Gram formed is min(size, d) square (``gram_spectra``), the spectrum
+    d long; a block holds at least one subset.
+    """
+    gram = min(size, d) ** 2
+    return max(1, _BLOCK_BYTES // (8 * (2 * n + size * d + gram + d)))
 
 
 def full_spectrum(levels) -> np.ndarray:
@@ -341,7 +354,7 @@ def combine_levels(f: TestFunction, levels) -> float:
 
 def plugin_estimate(f: TestFunction, samples: SampleSet) -> float:
     """tau_f of the sample covariance of all observations."""
-    return tau_f(f, sym_eigvalues(sample_covariance(samples)))
+    return tau_f(f, gram_spectra(samples.data))
 
 
 def aggregate_estimate(

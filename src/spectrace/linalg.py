@@ -2,7 +2,9 @@
 
 Everything downstream (estimators, Monte Carlo) funnels through the
 primitives here, so determinism and eigenvalue hygiene (sorting, clipping
-of negative round-off) are enforced once, in this module.
+of negative round-off) are enforced once, in this module. Every spectrum
+of a sample or subsample comes from :func:`gram_spectra`, the one place
+that picks the d x d Gram or its k x k dual.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ __all__ = [
     "rng_from",
     "sample_gaussian",
     "sample_covariance",
+    "gram_spectra",
     "sym_eigvalues",
     "load_samples_csv",
 ]
@@ -56,6 +59,7 @@ class Stream(IntEnum):
     SUBSET = 1  # (master, replicate, SUBSET): the replicate's subset seed
     GRID = 2  # (master, 0, GRID): the supnorm function grid
     LEVEL = 3  # (subset seed, level, LEVEL): the level's index-set generator
+    RATE = 4  # (master, n, RATE): the master seed of a rate sweep's size n
 
 
 def _entropy(parts: tuple[int, ...]) -> list[int]:
@@ -217,17 +221,46 @@ def gram_covariance(x: np.ndarray) -> np.ndarray:
     Grams, each bit-identical to the Gram of its own ``(k, d)`` slice.
     The input is not validated; finite data whose Gram overflows raise
     :class:`FloatingPointError`, checked once over the whole stack.
+    Spectra of samples come from :func:`gram_spectra`, which forms this
+    d x d matrix only when k >= d.
     """
+    return _symmetric_gram(x, x.shape[-2])
+
+
+def _symmetric_gram(y: np.ndarray, k: int) -> np.ndarray:
+    # Y'Y / k, exactly symmetrized and checked once for overflow; the
+    # primal Gram has y = X, the dual y = X' (k is X's row count either way)
     with np.errstate(over="ignore", invalid="ignore"):
-        a = np.swapaxes(x, -1, -2) @ x
+        a = np.swapaxes(y, -1, -2) @ y
         a += np.swapaxes(a, -1, -2)
-        a /= 2.0 * x.shape[-2]
+        a /= 2.0 * k
     if not np.isfinite(a).all():
         raise FloatingPointError(
-            f"sample covariance overflows: the Gram of {x.shape[-2]} rows with "
-            f"entries up to {float(np.abs(x).max()):.3e} is not finite"
+            f"sample covariance overflows: the Gram of {k} rows with "
+            f"entries up to {float(np.abs(y).max()):.3e} is not finite"
         )
     return a
+
+
+def gram_spectra(x: np.ndarray) -> np.ndarray:
+    """Non-increasing spectra of X'X / k for a ``(..., k, d)`` row stack.
+
+    Returns the ``(..., d)`` stack of spectra, one per ``(k, d)`` slice.
+    With k >= d this is ``sym_eigvalues(gram_covariance(x))``. With k < d
+    X'X / k has rank at most k, and its nonzero eigenvalues are those of
+    the k x k dual X X' / k (same divisor k), so the dual is solved and
+    the remaining d - k entries are exact zeros. Any f with f(0) = 0 then
+    gives tr f(X'X / k) = tr f(X X' / k) exactly; the spectra differ from
+    the primal ones only by the solver's round-off. The dual keeps the
+    primal's checks: overflow once per stack, symmetry and the clip band
+    per matrix.
+    """
+    k, d = x.shape[-2:]
+    if k >= d:
+        return sym_eigvalues(gram_covariance(x))
+    lam = np.zeros((*x.shape[:-2], d))
+    lam[..., :k] = sym_eigvalues(_symmetric_gram(np.swapaxes(x, -1, -2), k))
+    return lam
 
 
 def _clip_roundoff(lam: np.ndarray) -> np.ndarray:
@@ -251,7 +284,7 @@ def _check_symmetric(a: np.ndarray) -> np.ndarray:
             f"expected a square matrix or a stack of them, got shape {a.shape}"
         )
     at = np.swapaxes(a, -1, -2)
-    if (a == at).all():  # exactly symmetric, as every gram_covariance output is
+    if (a == at).all():  # exactly symmetric, as every Gram formed here is
         return a
     asym = np.abs(a - at).max(axis=(-2, -1))
     # each matrix is judged against its own largest entry

@@ -337,7 +337,7 @@ def rate_sweep(config: ExperimentConfig) -> RateSweepResult:
     """Run the experiment across config.n_list and fit a log-log RMSE slope.
 
     Needs at least three distinct sizes spanning a factor of four or more;
-    each size gets its own derived master seed.
+    size n runs on its own master seed ``(seed, n, Stream.RATE)``.
     """
     if not config.n_list:
         raise ValueError("config.n_list is required for rate_sweep")
@@ -350,7 +350,8 @@ def rate_sweep(config: ExperimentConfig) -> RateSweepResult:
         )
     runs = []
     for n in ns:
-        sub = replace(config, n=n, n_list=None, seed=derive_seed(config.seed, n))
+        seed = derive_seed(config.seed, n, Stream.RATE)
+        sub = replace(config, n=n, n_list=None, seed=seed)
         runs.append(run(sub))
     rmse = np.array([res.summary["rmse"] for res in runs])
     x = np.log(np.asarray(ns, dtype=float))

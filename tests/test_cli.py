@@ -98,6 +98,21 @@ def test_estimate_on_overflowing_data_exits_3_without_result(tmp_path, capsys, m
     assert "RESULT" not in out and "estimate:" not in out
 
 
+@pytest.mark.parametrize("mode", ["plugin", "jackknife"])
+def test_estimate_on_overflowing_data_below_d_exits_3_without_result(tmp_path, capsys, mode):
+    # 3 rows in 5 dimensions: every level takes the dual Gram, which overflows
+    data = tmp_path / "big_wide.csv"
+    data.write_text("1e200,2e200,0,1,-3e200\n-1e200,3e200,1,0,2e200\n"
+                    "2e200,1e200,1,1,1e200\n")
+    code, out, err = run_cli(
+        capsys, "estimate", "--data", str(data), "--f", "identity", "--mode", mode,
+        "--m", "2", "--q", "1.5", "--subsets", "4", "--seed", "1", "--out", str(tmp_path),
+    )
+    assert code == 3
+    assert "sample covariance overflows" in err
+    assert "RESULT" not in out and "estimate:" not in out
+
+
 def test_normality_with_an_overflowing_error_moment_exits_3_without_result(tmp_path, capsys):
     # the limit scale is finite at eigenvalues 1e300, the spread of the estimates is not
     with warnings.catch_warnings(record=True) as caught:
@@ -297,6 +312,21 @@ def test_mp_compare_evaluates_the_law_once(tmp_path, capsys, monkeypatch):
     assert float(result_line(out)["ks"]) == theory.ks_distance(cdf)
 
 
+def test_mp_compare_above_gamma_one_reads_the_padded_dual_spectrum(tmp_path, capsys):
+    # d = 120 > n = 60: the spectrum is gram_spectra's, whose d - n null
+    # eigenvalues are exact zeros, the law's atom at 0
+    code, _, _ = run_cli(
+        capsys, "mp-compare", "--gamma", "2", "--d", "120", "--n", "60",
+        "--seed", "13", "--out", str(tmp_path),
+    )
+    assert code == 0
+    csv = next(tmp_path.glob("mp_compare_*.csv")).read_text().splitlines()[1:]
+    got = np.array([float(line.split(",")[0]) for line in csv])
+    x = linalg.sample_gaussian(linalg.CovarianceModel.identity(120), 60, 13)
+    assert np.array_equal(got, np.sort(linalg.gram_spectra(x.data)))
+    assert (got[:60] == 0.0).all() and (got[60:] > 0.0).all()
+
+
 def test_mp_compare_scale_preconditions(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "mp-compare", "--gamma", "0.5", "--d", "10", "--n", "200",
@@ -445,13 +475,21 @@ def test_seed_streams_of_jackknife_runs_are_pairwise_distinct(
 
     monkeypatch.setattr(linalg, "_entropy", recorded)
     common = ("--model", "identity:3", "--mode", "jackknife", "--m", "3", "-B", "2",
-              "--n", "40", "--seed", "45", "--out", str(tmp_path))
-    runs = {"normality": (200, ("--f", "log1p")), "supnorm": (5, ("--grid-size", "3"))}
+              "--seed", "45", "--out", str(tmp_path))
+    runs = {"normality": (200, ("--f", "log1p", "--n", "40")),
+            "supnorm": (5, ("--grid-size", "3", "--n", "40")),
+            "rates": (5, ("--f", "log1p", "--n-list", "40,80,160"))}
     for command, (reps, extra) in runs.items():
         entropies.clear()
         code, _, _ = run_cli(capsys, command, *common, "--reps", str(reps), *extra)
         assert code == 0, command
         assert len(set(entropies)) == len(entropies), command
+        if command == "rates":
+            # size n runs on master (45, n, RATE), never on (45, n), the
+            # sampling seed of replicate n of a run with master 45
+            sizes = [e for e in entropies if e[1] == 45]
+            assert sorted(sizes) == [(3, 45, n, linalg.Stream.RATE) for n in (40, 80, 160)]
+            continue
         masters = [e for e in entropies if e[0] == 3 and e[1] == 45]
         levels = [e for e in entropies if e[0] == 3 and e[1] in subset_seeds]
         # a subset seed per replicate (and the grid seed), a level stream

@@ -248,6 +248,18 @@ def test_jackknife_budget_error():
         jackknife_estimate(builtin("identity"), x, scheme, 10_000)
 
 
+def _reference_spectrum(rows):
+    # the per-matrix rule spelled out: the d x d Gram, or below d the
+    # exactly symmetrized k x k dual X X'/k padded with zeros
+    k, d = rows.shape
+    if k >= d:
+        return sym_eigvalues(sample_covariance(SampleSet(rows)))
+    dual = rows @ rows.T
+    lam = np.zeros(d)
+    lam[:k] = sym_eigvalues((dual + dual.T) / (2.0 * k))
+    return lam
+
+
 def _reference_levels(x, scheme, subsets, seed):
     # (C_j, spectra) per level, one subset at a time; subsets=None means
     # nested prefixes. Subset b is the first n_j entries of the argsort of
@@ -259,9 +271,7 @@ def _reference_levels(x, scheme, subsets, seed):
         else:
             rng = rng_from(seed, level, Stream.LEVEL)
             draws = [np.argsort(rng.random(x.n))[:size] for _ in range(subsets)]
-        spectra = [
-            sym_eigvalues(sample_covariance(SampleSet(x.data[idx]))) for idx in draws
-        ]
+        spectra = [_reference_spectrum(x.data[idx]) for idx in draws]
         levels.append((weight, spectra))
     return levels
 
@@ -269,12 +279,15 @@ def _reference_levels(x, scheme, subsets, seed):
 def test_estimators_match_naive_per_subset_reference():
     # the scalar and measure paths share one subsample-spectrum engine, so
     # comparing them with each other cannot catch an engine fault; compare
-    # both against the loop above, bit for bit
+    # both against the loop above, bit for bit. The last 6 configurations
+    # have n < 2d, so every sub-full level has n_j < d and takes the dual
     rng = rng_from(778)
-    for _ in range(12):
+    for wide in [False] * 12 + [True] * 6:
         d = int(rng.integers(2, 12))
         m = int(rng.integers(2, 5))
         n = int(rng.integers(4 * 2 ** (m - 1), 240))
+        if wide:
+            d = int(rng.integers(n // 2 + 1, n + 40))
         subsets = int(rng.integers(1, 9))
         seed = int(rng.integers(0, 2 ** 32))
         model = CovarianceModel.from_values(rng.uniform(0.2, 3.0, size=d))
@@ -302,10 +315,11 @@ def test_estimators_match_naive_per_subset_reference():
             assert got_atoms == sorted(atoms)
 
 
-def test_level_spectra_do_not_depend_on_the_block_size(monkeypatch):
+def test_level_spectra_do_not_depend_on_the_block_size(monkeypatch, level_draws):
     # d = 6, sizes 100 and 200: the default block holds each level whole;
     # one subset per block, then 6 and 3 per block (50 = 8 * 6 + 2 =
     # 16 * 3 + 2), must give the same bits
+    block_default = estimators._BLOCK_BYTES
     x = sample_gaussian(CovarianceModel.from_values([3.0, 2.0, 1.0, 1.0, 0.5, 0.1]),
                         400, 51)
     scheme = make_scheme(3, 400, 2.0)
@@ -316,6 +330,30 @@ def test_level_spectra_do_not_depend_on_the_block_size(monkeypatch):
         assert [w for w, _ in levels] == [w for w, _ in default]
         for (_, got), (_, expect) in zip(levels, default):
             assert got.shape == expect.shape and (got == expect).all()
+    # d = 50, sizes 20, 40 and 80: the two sub-full levels take the dual,
+    # whose Gram is 20^2 and 40^2 words, not 50^2. A full block holds as
+    # many subsets as fit with that Gram and the padded spectrum counted
+    # (7 and 3 at 91,440 bytes; 3 and 2 if it counted d^2)
+    d, n = 50, 80
+    x = sample_gaussian(CovarianceModel.from_values(np.linspace(2.0, 0.1, d)), n, 54)
+    scheme = make_scheme(3, n, 2.0)
+    monkeypatch.setattr(estimators, "_BLOCK_BYTES", block_default)
+    default = level_spectra(x, scheme, 10, 11)
+    assert [s.shape for _, s in default] == [(10, d), (10, d), (1, d)]
+    for block_bytes in (1, 91_440):
+        level_draws.clear()
+        monkeypatch.setattr(estimators, "_BLOCK_BYTES", block_bytes)
+        levels = level_spectra(x, scheme, 10, 11)
+        for (_, got), (_, expect) in zip(levels, default):
+            assert got.shape == expect.shape and (got == expect).all()
+        for i, (level, (b, _)) in enumerate(level_draws):
+            size = scheme.sizes[level]
+            per_subset = 8 * (2 * n + size * d + min(size, d) ** 2 + d)
+            assert b == 1 or b * per_subset <= block_bytes
+            last = i + 1 == len(level_draws) or level_draws[i + 1][0] != level
+            assert last or (b + 1) * per_subset > block_bytes
+        if block_bytes == 91_440:
+            assert [b for _, (b, _) in level_draws] == [7, 3, 3, 3, 3, 1]
 
 
 def test_level_spectra_do_not_depend_on_the_block_size_when_the_draw_dominates(

@@ -16,6 +16,8 @@ ALLOWED = {
     # bench/bench_tests.py::test_wrappers_reach_every_import_site_and_are_removed
     ("montecarlo", "sym_eigvalues"),
     # bench/bench_tests.py::test_wrappers_reach_every_import_site_and_are_removed
+    ("cli", "sym_eigvalues"),
+    # bench/bench_tests.py::test_wrappers_reach_every_import_site_and_are_removed
     ("estimators", "derive_seed"),
     # bench/bench_tests.py::test_wrappers_reach_every_import_site_and_are_removed
     ("estimators", "sample_gaussian"),

@@ -11,6 +11,7 @@ from spectrace.linalg import (
     SampleSet,
     derive_seed,
     gram_covariance,
+    gram_spectra,
     load_samples_csv,
     rng_from,
     sample_covariance,
@@ -225,6 +226,56 @@ def test_sym_eigvalues_on_a_stack_equals_the_per_matrix_spectra(b, k, d):
         assert lam.shape == (b, d)
         assert np.array_equal(lam, np.stack([sym_eigvalues(m) for m in a]))
         assert np.array_equal(sym_eigvalues(a.reshape(1, b, d, d))[0], lam)
+
+
+@pytest.mark.parametrize("b, k, d", [(50, 10, 20), (3, 100, 200), (6, 1, 5), (4, 7, 8)])
+def test_gram_spectra_of_a_stack_equal_the_per_matrix_dual_spectra(b, k, d):
+    # k < d: every slice goes through its k x k dual; also one level deeper
+    x = rng_from(b, k, d, 1).standard_normal((b, k, d))
+    lam = gram_spectra(x)
+    assert lam.shape == (b, d)
+    assert np.array_equal(lam, np.stack([gram_spectra(rows) for rows in x]))
+    assert np.array_equal(gram_spectra(x.reshape(1, b, k, d))[0], lam)
+    assert (lam[:, k:] == 0.0).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=hst.integers(1, 40),
+    d=hst.integers(1, 40),
+    log_scale=hst.floats(-3.0, 3.0),
+    seed=hst.integers(0, 2 ** 32 - 1),
+)
+def test_dual_and_primal_spectra_agree(k, d, log_scale, seed):
+    # fixed before the first run: both solves are backward stable, so each
+    # eigenvalue is within a few (k + d) * eps of the trace ||X||_F^2 / k;
+    # 1e-12 of the trace leaves a factor of ~100 over 80 * 1.1e-16
+    rng = rng_from(seed)
+    x = 10.0 ** log_scale * rng.standard_normal((k, d)) * rng.uniform(0.1, 3.0, size=d)
+    primal = sym_eigvalues(gram_covariance(x))
+    lam = gram_spectra(x)
+    assert lam.shape == (d,)
+    if k >= d:
+        assert np.array_equal(lam, primal)
+        return
+    assert (lam[k:] == 0.0).all() and (np.diff(lam) <= 0.0).all()
+    trace = float(np.sum(x * x)) / k
+    assert np.max(np.abs(lam - primal)) <= 1e-12 * trace
+
+
+def test_gram_spectra_dual_keeps_the_overflow_check_and_the_clip_band():
+    # 3 rows in 5 dimensions whose dual Gram overflows
+    big = 1e200 * rng_from(4).standard_normal((2, 3, 5))
+    with pytest.raises(FloatingPointError, match="sample covariance overflows: "
+                                                 "the Gram of 3 rows"):
+        gram_spectra(big)
+    # 6 rows of rank 2 in 10 dimensions: the dual's 4 null eigenvalues are
+    # round-off (3 of them negative from the solver), clipped into
+    # [0, band] like the primal's
+    x = rng_from(5).standard_normal((6, 2)) @ rng_from(6).standard_normal((2, 10))
+    lam = gram_spectra(x)
+    assert (lam >= 0.0).all()
+    assert (lam[2:] <= 1e-10 * lam[0]).all()
 
 
 def test_sym_eigvalues_clips_each_row_by_its_own_band():

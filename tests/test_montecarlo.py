@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
-from spectrace import estimators, montecarlo
+from spectrace import estimators, linalg, montecarlo
 from spectrace.estimators import (
     ComputeBudgetError,
     aggregate_estimate,
@@ -100,17 +100,17 @@ def test_jackknife_run_worker_independent():
 def test_jackknife_run_work_per_replicate(monkeypatch, level_draws):
     # the benchmark's jackknife workload at 3 replicates: 1 + 50 * 2
     # spectra and 50 * 2 index sets per replicate, and one solver call per
-    # block of subsets
+    # block of subsets; the engine takes every spectrum from gram_spectra
     spectra, calls = [], []
-    real = estimators.sym_eigvalues
+    real = estimators.gram_spectra
 
-    def counted(a):
-        lam = real(a)
+    def counted(x):
+        lam = real(x)
         calls.append(lam.shape)
         spectra.append(lam.size // lam.shape[-1])
         return lam
 
-    monkeypatch.setattr(estimators, "sym_eigvalues", counted)
+    monkeypatch.setattr(estimators, "gram_spectra", counted)
     run(ExperimentConfig(model="identity:20", f="log1p", seed=1, mode="jackknife",
                          n=400, m=3, subsets=50, replications=3))
     assert sum(spectra) == 3 * (1 + 50 * 2)
@@ -118,6 +118,23 @@ def test_jackknife_run_work_per_replicate(monkeypatch, level_draws):
     blocks = sum(-(-50 // estimators._subsets_per_block(400, size, 20))
                  for size in (100, 200))
     assert len(calls) <= 3 * (1 + blocks)
+
+
+def test_aggregate_run_work_per_replicate(monkeypatch):
+    # the benchmark's aggregate workload at 3 replicates: levels of 100,
+    # 200 and 400 rows in d = 200, so the 100-row level is solved as its
+    # 100 x 100 dual and the solver never sees a 200 x 200 null space of 100
+    shapes = []
+    real = linalg.sym_eigvalues
+
+    def counted(a):
+        shapes.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(linalg, "sym_eigvalues", counted)
+    run(ExperimentConfig(model="identity:200", f="log1p", seed=1, mode="aggregate",
+                         n=400, m=3, replications=3))
+    assert shapes == [(100, 100), (200, 200), (200, 200)] * 3
 
 
 def test_config_hash_ignores_workers_only():
