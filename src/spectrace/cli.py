@@ -427,9 +427,11 @@ def _cmd_mp_compare(cfg: dict) -> int:
             file=sys.stderr,
         )
     samples = sample_gaussian(CovarianceModel.identity(d), n, cfg["seed"])
-    lam_sorted = np.sort(gram_spectra(samples.data))
+    # the law's atom at 0 needs the d - n null eigenvalues gram_spectra leaves out
+    nulls = np.zeros(max(d - n, 0))
+    lam_sorted = np.concatenate([nulls, np.sort(gram_spectra(samples.data))])
     cdf = mp_cdf(gamma, lam_sorted)
-    ks = ks_distance(cdf)
+    ks = ks_distance(cdf, np.where(lam_sorted > 0.0, cdf, 0.0))
     outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)
     tag = _output_tag("mp-compare", cfg)

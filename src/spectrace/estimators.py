@@ -22,10 +22,10 @@ evaluates f once per level. Both give the same bits as the per-subset
 loop.
 
 Every spectrum, the plug-in's included, comes from ``linalg.gram_spectra``:
-a level of n_j < d rows solves the n_j x n_j dual X X'/n_j and pads its
-spectrum with d - n_j zeros. X'X/n_j has rank at most n_j and the same
-nonzero eigenvalues, so with f(0) = 0 the trace tr f is exactly the same;
-only the solver's round-off differs from the d x d solve.
+a level of n_j < d rows solves the n_j x n_j dual X X'/n_j and keeps its
+n_j eigenvalues, the nonzero ones of X'X/n_j. With f(0) = 0, tr f and the
+measure's integrals need none of the d - n_j null ones; only the solver's
+round-off differs from the d x d solve.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ _MAX_EVALS = 10_000
 
 # Most bytes ``level_spectra`` holds at once for a block of subsets: their
 # uniform draws and its argsort, their gathered rows, the Grams formed
-# (primal or dual) and the padded spectra. A block takes at least one
-# subset, so a large level never holds the work of all its subsets at once.
+# (primal or dual) and the spectra. A block takes at least one subset, so a
+# large level never holds the work of all its subsets at once.
 _BLOCK_BYTES = 512 * 1024
 
 MODES = ("plugin", "aggregate", "jackknife")
@@ -148,7 +148,8 @@ class AggregationScheme:
         return self.sizes[-1]
 
     def coeff_l1(self) -> float:
-        """sum |C_j|, the variance-inflation factor of the aggregation."""
+        """sum |C_j|, how far the weights can amplify a level's error; at q = 2 it
+        is 3 (m = 2) and 5 (m = 3), not the first-order variance inflation 2 and 4."""
         return float(np.abs(self.coeffs).sum())
 
 
@@ -289,9 +290,9 @@ def level_spectra(
     one generator seeded by (seed, level), so the result is a pure
     function of the inputs. The block is drawn in row order, a block of
     subsets at a time, and each block's spectra come from one solver call.
-    Every spectrum comes from ``gram_spectra``, so a level with n_j < d
-    solves the n_j x n_j dual Gram and pads with d - n_j zeros; tau_f is
-    unchanged because f(0) = 0.
+    Every spectrum comes from ``gram_spectra``, so a level's spectra are
+    min(n_j, d) wide: below d it solves the n_j x n_j dual Gram, and tau_f
+    needs no null eigenvalues because f(0) = 0.
     """
     if scheme.n != samples.n:
         raise SchemeError(
@@ -308,7 +309,7 @@ def level_spectra(
             spectra = gram_spectra(x[:size])[np.newaxis]
         else:
             rng = rng_from(seed, level, Stream.LEVEL)
-            spectra = np.empty((subsets, d))
+            spectra = np.empty((subsets, min(size, d)))
             block = _subsets_per_block(n, size, d)
             for start in range(0, subsets, block):
                 stop = min(start + block, subsets)
@@ -321,11 +322,11 @@ def level_spectra(
 def _subsets_per_block(n: int, size: int, d: int) -> int:
     """Subsets whose draw, argsort, rows, Gram and spectrum fit in ``_BLOCK_BYTES``.
 
-    The Gram formed is min(size, d) square (``gram_spectra``), the spectrum
-    d long; a block holds at least one subset.
+    The Gram formed is min(size, d) square and the spectrum min(size, d)
+    long (``gram_spectra``); a block holds at least one subset.
     """
-    gram = min(size, d) ** 2
-    return max(1, _BLOCK_BYTES // (8 * (2 * n + size * d + gram + d)))
+    width = min(size, d)
+    return max(1, _BLOCK_BYTES // (8 * (2 * n + size * d + width * width + width)))
 
 
 def full_spectrum(levels) -> np.ndarray:

@@ -245,22 +245,18 @@ def _symmetric_gram(y: np.ndarray, k: int) -> np.ndarray:
 def gram_spectra(x: np.ndarray) -> np.ndarray:
     """Non-increasing spectra of X'X / k for a ``(..., k, d)`` row stack.
 
-    Returns the ``(..., d)`` stack of spectra, one per ``(k, d)`` slice.
-    With k >= d this is ``sym_eigvalues(gram_covariance(x))``. With k < d
-    X'X / k has rank at most k, and its nonzero eigenvalues are those of
-    the k x k dual X X' / k (same divisor k), so the dual is solved and
-    the remaining d - k entries are exact zeros. Any f with f(0) = 0 then
+    Returns the ``(..., min(k, d))`` stack of spectra, one per ``(k, d)``
+    slice. With k >= d this is ``sym_eigvalues(gram_covariance(x))``. With
+    k < d X'X / k has rank at most k, and its nonzero eigenvalues are those
+    of the k x k dual X X' / k (same divisor k), so the dual is solved and
+    the d - k null eigenvalues are left out. Any f with f(0) = 0 then
     gives tr f(X'X / k) = tr f(X X' / k) exactly; the spectra differ from
     the primal ones only by the solver's round-off. The dual keeps the
     primal's checks: overflow once per stack, symmetry and the clip band
     per matrix.
     """
     k, d = x.shape[-2:]
-    if k >= d:
-        return sym_eigvalues(gram_covariance(x))
-    lam = np.zeros((*x.shape[:-2], d))
-    lam[..., :k] = sym_eigvalues(_symmetric_gram(np.swapaxes(x, -1, -2), k))
-    return lam
+    return sym_eigvalues(_symmetric_gram(x if k >= d else np.swapaxes(x, -1, -2), k))
 
 
 def _clip_roundoff(lam: np.ndarray) -> np.ndarray:

@@ -31,7 +31,6 @@ from .estimators import (
     full_spectrum,
     level_plan,
     level_spectra,
-    spectral_measure_estimate,
 )
 from .functions import FunctionClassGrid, builtin, tau_f
 from .linalg import CovarianceModel, Stream, derive_seed, sample_gaussian
@@ -261,21 +260,28 @@ def _summarize(truth: float, estimates: np.ndarray, standardized: np.ndarray) ->
 
 
 def _map_replicates(
-    one: Callable[[int, int], object], config: ExperimentConfig, subsets: int | None
+    config: ExperimentConfig, model: CovarianceModel, one: Callable[[list], object]
 ) -> list:
     """One result per replicate, in index order, on ``config.workers`` threads.
 
-    Replicate i is ``one(sampling seed, subset seed)``, both derived here
-    only (the subset seed is 0, and unread, when the plan draws no
-    subsets). A failing replicate raises :class:`ReplicateError` naming
-    its index and those seeds, so it can be re-run alone.
+    The one replicate body of every experiment: with the plan of one
+    ``level_plan`` call, replicate i samples ``model`` on its sampling seed
+    and returns ``one(level_spectra(...))`` on its subset seed. Both seeds
+    are derived here only (the subset seed is 0, and unread, when the plan
+    draws no subsets). A failing replicate raises :class:`ReplicateError`
+    naming its index and those seeds, so it can be re-run alone.
     """
+    if config.n is None:
+        raise ValueError("config.n is required; n_list is for rate_sweep")
+    n = int(config.n)
+    scheme, subsets = level_plan(config.mode, n, config.m, config.q, config.subsets)
 
     def guarded(i: int):
         sampling = derive_seed(config.seed, i)
         subset = 0 if subsets is None else derive_seed(config.seed, i, Stream.SUBSET)
         try:
-            return one(sampling, subset)
+            samples = sample_gaussian(model, n, sampling)
+            return one(level_spectra(samples, scheme, subsets, subset))
         except Exception as exc:
             seeds = f"sampling seed {sampling}"
             if subsets is not None:
@@ -305,30 +311,22 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     The oracle scale is checked before any replicate runs, a plug-in scale
     inside its replicate, so a zero scale fails naming the seeds.
     """
-    if config.n is None:
-        raise ValueError("config.n is required for run(); n_list is for rate_sweep")
-    n = int(config.n)
     model = parse_model(config.model)
     f = builtin(config.f)
-    scheme, subsets = level_plan(config.mode, n, config.m, config.q, config.subsets)
     truth = tau_f(f, model.eigenvalues)
     oracle = config.standardize == "oracle"
     oracle_std = _limit_scale(f, model) if oracle else None
 
-    def one(sampling_seed: int, subset_seed: int) -> tuple[float, float]:
-        s = sample_gaussian(model, n, sampling_seed)
-        levels = level_spectra(s, scheme, subsets, subset_seed)
+    def one(levels) -> tuple[float, float]:
         est = combine_levels(f, levels)
         if oracle:
             return est, oracle_std
         return est, _limit_scale(f, CovarianceModel(full_spectrum(levels)))
 
-    pairs = _map_replicates(one, config, subsets)
-    estimates = np.array([est for est, _ in pairs], dtype=float)
-    scales = np.array([scale for _, scale in pairs], dtype=float)
+    estimates, scales = np.array(_map_replicates(config, model, one), dtype=float).T
 
     with np.errstate(over="ignore", invalid="ignore"):
-        standardized = sqrt(n) * (estimates - truth) / (sqrt(2.0) * scales)
+        standardized = sqrt(config.n) * (estimates - truth) / (sqrt(2.0) * scales)
     summary = _summarize(truth, estimates, standardized)
     return ExperimentResult(config, truth, estimates, standardized, summary)
 
@@ -371,26 +369,19 @@ def supnorm_experiment(
 ) -> SupnormResult:
     """Worst-case estimation error over a function family, by replicate.
 
-    Builds the signed spectral measure once per replicate and integrates
-    every family member against it, so the per-function estimates within a
-    replicate share the same randomness.
+    Computes the level spectra once per replicate and combines them for
+    every family member, so the per-function estimates within a replicate
+    share the same randomness, and member j's error is exactly that of
+    ``run`` with f = member j.
     """
-    if config.n is None:
-        raise ValueError("config.n is required for supnorm_experiment")
-    n = int(config.n)
     model = parse_model(config.model)
-    scheme, subsets = level_plan(config.mode, n, config.m, config.q, config.subsets)
     truths = np.array([tau_f(f, model.eigenvalues) for f in grid.members])
 
-    def one(sampling_seed: int, subset_seed: int) -> np.ndarray:
-        s = sample_gaussian(model, n, sampling_seed)
-        measure = spectral_measure_estimate(
-            s, scheme, config.mode, config.subsets, seed=subset_seed
-        )
-        ests = np.array([measure.integrate(f) for f in grid.members])
+    def one(levels) -> np.ndarray:
+        ests = np.array([combine_levels(f, levels) for f in grid.members])
         return np.abs(ests - truths)
 
-    errors = np.array(_map_replicates(one, config, subsets))
+    errors = np.array(_map_replicates(config, model, one))
     max_error = errors.max(axis=1)
     return SupnormResult(
         config=config,

@@ -154,24 +154,32 @@ def mp_cdf(gamma: float, x) -> np.ndarray | float:
     return float(out) if arr.ndim == 0 else out
 
 
-def ks_distance(cdf) -> float:
+def ks_distance(cdf, cdf_left=None) -> float:
     """Two-sided Kolmogorov-Smirnov distance from the values of a cdf F.
 
     ``cdf`` holds F at the points of a sorted sample, whose empirical
-    distribution puts mass 1/r on each of its r points.
+    distribution puts mass 1/r on each of its r points, and ``cdf_left``
+    the left limits F(x-), ``cdf`` by default as for a continuous F. Ties
+    need no grouping: the gap above F peaks at a tied run's last point,
+    the gap below it at the run's first.
     """
     cdf = np.asarray(cdf, dtype=float)
+    left = cdf if cdf_left is None else np.asarray(cdf_left, dtype=float)
     r = cdf.size
     if r == 0:
         raise ValueError("sample must be nonempty")
     i = np.arange(1, r + 1)
-    return float(max(np.max(i / r - cdf), np.max(cdf - (i - 1) / r), 0.0))
+    return float(max(np.max(i / r - cdf), np.max(left - (i - 1) / r), 0.0))
 
 
 def esd_mp_ks(eigenvalues, gamma: float) -> float:
     """Two-sided sup gap between the empirical spectral cdf and the law.
 
-    eigenvalues are the d sample-covariance eigenvalues; their empirical
-    distribution (mass 1/d each) is compared against mp_cdf(gamma, .).
+    eigenvalues are all d sample-covariance eigenvalues, the null ones
+    included (``linalg.gram_spectra`` leaves out the d - n null ones when
+    n < d); their empirical distribution (mass 1/d each) is compared
+    against mp_cdf(gamma, .), whose left limit at the atom is F(0-) = 0.
     """
-    return ks_distance(mp_cdf(gamma, np.sort(np.asarray(eigenvalues, dtype=float))))
+    lam = np.sort(np.asarray(eigenvalues, dtype=float))
+    cdf = mp_cdf(gamma, lam)
+    return ks_distance(cdf, np.where(lam > 0.0, cdf, 0.0))

@@ -313,8 +313,9 @@ def test_mp_compare_evaluates_the_law_once(tmp_path, capsys, monkeypatch):
 
 
 def test_mp_compare_above_gamma_one_reads_the_padded_dual_spectrum(tmp_path, capsys):
-    # d = 120 > n = 60: the spectrum is gram_spectra's, whose d - n null
-    # eigenvalues are exact zeros, the law's atom at 0
+    # d = 120 > n = 60: the spectrum is gram_spectra's 60 dual eigenvalues,
+    # after the d - n null ones that mp-compare adds as exact zeros, the
+    # law's atom at 0
     code, _, _ = run_cli(
         capsys, "mp-compare", "--gamma", "2", "--d", "120", "--n", "60",
         "--seed", "13", "--out", str(tmp_path),
@@ -323,8 +324,27 @@ def test_mp_compare_above_gamma_one_reads_the_padded_dual_spectrum(tmp_path, cap
     csv = next(tmp_path.glob("mp_compare_*.csv")).read_text().splitlines()[1:]
     got = np.array([float(line.split(",")[0]) for line in csv])
     x = linalg.sample_gaussian(linalg.CovarianceModel.identity(120), 60, 13)
-    assert np.array_equal(got, np.sort(linalg.gram_spectra(x.data)))
+    expect = np.concatenate([np.zeros(60), np.sort(linalg.gram_spectra(x.data))])
+    assert np.array_equal(got, expect)
     assert (got[:60] == 0.0).all() and (got[60:] > 0.0).all()
+
+
+@pytest.mark.parametrize("gamma", [2, 4])
+def test_mp_compare_above_gamma_one_reports_the_bulk_gap(tmp_path, capsys, gamma):
+    # fixed before the first run: the d - n null eigenvalues meet the law's
+    # atom exactly, so the KS is the bulk's gap, a few hundredths at n = 100,
+    # not the 1 - 1/gamma (0.5, 0.75) read with F(0-) taken as F(0)
+    d, n = 100 * gamma, 100
+    code, out, _ = run_cli(
+        capsys, "mp-compare", "--gamma", str(gamma), "--d", str(d), "--n", str(n),
+        "--seed", "4", "--out", str(tmp_path),
+    )
+    assert code == 0
+    ks = float(result_line(out)["ks"])
+    assert ks <= 0.05
+    csv = next(tmp_path.glob("mp_compare_*.csv")).read_text().splitlines()[1:]
+    lam = np.array([float(line.split(",")[0]) for line in csv])
+    assert lam.size == d and ks == theory.esd_mp_ks(lam, gamma)
 
 
 def test_mp_compare_scale_preconditions(tmp_path, capsys):
@@ -432,7 +452,7 @@ def test_supnorm_grid_seed_is_not_a_replicate_or_subset_seed(
     grid_seeds, sample_seeds, subset_seeds = [], [], []
     real_grid = cli.default_grid
     real_sample = montecarlo.sample_gaussian
-    real_measure = montecarlo.spectral_measure_estimate
+    real_levels = montecarlo.level_spectra
 
     def grid(m, size, seed):
         grid_seeds.append(seed)
@@ -442,13 +462,13 @@ def test_supnorm_grid_seed_is_not_a_replicate_or_subset_seed(
         sample_seeds.append(seed)
         return real_sample(model, n, seed)
 
-    def measure(*args, **kwargs):
-        subset_seeds.append(kwargs["seed"])
-        return real_measure(*args, **kwargs)
+    def levels(samples, scheme, subsets, seed):
+        subset_seeds.append(seed)
+        return real_levels(samples, scheme, subsets, seed)
 
     monkeypatch.setattr(cli, "default_grid", grid)
     monkeypatch.setattr(montecarlo, "sample_gaussian", sample)
-    monkeypatch.setattr(montecarlo, "spectral_measure_estimate", measure)
+    monkeypatch.setattr(montecarlo, "level_spectra", levels)
     code, _, _ = run_cli(
         capsys, "supnorm", "--model", "identity:4", "--mode", "jackknife",
         "--m", "2", "-B", "3", "--n", "60", "--reps", "5", "--grid-size", "3",

@@ -250,14 +250,12 @@ def test_jackknife_budget_error():
 
 def _reference_spectrum(rows):
     # the per-matrix rule spelled out: the d x d Gram, or below d the
-    # exactly symmetrized k x k dual X X'/k padded with zeros
+    # exactly symmetrized k x k dual X X'/k, whose k eigenvalues are kept
     k, d = rows.shape
     if k >= d:
         return sym_eigvalues(sample_covariance(SampleSet(rows)))
     dual = rows @ rows.T
-    lam = np.zeros(d)
-    lam[:k] = sym_eigvalues((dual + dual.T) / (2.0 * k))
-    return lam
+    return sym_eigvalues((dual + dual.T) / (2.0 * k))
 
 
 def _reference_levels(x, scheme, subsets, seed):
@@ -331,15 +329,16 @@ def test_level_spectra_do_not_depend_on_the_block_size(monkeypatch, level_draws)
         for (_, got), (_, expect) in zip(levels, default):
             assert got.shape == expect.shape and (got == expect).all()
     # d = 50, sizes 20, 40 and 80: the two sub-full levels take the dual,
-    # whose Gram is 20^2 and 40^2 words, not 50^2. A full block holds as
-    # many subsets as fit with that Gram and the padded spectrum counted
-    # (7 and 3 at 91,440 bytes; 3 and 2 if it counted d^2)
+    # whose Gram is 20^2 and 40^2 words, not 50^2, and whose spectra are
+    # 20 and 40 long, not 50. A full block holds as many subsets as fit
+    # with that Gram and spectrum counted (7 and 3 at 91,440 bytes; 3 and
+    # 2 if it counted d^2)
     d, n = 50, 80
     x = sample_gaussian(CovarianceModel.from_values(np.linspace(2.0, 0.1, d)), n, 54)
     scheme = make_scheme(3, n, 2.0)
     monkeypatch.setattr(estimators, "_BLOCK_BYTES", block_default)
     default = level_spectra(x, scheme, 10, 11)
-    assert [s.shape for _, s in default] == [(10, d), (10, d), (1, d)]
+    assert [s.shape for _, s in default] == [(10, 20), (10, 40), (1, d)]
     for block_bytes in (1, 91_440):
         level_draws.clear()
         monkeypatch.setattr(estimators, "_BLOCK_BYTES", block_bytes)
@@ -348,7 +347,8 @@ def test_level_spectra_do_not_depend_on_the_block_size(monkeypatch, level_draws)
             assert got.shape == expect.shape and (got == expect).all()
         for i, (level, (b, _)) in enumerate(level_draws):
             size = scheme.sizes[level]
-            per_subset = 8 * (2 * n + size * d + min(size, d) ** 2 + d)
+            width = min(size, d)
+            per_subset = 8 * (2 * n + size * d + width ** 2 + width)
             assert b == 1 or b * per_subset <= block_bytes
             last = i + 1 == len(level_draws) or level_draws[i + 1][0] != level
             assert last or (b + 1) * per_subset > block_bytes
@@ -499,9 +499,10 @@ def test_measure_total_mass_and_identity_integral():
 def test_measure_single_observation_atom():
     s = SampleSet(np.array([[3.0, 4.0]]))
     mu = spectral_measure_estimate(s, degenerate_scheme(1), "aggregate")
-    # covariance is rank one with eigenvalue |x|^2 = 25
-    assert sorted(mu.locations.tolist()) == [0.0, 25.0]
-    assert np.array_equal(mu.weights, [1.0, 1.0])
+    # covariance is rank one with eigenvalue |x|^2 = 25, its one atom: the
+    # null eigenvalue adds nothing to an integral of f with f(0) = 0
+    assert mu.locations.tolist() == [25.0]
+    assert np.array_equal(mu.weights, [1.0])
 
 
 def test_measure_consistency_across_random_configs():

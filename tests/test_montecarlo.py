@@ -1,3 +1,4 @@
+from dataclasses import replace
 from math import sqrt
 
 import numpy as np
@@ -331,6 +332,42 @@ def test_supnorm_single_member_equals_that_functions_error():
     res = supnorm_experiment(grid, cfg)
     assert np.array_equal(res.max_error, res.errors[:, 0])
     assert res.max_error_mean == res.per_function_mean[0]
+
+
+def test_supnorm_errors_are_each_members_scalar_run_errors():
+    # d = 30 and sizes 20 and 40: the sub-full level is below d. Every
+    # member's column is the error of a scalar run with f = that member,
+    # bit for bit, in each mode
+    grid = default_grid(2, 3, seed=3)
+    for mode in ("plugin", "aggregate", "jackknife"):
+        cfg = ExperimentConfig(
+            model="poly_decay:30:1.0", f="identity", seed=17, mode=mode,
+            n=40, m=2, subsets=4, replications=20,
+        )
+        res = supnorm_experiment(grid, cfg)
+        for j, member in enumerate(grid.members):
+            scalar = run(replace(cfg, f=member.name))
+            assert np.array_equal(
+                res.errors[:, j], np.abs(scalar.estimates - res.truths[j])
+            ), (mode, member.name)
+
+
+def test_every_experiment_resolves_its_plan_once(monkeypatch):
+    # one replicate map serves run and supnorm alike, and each resolves
+    # the mode's plan once, not once per replicate or per family member
+    calls = []
+    real = montecarlo.level_plan
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(montecarlo, "level_plan", counted)
+    cfg = ExperimentConfig(model="identity:4", f="log1p", seed=3, mode="jackknife",
+                           n=40, m=2, subsets=3, replications=5)
+    run(cfg)
+    supnorm_experiment(default_grid(2, 2, seed=3), cfg)
+    assert calls == [("jackknife", 40, 2, 2.0, 3)] * 2
 
 
 def test_result_csvs_roundtrip_and_layout(tmp_path):

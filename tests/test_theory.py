@@ -5,7 +5,13 @@ from hypothesis import strategies as hst
 from scipy.integrate import quad
 
 from spectrace.functions import builtin, combine
-from spectrace.linalg import CovarianceModel, sample_covariance, sample_gaussian, sym_eigvalues
+from spectrace.linalg import (
+    CovarianceModel,
+    gram_spectra,
+    sample_covariance,
+    sample_gaussian,
+    sym_eigvalues,
+)
 from spectrace.theory import (
     effective_rank,
     esd_mp_ks,
@@ -231,3 +237,26 @@ def test_ks_distance_is_the_two_sided_sup_gap():
     assert esd_mp_ks(lam[::-1], 0.4) == ks_distance(mp_cdf(0.4, lam))
     with pytest.raises(ValueError, match="nonempty"):
         ks_distance([])
+
+
+def test_ks_distance_takes_the_left_limit_at_an_atom():
+    # two of four points tied at an atom of mass 1/2 (F(0-) = 0, F(0) = 1/2),
+    # the others where F = 3/4 and 1: the empirical cdf matches F at 0, and
+    # the gap is the 1/4 of F rising from 1/2 to 3/4 below the third point.
+    # Taking F(0-) as F(0) reads a spurious 1/2 at the first tied point
+    cdf = [0.5, 0.5, 0.75, 1.0]
+    assert ks_distance(cdf, [0.0, 0.0, 0.75, 1.0]) == 0.25
+    assert ks_distance(cdf) == 0.5
+
+
+@pytest.mark.parametrize("gamma", [2.0, 4.0])
+def test_esd_mp_ks_above_gamma_one_matches_the_null_mass_to_the_atom(gamma):
+    # fixed before the first run: the d - n null eigenvalues are exactly the
+    # atom 1 - 1/gamma, so only the n = 100 bulk eigenvalues can open a gap,
+    # a few hundredths at this size; 0.05 is a tenth of the 1 - 1/gamma
+    # (0.5 and 0.75) read when the atom's left limit was taken as F(0)
+    n = 100
+    d = int(gamma) * n
+    samples = sample_gaussian(CovarianceModel.identity(d), n, 4)
+    lam = np.concatenate([np.zeros(d - n), gram_spectra(samples.data)])
+    assert esd_mp_ks(lam, gamma) <= 0.05
