@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
@@ -268,19 +269,26 @@ def _map_replicates(
     ``level_plan`` call, replicate i samples ``model`` on its sampling seed
     and returns ``one(level_spectra(...))`` on its subset seed. Both seeds
     are derived here only (the subset seed is 0, and unread, when the plan
-    draws no subsets). A failing replicate raises :class:`ReplicateError`
-    naming its index and those seeds, so it can be re-run alone.
+    draws no subsets). Each worker thread draws every one of its samples
+    into one (n, d) buffer of its own, so the replicate loop allocates no
+    sample array; nothing outlives the replicate that draws into it, as
+    ``level_spectra`` returns fresh spectra. A failing replicate raises
+    :class:`ReplicateError` naming its index and those seeds, so it can be
+    re-run alone.
     """
     if config.n is None:
         raise ValueError("config.n is required; n_list is for rate_sweep")
     n = int(config.n)
     scheme, subsets = level_plan(config.mode, n, config.m, config.q, config.subsets)
+    local = threading.local()
 
     def guarded(i: int):
         sampling = derive_seed(config.seed, i)
         subset = 0 if subsets is None else derive_seed(config.seed, i, Stream.SUBSET)
         try:
-            samples = sample_gaussian(model, n, sampling)
+            if not hasattr(local, "buffer"):
+                local.buffer = np.empty((n, model.dim))
+            samples = sample_gaussian(model, n, sampling, out=local.buffer)
             return one(level_spectra(samples, scheme, subsets, subset))
         except Exception as exc:
             seeds = f"sampling seed {sampling}"

@@ -18,7 +18,7 @@ from math import pi, sqrt
 import numpy as np
 
 from .functions import TestFunction
-from .linalg import CovarianceModel
+from .linalg import CLIP_REL, CovarianceModel
 
 __all__ = [
     "RateBudget",
@@ -179,7 +179,11 @@ def esd_mp_ks(eigenvalues, gamma: float) -> float:
     included (``linalg.gram_spectra`` leaves out the d - n null ones when
     n < d); their empirical distribution (mass 1/d each) is compared
     against mp_cdf(gamma, .), whose left limit at the atom is F(0-) = 0.
+    A d x d solve returns its null eigenvalues as round-off, not exact
+    zeros, so every |lam| within ``linalg.CLIP_REL`` of max|lam| is taken
+    as a point of the atom.
     """
     lam = np.sort(np.asarray(eigenvalues, dtype=float))
     cdf = mp_cdf(gamma, lam)
-    return ks_distance(cdf, np.where(lam > 0.0, cdf, 0.0))
+    null = np.abs(lam) <= CLIP_REL * np.abs(lam).max(initial=0.0)
+    return ks_distance(cdf, np.where(null, 0.0, cdf))

@@ -98,6 +98,22 @@ def test_estimate_on_overflowing_data_exits_3_without_result(tmp_path, capsys, m
     assert "RESULT" not in out and "estimate:" not in out
 
 
+@pytest.mark.parametrize("mode", ["plugin", "aggregate", "jackknife"])
+def test_estimate_on_data_whose_gram_is_finite_near_the_top_of_the_range(
+    tmp_path, capsys, mode
+):
+    # every entry of X'X / k is finite (up to 5.05e307 for the first two
+    # rows) though X'X + (X'X)' is not: no level may report an overflow
+    data = tmp_path / "near.csv"
+    data.write_text("1e154,5e153\n1e153,1e153\n0,1e153\n")
+    code, out, err = run_cli(
+        capsys, "estimate", "--data", str(data), "--f", "identity", "--mode", mode,
+        "--m", "2", "--q", "1.5", "--subsets", "4", "--seed", "1", "--out", str(tmp_path),
+    )
+    assert code == 0, err
+    assert np.isfinite(float(result_line(out)["estimate"]))
+
+
 @pytest.mark.parametrize("mode", ["plugin", "jackknife"])
 def test_estimate_on_overflowing_data_below_d_exits_3_without_result(tmp_path, capsys, mode):
     # 3 rows in 5 dimensions: every level takes the dual Gram, which overflows
@@ -458,9 +474,9 @@ def test_supnorm_grid_seed_is_not_a_replicate_or_subset_seed(
         grid_seeds.append(seed)
         return real_grid(m, size, seed)
 
-    def sample(model, n, seed):
+    def sample(model, n, seed, out=None):
         sample_seeds.append(seed)
-        return real_sample(model, n, seed)
+        return real_sample(model, n, seed, out=out)
 
     def levels(samples, scheme, subsets, seed):
         subset_seeds.append(seed)

@@ -81,6 +81,46 @@ def test_sampling_marginal_variances():
     assert abs(var[1] - 1.0) < 0.03
 
 
+_DRAW_MODELS = {
+    "identity": CovarianceModel.identity(6),
+    "poly_decay": CovarianceModel.poly_decay(6, 1.5),
+    "random_basis": CovarianceModel.poly_decay(6, 1.5).with_random_basis(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DRAW_MODELS))
+def test_sampling_into_a_buffer_equals_the_fresh_draw(name):
+    # the pre-buffer formula, Z * sqrt(lam) then V', is the reference
+    model = _DRAW_MODELS[name]
+    z = rng_from(31).standard_normal((40, model.dim))
+    expect = z * np.sqrt(model.eigenvalues)
+    if model.basis is not None:
+        expect = expect @ model.basis.T
+    fresh = sample_gaussian(model, 40, 31).data
+    buf = np.full((40, model.dim), np.nan)
+    x = sample_gaussian(model, 40, 31, out=buf).data
+    assert np.array_equal(fresh, expect) and np.array_equal(x, expect)
+    # a diagonal model's draw is the buffer itself; a rotation is a new array
+    assert np.shares_memory(x, buf) == (model.basis is None)
+    # a second draw into the same buffer depends on its seed alone
+    sample_gaussian(model, 40, 32, out=buf)
+    assert np.array_equal(sample_gaussian(model, 40, 31, out=buf).data, expect)
+
+
+@pytest.mark.parametrize("out, got", [
+    (np.empty((40, 5)), r"a float64 \(40, 5\) array"),
+    (np.empty((6, 40)), r"a float64 \(6, 40\) array"),
+    (np.empty((40, 6), dtype=np.float32), r"a float32 \(40, 6\) array"),
+    (np.empty((6, 40)).T, r"a float64 \(40, 6\) array, not C-contiguous"),
+    (np.empty((40, 12))[:, ::2], r"a float64 \(40, 6\) array, not C-contiguous"),
+    (np.empty((40, 6)).tolist(), r"list"),
+], ids=["shape", "transposed_shape", "float32", "fortran", "strided", "list"])
+def test_sampling_rejects_a_bad_buffer(out, got):
+    with pytest.raises(ValueError, match=r"^out must be a C-contiguous float64 "
+                                         r"\(40, 6\) array, got " + got + "$"):
+        sample_gaussian(CovarianceModel.identity(6), 40, 1, out=out)
+
+
 def test_sample_covariance_single_observation():
     s = SampleSet(np.array([[1.0, 2.0]]))
     assert np.array_equal(sample_covariance(s), np.array([[1.0, 2.0], [2.0, 4.0]]))
@@ -265,6 +305,58 @@ def test_dual_and_primal_spectra_agree(k, d, log_scale, seed):
     trace = float(np.sum(x * x)) / k
     assert np.max(np.abs(lam - primal[:k])) <= 1e-12 * trace
     assert np.max(np.abs(primal[k:])) <= 1e-12 * trace
+
+
+def _averaged_gram(y, k):
+    # the symmetrization every Gram went through before the one-pass rule
+    a = np.swapaxes(y, -1, -2) @ y
+    return (a + np.swapaxes(a, -1, -2)) / (2.0 * k)
+
+
+@pytest.mark.parametrize("shape", [(30, 7), (7, 30), (1, 4), (4, 1), (5, 30, 7),
+                                   (5, 7, 30), (2, 3, 50, 20), (3, 400, 200),
+                                   (3, 100, 200)])
+def test_gram_equals_the_averaged_formula_bit_for_bit(shape):
+    # 2a / 2k and a / k round the same real number, so skipping a + a' on
+    # an exactly symmetric product changes no bit, primal or dual
+    x = rng_from(*shape).standard_normal(shape) * rng_from(7).uniform(0.1, 3.0, shape[-1])
+    k, d = shape[-2:]
+    assert np.array_equal(gram_covariance(x), _averaged_gram(x, k))
+    dual = x if k >= d else np.swapaxes(x, -1, -2)
+    assert np.array_equal(gram_spectra(x), sym_eigvalues(_averaged_gram(dual, k)))
+
+
+class _SkewedProduct(np.ndarray):
+    # rows whose Y'Y comes back with a hand-made asymmetry, as a product
+    # formed without syrk could
+    def __matmul__(self, other):
+        a = np.asarray(self) @ np.asarray(other)
+        a[..., 0, -1] += 0.25
+        return a
+
+
+def test_gram_of_an_asymmetric_product_is_averaged():
+    x = rng_from(8).standard_normal((2, 9, 4))
+    a = x.transpose(0, 2, 1) @ x
+    a[..., 0, -1] += 0.25
+    expect = (a + a.transpose(0, 2, 1)) / 18.0
+    assert not np.array_equal(a, a.transpose(0, 2, 1))
+    got = gram_covariance(x.view(_SkewedProduct))
+    assert type(got) is np.ndarray and np.array_equal(got, expect)
+    assert np.array_equal(got, got.transpose(0, 2, 1))
+
+
+def test_gram_near_the_top_of_the_range_does_not_overflow():
+    # X'X = [[1.01e308, 5.1e307], [5.1e307, 2.6e307]] is finite, and so is
+    # X'X / 2; doubling it to form a + a' would pass DBL_MAX
+    x = np.array([[1e154, 5e153], [1e153, 1e153]])
+    a = gram_covariance(x)
+    assert np.isfinite(a).all() and np.array_equal(a, (x.T @ x) / 2)
+    assert np.isfinite(gram_spectra(x)).all()
+    assert np.isfinite(gram_spectra(x.T[np.newaxis])).all()
+    # a Gram whose entries pass DBL_MAX still raises
+    with pytest.raises(FloatingPointError, match="sample covariance overflows"):
+        gram_covariance(np.array([[1e155, 1e155], [1e155, 1e155]]))
 
 
 def test_gram_spectra_dual_keeps_the_overflow_check_and_the_clip_band():

@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 from math import sqrt
 
@@ -391,15 +392,59 @@ def test_result_csvs_roundtrip_and_layout(tmp_path):
     assert {"mean", "bias", "rmse", "ks_normal", "w1_normal"} <= metrics
 
 
+def _csvs_at_each_worker_count(tmp_path, base):
+    # each worker thread reuses one sample buffer; no replicate may read
+    # another's draw, also with more threads than cores switching often
+    written = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 8):
+            out = tmp_path / f"w{workers}"
+            paths = write_result_csvs(run(ExperimentConfig(**base, workers=workers)), out)
+            written[workers] = [(path.name, path.read_bytes()) for path in paths]
+    finally:
+        sys.setswitchinterval(interval)
+    return written
+
+
 def test_result_csvs_byte_identical_across_workers(tmp_path):
     base = dict(model="identity:4", f="log1p", seed=21, mode="jackknife",
                 n=60, m=2, subsets=4, replications=30)
-    out1, out2 = tmp_path / "w1", tmp_path / "w8"
-    p1 = write_result_csvs(run(ExperimentConfig(**base, workers=1)), out1)
-    p8 = write_result_csvs(run(ExperimentConfig(**base, workers=8)), out2)
-    assert p1[0].name == p8[0].name
-    assert (out1 / p1[0].name).read_bytes() == (out2 / p8[0].name).read_bytes()
-    assert (out1 / p1[1].name).read_bytes() == (out2 / p8[1].name).read_bytes()
+    written = _csvs_at_each_worker_count(tmp_path, base)
+    assert written[1] == written[2] == written[8]
+
+
+def test_aggregate_result_csvs_byte_identical_across_workers(tmp_path):
+    # levels of 15 and 30 rows below d = 30 take the dual Gram
+    base = dict(model="poly_decay:30:1.0", f="log1p", seed=21, mode="aggregate",
+                n=60, m=3, replications=30)
+    written = _csvs_at_each_worker_count(tmp_path, base)
+    assert written[1] == written[2] == written[8]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_each_worker_draws_every_replicate_into_one_buffer(monkeypatch, workers):
+    buffers = []
+    real = montecarlo.sample_gaussian
+
+    def spy(model, n, seed, out=None):
+        buffers.append(out)
+        return real(model, n, seed, out=out)
+
+    monkeypatch.setattr(montecarlo, "sample_gaussian", spy)
+    cfg = ExperimentConfig(model="identity:5", f="log1p", seed=4, mode="aggregate",
+                           n=40, m=2, replications=12, workers=workers)
+    res = run(cfg)
+    assert len(buffers) == 12
+    assert all(isinstance(buf, np.ndarray) and buf.shape == (40, 5) for buf in buffers)
+    distinct = {id(buf) for buf in buffers}
+    assert len(distinct) == 1 if workers == 1 else 1 <= len(distinct) <= workers
+    model = parse_model(cfg.model)
+    for i in (0, 11):
+        expect = aggregate_estimate(builtin("log1p"), sample_gaussian(
+            model, 40, derive_seed(4, i)), make_scheme(2, 40))
+        assert res.estimates[i] == expect
 
 
 def test_replicate_failure_carries_index(monkeypatch):

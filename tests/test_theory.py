@@ -259,4 +259,10 @@ def test_esd_mp_ks_above_gamma_one_matches_the_null_mass_to_the_atom(gamma):
     d = int(gamma) * n
     samples = sample_gaussian(CovarianceModel.identity(d), n, 4)
     lam = np.concatenate([np.zeros(d - n), gram_spectra(samples.data)])
-    assert esd_mp_ks(lam, gamma) <= 0.05
+    ks = esd_mp_ks(lam, gamma)
+    assert ks <= 0.05
+    # the d x d solve returns about half its null eigenvalues as round-off
+    # near 1e-15, not zeros; they are still the atom
+    primal = sym_eigvalues(sample_covariance(samples))
+    assert (primal[n:] != 0.0).any()
+    assert abs(esd_mp_ks(primal, gamma) - ks) <= 1e-12
