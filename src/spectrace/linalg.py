@@ -200,28 +200,17 @@ def sample_gaussian(
 
     Rows are V diag(sqrt(lam)) Z with Z standard normal, so the draw is a
     pure function of (model, n, seed). Z is drawn into ``out`` when one is
-    given, a C-contiguous float64 (n, dim) array, and scaled in place; the
-    bits are those of a fresh draw. A diagonal model's sample then views
-    ``out``, so it lives only until the next draw into the same buffer; a
-    rotated model's sample is a new array either way.
+    given, a C-contiguous float64 (n, dim) array (numpy rejects any other
+    shape or dtype), and scaled in place; the bits are those of a fresh
+    draw. A diagonal model's sample then views ``out``, so it lives only
+    until the next draw into the same buffer; a rotated model's sample is
+    a new array either way.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if out is not None and not (
-        isinstance(out, np.ndarray)
-        and out.shape == (n, model.dim)
-        and out.dtype == np.float64
-        and out.flags.c_contiguous
-    ):
-        if isinstance(out, np.ndarray):
-            got = f"a {out.dtype} {out.shape} array"
-            if not out.flags.c_contiguous:
-                got += ", not C-contiguous"
-        else:
-            got = type(out).__name__
-        raise ValueError(
-            f"out must be a C-contiguous float64 {(n, model.dim)} array, got {got}"
-        )
+    if out is not None and not out.flags.c_contiguous:
+        # numpy fills an F-ordered buffer too, with other bits
+        raise ValueError("out must be C-contiguous")
     rng = rng_from(seed)
     x = rng.standard_normal((n, model.dim), out=out)
     x *= np.sqrt(model.eigenvalues)
@@ -240,11 +229,11 @@ def gram_covariance(x: np.ndarray) -> np.ndarray:
 
     A stacked ``(..., k, d)`` input gives the ``(..., d, d)`` stack of its
     Grams, each bit-identical to the Gram of its own ``(k, d)`` slice.
-    The product is formed once and, being exactly symmetric as numpy
-    forms it, divided by k in the same pass; the bits are those of
-    (X'X + (X'X)') / 2k. The input is not validated; finite data raise
-    :class:`FloatingPointError`, checked once over the whole stack, only
-    when an entry of X'X / k itself is not finite.
+    The product is formed once and divided by k: numpy forms X'X exactly
+    symmetric, so the bits are those of (X'X + (X'X)') / 2k. The input is
+    not validated; finite data raise :class:`FloatingPointError`, checked
+    once over the whole stack, only when an entry of X'X / k itself is not
+    finite.
     Spectra of samples come from :func:`gram_spectra`, which forms this
     d x d matrix only when k >= d.
     """
@@ -252,20 +241,13 @@ def gram_covariance(x: np.ndarray) -> np.ndarray:
 
 
 def _symmetric_gram(y: np.ndarray, k: int) -> np.ndarray:
-    # Y'Y / k, exactly symmetric and checked once for overflow; the primal
-    # Gram has y = X, the dual y = X' (k is X's row count either way).
-    # A product that is already exactly symmetric (numpy forms a 2-d Y'Y
-    # with syrk) is divided by k in one pass: 2a / 2k rounds to the same
-    # bits as a / k, and skipping a + a' keeps a finite Gram near the top
-    # of the range from doubling past it. Otherwise (a + a') / 2k.
+    # Y'Y / k, checked once for overflow; the primal Gram has y = X, the
+    # dual y = X' (k is X's row count either way). numpy forms Y'Y exactly
+    # symmetric (syrk, mirrored), so it needs no averaging with its
+    # transpose, and sym_eigvalues still checks every matrix it solves.
     with np.errstate(over="ignore", invalid="ignore"):
         a = np.swapaxes(y, -1, -2) @ y
-        at = np.swapaxes(a, -1, -2)
-        if (a == at).all():
-            a /= float(k)
-        else:
-            a += at
-            a /= 2.0 * k
+        a /= float(k)
     if not np.isfinite(a).all():
         raise FloatingPointError(
             f"sample covariance overflows: the Gram of {k} rows with "

@@ -107,17 +107,16 @@ def test_sampling_into_a_buffer_equals_the_fresh_draw(name):
     assert np.array_equal(sample_gaussian(model, 40, 31, out=buf).data, expect)
 
 
-@pytest.mark.parametrize("out, got", [
-    (np.empty((40, 5)), r"a float64 \(40, 5\) array"),
-    (np.empty((6, 40)), r"a float64 \(6, 40\) array"),
-    (np.empty((40, 6), dtype=np.float32), r"a float32 \(40, 6\) array"),
-    (np.empty((6, 40)).T, r"a float64 \(40, 6\) array, not C-contiguous"),
-    (np.empty((40, 12))[:, ::2], r"a float64 \(40, 6\) array, not C-contiguous"),
-    (np.empty((40, 6)).tolist(), r"list"),
-], ids=["shape", "transposed_shape", "float32", "fortran", "strided", "list"])
-def test_sampling_rejects_a_bad_buffer(out, got):
-    with pytest.raises(ValueError, match=r"^out must be a C-contiguous float64 "
-                                         r"\(40, 6\) array, got " + got + "$"):
+@pytest.mark.parametrize("out, error, match", [
+    (np.empty((40, 5)), ValueError, "size must match out.shape"),
+    (np.empty((40, 6), dtype=np.float32), TypeError, "wrong type"),
+    (np.empty((6, 40)).T, ValueError, "^out must be C-contiguous$"),
+    (np.empty((40, 12))[:, ::2], ValueError, "^out must be C-contiguous$"),
+], ids=["shape", "float32", "fortran", "strided"])
+def test_sampling_rejects_a_bad_buffer(out, error, match):
+    # numpy rejects a wrong shape or dtype itself; an F-ordered buffer,
+    # which numpy would fill with other bits, is rejected here
+    with pytest.raises(error, match=match):
         sample_gaussian(CovarianceModel.identity(6), 40, 1, out=out)
 
 
@@ -324,26 +323,6 @@ def test_gram_equals_the_averaged_formula_bit_for_bit(shape):
     assert np.array_equal(gram_covariance(x), _averaged_gram(x, k))
     dual = x if k >= d else np.swapaxes(x, -1, -2)
     assert np.array_equal(gram_spectra(x), sym_eigvalues(_averaged_gram(dual, k)))
-
-
-class _SkewedProduct(np.ndarray):
-    # rows whose Y'Y comes back with a hand-made asymmetry, as a product
-    # formed without syrk could
-    def __matmul__(self, other):
-        a = np.asarray(self) @ np.asarray(other)
-        a[..., 0, -1] += 0.25
-        return a
-
-
-def test_gram_of_an_asymmetric_product_is_averaged():
-    x = rng_from(8).standard_normal((2, 9, 4))
-    a = x.transpose(0, 2, 1) @ x
-    a[..., 0, -1] += 0.25
-    expect = (a + a.transpose(0, 2, 1)) / 18.0
-    assert not np.array_equal(a, a.transpose(0, 2, 1))
-    got = gram_covariance(x.view(_SkewedProduct))
-    assert type(got) is np.ndarray and np.array_equal(got, expect)
-    assert np.array_equal(got, got.transpose(0, 2, 1))
 
 
 def test_gram_near_the_top_of_the_range_does_not_overflow():
