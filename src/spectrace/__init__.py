@@ -45,7 +45,6 @@ from .linalg import (
 from .montecarlo import (
     ExperimentConfig,
     ExperimentResult,
-    NormalityResult,
     RateSweepResult,
     ReplicateError,
     SupnormResult,

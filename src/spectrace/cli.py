@@ -11,7 +11,8 @@ Options are validated by building what the command runs: the
 ``ExperimentConfig`` of an experiment, the plan (``check_plan``) of
 estimate and coeffs, the law of mp-compare, and the model and test
 function. Only the rules no library object knows stay here: estimate's
-data sources, mp-compare's sizes and the >= 1 floors of the keys.
+data sources, mp-compare's sizes and the >= 1 floors of the keys;
+normality's replicate floor is the library's ``NORMALITY_MIN_REPS``.
 
 Exit codes: 0 on success, 2 for configuration errors (bad flags, missing
 keys, conflicting sources, a plan that cannot run at any n, such as a
@@ -55,6 +56,7 @@ from .linalg import (
 # unused; bench/bench_tests.py expects this module among its import sites
 from .linalg import sym_eigvalues  # noqa: F401
 from .montecarlo import (
+    NORMALITY_MIN_REPS,
     STANDARDIZE,
     ExperimentConfig,
     ReplicateError,
@@ -66,7 +68,7 @@ from .montecarlo import (
     write_qq_csv,
     write_result_csvs,
 )
-from .theory import effective_rank, ks_distance, mp_cdf, mp_support, rate_budget
+from .theory import effective_rank, esd_mp_ks, mp_cdf, mp_support, rate_budget
 
 __all__ = ["ConfigError", "main", "entrypoint"]
 
@@ -213,6 +215,8 @@ def _validate(command: str, cfg: dict) -> None:
             raise ConfigError("n conflicts with data; the CSV fixes the sample size")
     if command == "mp-compare" and (cfg["d"] < 50 or cfg["n"] < 50):
         raise ConfigError("mp-compare needs d >= 50 and n >= 50")
+    if command == "normality" and cfg["reps"] < NORMALITY_MIN_REPS:
+        raise ConfigError(f"normality needs reps >= {NORMALITY_MIN_REPS}")
     for name in ("m", "n", "subsets", "reps", "workers", "grid_size"):
         if name in cfg and cfg[name] is not None and cfg[name] < 1:
             raise ConfigError(f"{name} must be >= 1")
@@ -370,17 +374,18 @@ def _cmd_rates(cfg: dict) -> int:
 
 def _cmd_normality(cfg: dict) -> int:
     config = _experiment_config(cfg)
-    check = normality_check(config)
+    result = normality_check(config)
     outdir = Path(cfg["out"])
-    write_result_csvs(check.result, outdir)
-    qq_path = write_qq_csv(check, outdir)
-    var = check.result.summary["standardized_var"]
-    print(f"ks: {check.ks!r}")
-    print(f"w1: {check.w1!r}")
+    write_result_csvs(result, outdir)
+    qq_path = write_qq_csv(result, outdir)
+    ks, w1 = result.summary["ks_normal"], result.summary["w1_normal"]
+    var = result.summary["standardized_var"]
+    print(f"ks: {ks!r}")
+    print(f"w1: {w1!r}")
     print(f"standardized variance: {var!r}")
     print(f"wrote {qq_path}")
     _result_line(
-        command="normality", ks=check.ks, w1=check.w1,
+        command="normality", ks=ks, w1=w1,
         standardized_var=var, reps=cfg["reps"], seed=cfg["seed"],
     )
     return 0
@@ -393,7 +398,6 @@ def _cmd_supnorm(cfg: dict) -> int:
     grid = default_grid(cfg["m"], cfg["grid_size"], grid_seed)
     result = supnorm_experiment(grid, config)
     outdir = Path(cfg["out"])
-    outdir.mkdir(parents=True, exist_ok=True)
     tag = _output_tag("supnorm", cfg)
     grid_path = outdir / f"supnorm_{tag}_grid.csv"
     grid_to_csv(grid, grid_path)
@@ -431,9 +435,8 @@ def _cmd_mp_compare(cfg: dict) -> int:
     nulls = np.zeros(max(d - n, 0))
     lam_sorted = np.concatenate([nulls, np.sort(gram_spectra(samples.data))])
     cdf = mp_cdf(gamma, lam_sorted)
-    ks = ks_distance(cdf, np.where(lam_sorted > 0.0, cdf, 0.0))
+    ks = esd_mp_ks(lam_sorted, gamma, cdf)
     outdir = Path(cfg["out"])
-    outdir.mkdir(parents=True, exist_ok=True)
     tag = _output_tag("mp-compare", cfg)
     path = outdir / f"mp_compare_{tag}.csv"
     with path.open("w", newline="") as fh:

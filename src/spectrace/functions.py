@@ -64,8 +64,9 @@ class TestFunction:
         self.max_order = int(max_order)
         self._evaluate = evaluate
         self._bound = bound
-        at_zero = float(np.asarray(evaluate(0, np.zeros(1)))[0])
-        if abs(at_zero) > 1e-12:
+        with np.errstate(all="ignore"):  # a NaN f(0) is refused below, not warned of
+            at_zero = float(np.asarray(evaluate(0, np.zeros(1)))[0])
+        if not abs(at_zero) <= 1e-12:  # NaN fails too
             raise ValueError(f"{name}: f(0) = {at_zero!r}, must vanish")
 
     def __repr__(self) -> str:
@@ -98,12 +99,16 @@ class TestFunction:
             val = self._bound(order, float(upper))
             if val is not None:
                 return float(val)
-        grid = np.linspace(0.0, max(upper, 1e-12), _GRID_POINTS)
-        return float(np.max(np.abs(self.deriv(order, grid))))
+        return _grid_sup(self, order, max(upper, 1e-12))
 
     def lipschitz_fprime(self, upper: float) -> float:
         """Lipschitz constant of f' on [0, upper], i.e. sup |f''|."""
         return self.derivative_bound(2, upper)
+
+
+def _grid_sup(f: TestFunction, order: int, upper: float) -> float:
+    """max of |f^(order)| over ``_GRID_POINTS`` equally spaced points of [0, upper]."""
+    return float(np.max(np.abs(f.deriv(order, np.linspace(0.0, upper, _GRID_POINTS)))))
 
 
 def combine(
@@ -327,7 +332,15 @@ def builtin(name: str) -> TestFunction:
         args = [float(p) for p in parts[1:]]
     except ValueError:
         raise ValueError(f"bad parameters in test function name {name!r}")
-    return _FAMILIES[family](*args)
+    make = _FAMILIES[family]
+    takes = make.__code__.co_argcount
+    if len(args) > takes:
+        at_most = "no" if takes == 0 else f"at most {takes}"
+        raise ValueError(
+            f"test function {family!r} takes {at_most} parameters, "
+            f"got {len(args)} in {name!r}"
+        )
+    return make(*args)
 
 
 # --- function-class grids -------------------------------------------------
@@ -351,14 +364,13 @@ class FunctionClassGrid:
         names = [f.name for f in members]
         if len(set(names)) != len(names):
             raise ValueError("grid members must have distinct names")
-        grid = np.linspace(0.0, _CHECK_UPPER, _GRID_POINTS)
         for f in members:
             if f.max_order < order + 1:
                 raise ValueError(
                     f"{f.name}: needs derivatives up to {order + 1}, has {f.max_order}"
                 )
             for j in range(1, order + 2):
-                top = float(np.max(np.abs(f.deriv(j, grid))))
+                top = _grid_sup(f, j, _CHECK_UPPER)
                 if top > 1.0 + 1e-9:
                     raise ValueError(
                         f"{f.name}: |f^({j})| reaches {top:.6g} > 1 on [0, {_CHECK_UPPER}]"
@@ -388,7 +400,6 @@ def default_grid(order: int, count: int, seed: int) -> FunctionClassGrid:
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = rng_from(seed)
-    check_grid = np.linspace(0.0, _CHECK_UPPER, _GRID_POINTS)
     members: list[TestFunction] = [_scaled_sine(1.0)]
     while len(members) < count:
         if len(members) % 2 == 1:
@@ -399,10 +410,7 @@ def default_grid(order: int, count: int, seed: int) -> FunctionClassGrid:
             center = float(rng.uniform(0.5, 3.5))
             width = float(rng.uniform(0.4, 1.2))
             raw = _bump(center, width)
-            worst = max(
-                float(np.max(np.abs(raw.deriv(j, check_grid))))
-                for j in range(1, order + 2)
-            )
+            worst = max(_grid_sup(raw, j, _CHECK_UPPER) for j in range(1, order + 2))
             scale = 1.0 if worst <= 1.0 else 1.0 / worst
             members.append(_bump(center, width, scale))
     return FunctionClassGrid(order, members[:count])

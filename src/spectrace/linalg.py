@@ -220,31 +220,24 @@ def sample_gaussian(
 
 
 def sample_covariance(samples: SampleSet) -> np.ndarray:
-    """Gram-based covariance X'X / n (no centering), exactly symmetrized."""
-    return gram_covariance(samples.data)
+    """Gram-based covariance X'X / n (no centering), exactly symmetric.
 
-
-def gram_covariance(x: np.ndarray) -> np.ndarray:
-    """X'X / k for the k rows of a raw array, exactly symmetric.
-
-    A stacked ``(..., k, d)`` input gives the ``(..., d, d)`` stack of its
-    Grams, each bit-identical to the Gram of its own ``(k, d)`` slice.
-    The product is formed once and divided by k: numpy forms X'X exactly
-    symmetric, so the bits are those of (X'X + (X'X)') / 2k. The input is
-    not validated; finite data raise :class:`FloatingPointError`, checked
-    once over the whole stack, only when an entry of X'X / k itself is not
-    finite.
+    The product is formed once and divided by n: numpy forms X'X exactly
+    symmetric, so the bits are those of (X'X + (X'X)') / 2n. Raises
+    :class:`FloatingPointError` when an entry of X'X / n is not finite.
     Spectra of samples come from :func:`gram_spectra`, which forms this
-    d x d matrix only when k >= d.
+    d x d matrix only when n >= d.
     """
-    return _symmetric_gram(x, x.shape[-2])
+    return _symmetric_gram(samples.data, samples.n)
 
 
 def _symmetric_gram(y: np.ndarray, k: int) -> np.ndarray:
     # Y'Y / k, checked once for overflow; the primal Gram has y = X, the
     # dual y = X' (k is X's row count either way). numpy forms Y'Y exactly
     # symmetric (syrk, mirrored), so it needs no averaging with its
-    # transpose, and sym_eigvalues still checks every matrix it solves.
+    # transpose, and sym_eigvalues still checks every matrix it solves. A
+    # (..., k, d) stack gives the stack of its Grams, each bit-identical to
+    # the Gram of its own slice.
     with np.errstate(over="ignore", invalid="ignore"):
         a = np.swapaxes(y, -1, -2) @ y
         a /= float(k)
@@ -260,7 +253,7 @@ def gram_spectra(x: np.ndarray) -> np.ndarray:
     """Non-increasing spectra of X'X / k for a ``(..., k, d)`` row stack.
 
     Returns the ``(..., min(k, d))`` stack of spectra, one per ``(k, d)``
-    slice. With k >= d this is ``sym_eigvalues(gram_covariance(x))``. With
+    slice. With k >= d this is ``sym_eigvalues`` of X'X / k. With
     k < d X'X / k has rank at most k, and its nonzero eigenvalues are those
     of the k x k dual X X' / k (same divisor k), so the dual is solved and
     the d - k null eigenvalues are left out. Any f with f(0) = 0 then

@@ -41,12 +41,12 @@ from .theory import gaussian_limit_std, ks_distance
 
 __all__ = [
     "STANDARDIZE",
+    "NORMALITY_MIN_REPS",
     "ReplicateError",
     "ExperimentConfig",
     "ExperimentResult",
     "RateSweepResult",
     "SupnormResult",
-    "NormalityResult",
     "parse_model",
     "run",
     "rate_sweep",
@@ -62,6 +62,10 @@ __all__ = [
 # Scales that standardize a run's errors: the model's, or each replicate's
 # full-sample plug-in of it.
 STANDARDIZE = ("oracle", "plugin")
+
+# Fewest replicates a normality check accepts; far fewer make the KS and
+# W1 distances meaningless.
+NORMALITY_MIN_REPS = 200
 
 
 class ReplicateError(RuntimeError):
@@ -100,7 +104,9 @@ class ExperimentConfig:
 
     ``workers`` is a scheduling hint and is excluded from the config hash;
     all other fields are statistical. A config whose plan cannot run at
-    any n (``check_plan``) raises at construction.
+    any n (``check_plan``), or whose ``n_list`` is no rate-sweep design
+    (fewer than three distinct sizes >= 1, or a span under a factor of
+    four), raises at construction.
     """
 
     model: str
@@ -136,6 +142,15 @@ class ExperimentConfig:
             object.__setattr__(
                 self, "n_list", tuple(int(v) for v in self.n_list)
             )
+            ns = sorted(set(self.n_list))
+            if len(ns) < 3:
+                raise ValueError(f"need at least 3 distinct n values, got {ns}")
+            if ns[0] < 1:
+                raise ValueError(f"n values must be >= 1, got {ns[0]}")
+            if ns[-1] < 4 * ns[0]:
+                raise ValueError(
+                    f"n values must span at least a factor of 4, got {ns[0]}..{ns[-1]}"
+                )
 
 
 @dataclass(frozen=True)
@@ -166,14 +181,6 @@ class SupnormResult:
     per_function_mean: np.ndarray
     max_error: np.ndarray  # per-replicate max over the family
     max_error_mean: float
-
-
-@dataclass(frozen=True)
-class NormalityResult:
-    result: ExperimentResult
-    ks: float
-    w1: float
-    qq: np.ndarray  # columns: normal quantile, sample quantile
 
 
 _SQRT1_2 = sqrt(0.5)
@@ -342,18 +349,13 @@ def run(config: ExperimentConfig) -> ExperimentResult:
 def rate_sweep(config: ExperimentConfig) -> RateSweepResult:
     """Run the experiment across config.n_list and fit a log-log RMSE slope.
 
-    Needs at least three distinct sizes spanning a factor of four or more;
-    size n runs on its own master seed ``(seed, n, Stream.RATE)``.
+    The config has checked that the list holds at least three distinct
+    sizes spanning a factor of four or more; size n runs on its own master
+    seed ``(seed, n, Stream.RATE)``.
     """
     if not config.n_list:
         raise ValueError("config.n_list is required for rate_sweep")
     ns = sorted(set(config.n_list))
-    if len(ns) < 3:
-        raise ValueError(f"need at least 3 distinct n values, got {ns}")
-    if ns[-1] < 4 * ns[0]:
-        raise ValueError(
-            f"n values must span at least a factor of 4, got {ns[0]}..{ns[-1]}"
-        )
     runs = []
     for n in ns:
         seed = derive_seed(config.seed, n, Stream.RATE)
@@ -402,25 +404,19 @@ def supnorm_experiment(
     )
 
 
-def normality_check(config: ExperimentConfig) -> NormalityResult:
-    """KS/W1 distances of the standardized replicates plus QQ pairs.
+def normality_check(config: ExperimentConfig) -> ExperimentResult:
+    """``run(config)``, refused below ``NORMALITY_MIN_REPS`` replications.
 
-    Requires at least 200 replications; far fewer makes the distances
-    meaningless.
+    The KS and W1 distances of the standardized replicates to N(0, 1) are
+    the result's ``summary["ks_normal"]`` and ``summary["w1_normal"]``;
+    :func:`write_qq_csv` writes its QQ pairs.
     """
-    if config.replications < 200:
+    if config.replications < NORMALITY_MIN_REPS:
         raise ValueError(
-            f"normality check needs >= 200 replications, got {config.replications}"
+            f"normality check needs >= {NORMALITY_MIN_REPS} replications, "
+            f"got {config.replications}"
         )
-    result = run(config)
-    z = np.sort(result.standardized)
-    qq = np.column_stack([normal_quantiles(z.size), z])
-    return NormalityResult(
-        result=result,
-        ks=result.summary["ks_normal"],
-        w1=result.summary["w1_normal"],
-        qq=qq,
-    )
+    return run(config)
 
 
 # --- CSV output -------------------------------------------------------------
@@ -467,14 +463,20 @@ def write_result_csvs(result: ExperimentResult, outdir) -> tuple[Path, Path]:
     return rep_path, sum_path
 
 
-def write_qq_csv(check: NormalityResult, outdir) -> Path:
+def write_qq_csv(result: ExperimentResult, outdir) -> Path:
+    """Write the QQ pairs of the standardized replicates to CSV.
+
+    Row i pairs the normal quantile at (i - 1/2)/r with the i-th smallest
+    standardized error, the pairs whose mean gap is ``w1_normal``. The
+    filename embeds the config hash.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    tag = config_hash(check.result.config)
-    path = outdir / f"experiment_{tag}_qq.csv"
+    z = np.sort(result.standardized)
+    path = outdir / f"experiment_{config_hash(result.config)}_qq.csv"
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["normal_quantile", "sample_quantile"])
-        for q, z in check.qq:
-            writer.writerow([repr(float(q)), repr(float(z))])
+        for q, v in zip(normal_quantiles(z.size), z):
+            writer.writerow([repr(float(q)), repr(float(v))])
     return path

@@ -172,7 +172,7 @@ def ks_distance(cdf, cdf_left=None) -> float:
     return float(max(np.max(i / r - cdf), np.max(left - (i - 1) / r), 0.0))
 
 
-def esd_mp_ks(eigenvalues, gamma: float) -> float:
+def esd_mp_ks(eigenvalues, gamma: float, cdf=None) -> float:
     """Two-sided sup gap between the empirical spectral cdf and the law.
 
     eigenvalues are all d sample-covariance eigenvalues, the null ones
@@ -181,9 +181,12 @@ def esd_mp_ks(eigenvalues, gamma: float) -> float:
     against mp_cdf(gamma, .), whose left limit at the atom is F(0-) = 0.
     A d x d solve returns its null eigenvalues as round-off, not exact
     zeros, so every |lam| within ``linalg.CLIP_REL`` of max|lam| is taken
-    as a point of the atom.
+    as a point of the atom. A caller that also reports the law at the
+    sorted eigenvalues passes those values as ``cdf``, so the law is
+    evaluated once.
     """
     lam = np.sort(np.asarray(eigenvalues, dtype=float))
-    cdf = mp_cdf(gamma, lam)
+    if cdf is None:
+        cdf = mp_cdf(gamma, lam)
     null = np.abs(lam) <= CLIP_REL * np.abs(lam).max(initial=0.0)
     return ks_distance(cdf, np.where(null, 0.0, cdf))

@@ -294,11 +294,13 @@ def test_mp_compare_close_and_warning(tmp_path, capsys):
     )
     assert code == 0
     assert err == ""
-    assert float(result_line(out)["ks"]) < 0.12
+    ks = float(result_line(out)["ks"])
+    assert ks < 0.12
     csvs = list(tmp_path.glob("mp_compare_*.csv"))
     assert len(csvs) == 1
-    header = csvs[0].read_text().splitlines()[0]
+    header, *rows = csvs[0].read_text().splitlines()
     assert header == "eigenvalue,esd_cdf,mp_cdf"
+    assert ks == theory.esd_mp_ks([float(row.split(",")[0]) for row in rows], 0.5)
     # mismatched gamma draws a warning but still exits 0
     code, _, err = run_cli(
         capsys, "mp-compare", "--gamma", "0.8", "--d", "100", "--n", "200",
@@ -545,6 +547,7 @@ def test_help_and_bad_subcommand_exit_codes(capsys):
 
 def test_bad_mode_and_standardize_exit_2_before_any_output(tmp_path, capsys):
     base = ("--model", "identity:3", "--f", "log1p", "--seed", "1")
+    named_f = ("--model", "identity:3", "--seed", "1", "--n", "50", "--f")
     for argv, word in [
         (("normality", *base, "--n", "100", "--mode", "bogus"), "mode"),
         (("estimate", *base, "--n", "100", "--mode", "bogus", "-B", "4"), "mode"),
@@ -568,8 +571,20 @@ def test_bad_mode_and_standardize_exit_2_before_any_output(tmp_path, capsys):
           "--mode", "jackknife", "-B", "10000"), "budget is 10000"),
         (("rates", *base, "--n-list", "50,100,200", "--mode", "jackknife",
           "-B", "20000"), "budget is 10000"),
+        # run sizes that only the run itself needs
+        (("normality", *base, "--n", "50", "--reps", "199"), "reps >= 200"),
+        (("rates", *base, "--reps", "10", "--n-list", "50,60,70"), "factor of 4"),
+        (("rates", *base, "--reps", "10", "--n-list", "100,400"), "3 distinct"),
+        (("rates", *base, "--reps", "10", "--n-list", "0,10,40"), ">= 1, got 0"),
+        # too many parameters, and f(0) = NaN
+        (("estimate", *named_f, "log1p:2"), "takes no parameters"),
+        (("estimate", *named_f, "scaled_sine:1:2:3"), "at most 2"),
+        (("estimate", *named_f, "scaled_sine:nan"), "must vanish"),
+        (("estimate", *named_f, "scaled_sine:inf"), "must vanish"),
+        (("estimate", *named_f, "bump:nan:1"), "must vanish"),
     ]:
         out = tmp_path / argv[0]
-        code, _, err = run_cli(capsys, *argv, "--out", str(out))
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
         assert code == 2 and word in err
+        assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()

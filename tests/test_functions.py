@@ -54,11 +54,21 @@ def test_unknown_function_and_bad_params_rejected():
         builtin("scaled_sine:abc")
     with pytest.raises(ValueError):
         builtin("bump:2.0:0.0")  # zero width
+    with pytest.raises(ValueError, match="'log1p' takes no parameters, got 1"):
+        builtin("log1p:2")
+    with pytest.raises(ValueError, match="'scaled_sine' takes at most 2 parameters, got 3"):
+        builtin("scaled_sine:1:2:3")
 
 
 def test_nonvanishing_function_rejected_at_construction():
     with pytest.raises(ValueError, match="vanish"):
         SmoothFunction("shifted", 1, lambda j, x: x + 1.0 if j == 0 else np.ones_like(x))
+    # a NaN f(0), from a constructor or from non-finite parameters, fails too
+    with pytest.raises(ValueError, match=r"f\(0\) = nan, must vanish"):
+        SmoothFunction("odd", 1, lambda j, x: np.full_like(x, np.nan))
+    for name in ("scaled_sine:nan", "scaled_sine:inf", "bump:nan:1"):
+        with pytest.raises(ValueError, match=r"f\(0\) = nan, must vanish"):
+            builtin(name)
 
 
 def test_scalar_and_array_evaluation_shapes():
@@ -170,6 +180,14 @@ def test_default_grid_distinct_deterministic_and_bounded():
     for f in grid:
         for j in range(1, 6):
             assert np.max(np.abs(f.deriv(j, x))) <= 1.0 + 1e-9
+
+
+def test_grid_derivative_bound_is_the_max_over_2001_points():
+    # bump has no analytic bound, so every order falls back to the grid
+    f = builtin("bump:2.0:0.5")
+    for order, upper in ((1, 5.0), (3, 20.0), (0, 0.0)):
+        grid = np.linspace(0.0, max(upper, 1e-12), 2001)
+        assert f.derivative_bound(order, upper) == np.max(np.abs(f.deriv(order, grid)))
 
 
 def test_grid_rejects_overscaled_member():

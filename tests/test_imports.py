@@ -1,8 +1,10 @@
 """Every name a library module imports at module level is used there, no
-module imports another's private names, and the package imports nothing
-from scipy, anywhere."""
+module imports another's private names, every ``__all__`` lists only names
+that exist, the package re-exports only listed names, and the package
+imports nothing from scipy, anywhere."""
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -65,6 +67,28 @@ def test_no_module_imports_a_private_name_from_another():
                           f"import {alias.name}"
                           for alias in node.names if alias.name.startswith("_")]
     assert found == []
+
+
+def _modules_with_all():
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"spectrace.{path.stem}")
+        if path.stem != "__init__" and hasattr(module, "__all__"):
+            yield path.stem, module
+
+
+def test_every_name_in_a_module_all_exists():
+    missing = [f"{stem}.{name}" for stem, module in _modules_with_all()
+               for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []
+
+
+def test_package_imports_only_names_its_modules_list():
+    listed = {stem: set(module.__all__) for stem, module in _modules_with_all()}
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    unlisted = [f"{node.module}.{alias.name}" for node in tree.body
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names if alias.name not in listed.get(node.module, ())]
+    assert unlisted == []
 
 
 def _imported_modules(path):

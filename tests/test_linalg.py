@@ -9,8 +9,8 @@ from spectrace.linalg import (
     CovarianceModel,
     EigenSolverError,
     SampleSet,
+    _symmetric_gram,
     derive_seed,
-    gram_covariance,
     gram_spectra,
     load_samples_csv,
     rng_from,
@@ -233,7 +233,7 @@ def _outcome(fn, a):
 def test_sym_eigvalues_fast_paths_match_the_full_checks(kind, d, seed):
     rng = rng_from(seed)
     x = rng.standard_normal((d + 3 if kind == "gram" else max(d - 2, 1), d))
-    a = gram_covariance(x)
+    a = sample_covariance(SampleSet(x))
     if kind == "averaged":
         b = rng.standard_normal((d, d))
         a = (b + b.T) / 2
@@ -259,7 +259,7 @@ def test_sym_eigvalues_on_a_stack_equals_the_per_matrix_spectra(b, k, d):
     # Grams of k rows, rank-deficient when k < d, then the same stack
     # made indefinite; also stacked one level deeper
     rng = rng_from(b, k, d)
-    grams = gram_covariance(rng.standard_normal((b, k, d)))
+    grams = _symmetric_gram(rng.standard_normal((b, k, d)), k)
     for a in (grams, grams - np.eye(d) * float(np.trace(grams[0])) / d):
         lam = sym_eigvalues(a)
         assert lam.shape == (b, d)
@@ -292,7 +292,7 @@ def test_dual_and_primal_spectra_agree(k, d, log_scale, seed):
     # 1e-12 of the trace leaves a factor of ~100 over 80 * 1.1e-16
     rng = rng_from(seed)
     x = 10.0 ** log_scale * rng.standard_normal((k, d)) * rng.uniform(0.1, 3.0, size=d)
-    primal = sym_eigvalues(gram_covariance(x))
+    primal = sym_eigvalues(sample_covariance(SampleSet(x)))
     lam = gram_spectra(x)
     assert lam.shape == (min(k, d),)
     if k >= d:
@@ -320,7 +320,7 @@ def test_gram_equals_the_averaged_formula_bit_for_bit(shape):
     # an exactly symmetric product changes no bit, primal or dual
     x = rng_from(*shape).standard_normal(shape) * rng_from(7).uniform(0.1, 3.0, shape[-1])
     k, d = shape[-2:]
-    assert np.array_equal(gram_covariance(x), _averaged_gram(x, k))
+    assert np.array_equal(_symmetric_gram(x, k), _averaged_gram(x, k))
     dual = x if k >= d else np.swapaxes(x, -1, -2)
     assert np.array_equal(gram_spectra(x), sym_eigvalues(_averaged_gram(dual, k)))
 
@@ -329,13 +329,13 @@ def test_gram_near_the_top_of_the_range_does_not_overflow():
     # X'X = [[1.01e308, 5.1e307], [5.1e307, 2.6e307]] is finite, and so is
     # X'X / 2; doubling it to form a + a' would pass DBL_MAX
     x = np.array([[1e154, 5e153], [1e153, 1e153]])
-    a = gram_covariance(x)
+    a = sample_covariance(SampleSet(x))
     assert np.isfinite(a).all() and np.array_equal(a, (x.T @ x) / 2)
     assert np.isfinite(gram_spectra(x)).all()
     assert np.isfinite(gram_spectra(x.T[np.newaxis])).all()
     # a Gram whose entries pass DBL_MAX still raises
     with pytest.raises(FloatingPointError, match="sample covariance overflows"):
-        gram_covariance(np.array([[1e155, 1e155], [1e155, 1e155]]))
+        sample_covariance(SampleSet(np.array([[1e155, 1e155], [1e155, 1e155]])))
 
 
 def test_gram_spectra_dual_keeps_the_overflow_check_and_the_clip_band():

@@ -34,6 +34,7 @@ from spectrace.montecarlo import (
     run,
     supnorm_experiment,
     wasserstein1_to_normal,
+    write_qq_csv,
     write_result_csvs,
 )
 from spectrace.theory import gaussian_limit_std
@@ -280,31 +281,39 @@ def test_rate_sweep_rejects_degenerate_designs():
                 replications=10)
     with pytest.raises(ValueError, match="n_list"):
         rate_sweep(ExperimentConfig(**base, n=100))
-    with pytest.raises(ValueError, match="3 distinct"):
-        rate_sweep(ExperimentConfig(**base, n_list=(100, 400)))
-    with pytest.raises(ValueError, match="factor of 4"):
-        rate_sweep(ExperimentConfig(**base, n_list=(100, 200, 300)))
+    # a degenerate design fails at construction, before any size runs
+    for n_list, match in (((100, 400, 100), "3 distinct"),
+                          ((100, 200, 300), "factor of 4"),
+                          ((0, 10, 40), ">= 1, got 0")):
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig(**base, n_list=n_list)
 
 
 def test_normality_check_minimum_replications():
     cfg = ExperimentConfig(
         model="identity:3", f="identity", seed=0, mode="plugin",
-        n=50, replications=100,
+        n=50, replications=montecarlo.NORMALITY_MIN_REPS - 1,
     )
-    with pytest.raises(ValueError, match="200"):
+    with pytest.raises(ValueError, match=">= 200 replications, got 199"):
         normality_check(cfg)
 
 
-def test_normality_check_qq_columns():
+def test_normality_check_qq_columns(tmp_path):
     cfg = ExperimentConfig(
         model="identity:3", f="identity", seed=14, mode="plugin",
         n=200, replications=250,
     )
-    check = normality_check(cfg)
-    assert check.qq.shape == (250, 2)
-    assert np.all(np.diff(check.qq[:, 0]) > 0)  # normal quantiles increase
-    assert check.ks < 0.1
-    assert check.ks == check.result.summary["ks_normal"]
+    result = normality_check(cfg)
+    assert result.summary == run(cfg).summary
+    assert result.summary["ks_normal"] < 0.1
+    path = write_qq_csv(result, tmp_path)
+    assert path.name == f"experiment_{config_hash(cfg)}_qq.csv"
+    header, *rows = path.read_text().splitlines()
+    assert header == "normal_quantile,sample_quantile"
+    # repr round-trips, so the CSV holds the pairs bit for bit
+    qq = np.array([[float(v) for v in row.split(",")] for row in rows])
+    assert np.array_equal(qq[:, 0], normal_quantiles(250))
+    assert np.array_equal(qq[:, 1], np.sort(result.standardized))
 
 
 def test_supnorm_worst_case_dominates_every_member():
