@@ -11,8 +11,9 @@ Options are validated by building what the command runs: the
 ``ExperimentConfig`` of an experiment, the plan (``check_plan``) of
 estimate and coeffs, the law of mp-compare, and the model and test
 function. Only the rules no library object knows stay here: estimate's
-data sources, mp-compare's sizes and the >= 1 floors of the keys;
-normality's replicate floor is the library's ``NORMALITY_MIN_REPS``.
+data sources, mp-compare's sizes and the >= 1 floors of the keys.
+Normality's replicate floor (``NORMALITY_MIN_REPS``) is checked when the
+run starts, after ``config.resolved`` is written, and exits 3.
 
 Exit codes: 0 on success, 2 for configuration errors (bad flags, missing
 keys, conflicting sources, a plan that cannot run at any n, such as a
@@ -56,7 +57,6 @@ from .linalg import (
 # unused; bench/bench_tests.py expects this module among its import sites
 from .linalg import sym_eigvalues  # noqa: F401
 from .montecarlo import (
-    NORMALITY_MIN_REPS,
     STANDARDIZE,
     ExperimentConfig,
     ReplicateError,
@@ -215,8 +215,6 @@ def _validate(command: str, cfg: dict) -> None:
             raise ConfigError("n conflicts with data; the CSV fixes the sample size")
     if command == "mp-compare" and (cfg["d"] < 50 or cfg["n"] < 50):
         raise ConfigError("mp-compare needs d >= 50 and n >= 50")
-    if command == "normality" and cfg["reps"] < NORMALITY_MIN_REPS:
-        raise ConfigError(f"normality needs reps >= {NORMALITY_MIN_REPS}")
     for name in ("m", "n", "subsets", "reps", "workers", "grid_size"):
         if name in cfg and cfg[name] is not None and cfg[name] < 1:
             raise ConfigError(f"{name} must be >= 1")

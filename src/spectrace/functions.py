@@ -8,7 +8,7 @@ eigenvalues, so f(0) = 0 makes padding by zero eigenvalues harmless.
 from __future__ import annotations
 
 import csv
-from math import factorial, pi
+from math import factorial, isfinite, pi
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -332,6 +332,8 @@ def builtin(name: str) -> TestFunction:
         args = [float(p) for p in parts[1:]]
     except ValueError:
         raise ValueError(f"bad parameters in test function name {name!r}")
+    if not all(isfinite(a) for a in args):
+        raise ValueError(f"parameters of test function {name!r} must be finite")
     make = _FAMILIES[family]
     takes = make.__code__.co_argcount
     if len(args) > takes:

@@ -182,11 +182,19 @@ def esd_mp_ks(eigenvalues, gamma: float, cdf=None) -> float:
     A d x d solve returns its null eigenvalues as round-off, not exact
     zeros, so every |lam| within ``linalg.CLIP_REL`` of max|lam| is taken
     as a point of the atom. A caller that also reports the law at the
-    sorted eigenvalues passes those values as ``cdf``, so the law is
-    evaluated once.
+    eigenvalues passes those values as ``cdf``, so the law is evaluated
+    once; ``eigenvalues`` must then be sorted non-decreasing and ``cdf``
+    of the same shape, or ``ValueError`` is raised.
     """
-    lam = np.sort(np.asarray(eigenvalues, dtype=float))
+    lam = np.asarray(eigenvalues, dtype=float)
     if cdf is None:
+        lam = np.sort(lam)
         cdf = mp_cdf(gamma, lam)
+    else:
+        cdf = np.asarray(cdf, dtype=float)
+        if cdf.shape != lam.shape:
+            raise ValueError(f"cdf has shape {cdf.shape}, eigenvalues {lam.shape}")
+        if np.any(lam[1:] < lam[:-1]):
+            raise ValueError("eigenvalues must be sorted when cdf is given")
     null = np.abs(lam) <= CLIP_REL * np.abs(lam).max(initial=0.0)
     return ks_distance(cdf, np.where(null, 0.0, cdf))

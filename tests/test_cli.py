@@ -193,6 +193,16 @@ def test_normality_with_a_zero_limit_scale_exits_3_and_plugin_scale_runs(
                for k in ("ks", "w1", "standardized_var"))
 
 
+def test_normality_below_its_replicate_floor_exits_3(tmp_path, capsys):
+    # the floor is the run's own check, so it fails after config.resolved
+    code, out, err = run_cli(
+        capsys, "normality", "--model", "identity:3", "--f", "log1p", "--n", "50",
+        "--reps", "199", "--seed", "1", "--out", str(tmp_path),
+    )
+    assert code == 3 and "needs >= 200 replications, got 199" in err
+    assert "RESULT" not in out
+
+
 def test_estimate_source_conflicts_exit_2(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "estimate", "--f", "log1p", "--seed", "1", "--out", str(tmp_path)
@@ -572,16 +582,17 @@ def test_bad_mode_and_standardize_exit_2_before_any_output(tmp_path, capsys):
         (("rates", *base, "--n-list", "50,100,200", "--mode", "jackknife",
           "-B", "20000"), "budget is 10000"),
         # run sizes that only the run itself needs
-        (("normality", *base, "--n", "50", "--reps", "199"), "reps >= 200"),
         (("rates", *base, "--reps", "10", "--n-list", "50,60,70"), "factor of 4"),
         (("rates", *base, "--reps", "10", "--n-list", "100,400"), "3 distinct"),
         (("rates", *base, "--reps", "10", "--n-list", "0,10,40"), ">= 1, got 0"),
-        # too many parameters, and f(0) = NaN
+        # too many parameters, and non-finite ones
         (("estimate", *named_f, "log1p:2"), "takes no parameters"),
         (("estimate", *named_f, "scaled_sine:1:2:3"), "at most 2"),
-        (("estimate", *named_f, "scaled_sine:nan"), "must vanish"),
-        (("estimate", *named_f, "scaled_sine:inf"), "must vanish"),
-        (("estimate", *named_f, "bump:nan:1"), "must vanish"),
+        (("estimate", *named_f, "scaled_sine:nan"), "must be finite"),
+        (("estimate", *named_f, "scaled_sine:inf"), "must be finite"),
+        (("estimate", *named_f, "bump:nan:1"), "must be finite"),
+        (("estimate", *named_f, "scaled_sine:2:inf"), "must be finite"),
+        (("normality", *named_f, "bump:1:inf", "--reps", "200"), "must be finite"),
     ]:
         out = tmp_path / argv[0]
         code, stdout, err = run_cli(capsys, *argv, "--out", str(out))

@@ -6,6 +6,8 @@ from hypothesis import strategies as hst
 from spectrace.functions import TestFunction as SmoothFunction
 from spectrace.functions import (
     FunctionClassGrid,
+    _bump,
+    _scaled_sine,
     builtin,
     combine,
     default_grid,
@@ -66,8 +68,17 @@ def test_nonvanishing_function_rejected_at_construction():
     # a NaN f(0), from a constructor or from non-finite parameters, fails too
     with pytest.raises(ValueError, match=r"f\(0\) = nan, must vanish"):
         SmoothFunction("odd", 1, lambda j, x: np.full_like(x, np.nan))
-    for name in ("scaled_sine:nan", "scaled_sine:inf", "bump:nan:1"):
+    for make, args in ((_scaled_sine, (np.nan,)), (_scaled_sine, (np.inf,)),
+                       (_bump, (np.nan, 1.0))):
         with pytest.raises(ValueError, match=r"f\(0\) = nan, must vanish"):
+            make(*args)
+
+
+def test_builtin_refuses_non_finite_parameters():
+    # f(0) is NaN for the first three; the last two would give f == 0
+    for name in ("scaled_sine:nan", "scaled_sine:inf", "bump:nan:1",
+                 "scaled_sine:2:inf", "bump:1:inf"):
+        with pytest.raises(ValueError, match=f"'{name}' must be finite"):
             builtin(name)
 
 
