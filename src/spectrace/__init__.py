@@ -25,7 +25,6 @@ from .functions import (
     FunctionClassGrid,
     TestFunction,
     builtin,
-    combine,
     default_grid,
     grid_to_csv,
     tau_f,

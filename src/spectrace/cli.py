@@ -28,7 +28,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -50,9 +50,11 @@ from .linalg import (
     EigenSolverError,
     Stream,
     derive_seed,
+    format_cell,
     gram_spectra,
     load_samples_csv,
     sample_gaussian,
+    write_csv,
 )
 # unused; bench/bench_tests.py expects this module among its import sites
 from .linalg import sym_eigvalues  # noqa: F401
@@ -104,23 +106,31 @@ def _conv_n_list(text: str) -> tuple[int, ...]:
     return values
 
 
+# the experiment keys' defaults are ExperimentConfig's; reps fills its replications
+_FIELD = {"reps": "replications"}
+_DEFAULT = {f.name: f.default for f in fields(ExperimentConfig)}
+
+
+def _experiment_key(name: str, conv=None, **kw) -> _Key:
+    return _Key(name, conv, default=_DEFAULT[_FIELD.get(name, name)], **kw)
+
+
 _MODEL = _Key("model", required=True,
               help="identity:<d> | poly_decay:<d>:<beta> | custom:<v1>,<v2>,...")
 _F = _Key("f", required=True, help="test function, e.g. log1p or scaled_sine:0.5")
-_MODE = _Key("mode", default="plugin", help=" | ".join(MODES))
-_M = _Key("m", int, default=2, help="number of aggregation levels")
-_Q = _Key("q", float, default=2.0, help="geometric spacing of subsample sizes")
-_SUBSETS = _Key("subsets", int, default=50, help="jackknife subsets per level",
-                short="-B")
+_MODE = _experiment_key("mode", help=" | ".join(MODES))
+_M = _experiment_key("m", int, help="number of aggregation levels")
+_Q = _experiment_key("q", float, help="geometric spacing of subsample sizes")
+_SUBSETS = _experiment_key("subsets", int, help="jackknife subsets per level", short="-B")
 _N = _Key("n", int, required=True, help="sample size")
-_REPS = _Key("reps", int, default=1000, help="Monte Carlo replications")
-_WORKERS = _Key("workers", int, default=1,
-                help="replicate worker threads; outputs do not depend on it")
+_REPS = _experiment_key("reps", int, help="Monte Carlo replications")
+_WORKERS = _experiment_key("workers", int,
+                           help="replicate worker threads; outputs do not depend on it")
 _OUT = _Key("out", default=".", help="output directory")
 
 _COMMON = [_Key("seed", int, required=True, help="master seed"), _OUT]
 _EXPERIMENT = [_MODEL, _F, _MODE, _M, _Q, _SUBSETS, _REPS, _WORKERS,
-               _Key("standardize", default="oracle", help=" | ".join(STANDARDIZE))]
+               _experiment_key("standardize", help=" | ".join(STANDARDIZE))]
 
 
 @dataclass(frozen=True)
@@ -235,11 +245,9 @@ def _validate(command: str, cfg: dict) -> None:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
-    return str(value)
+    return format_cell(value)
 
 
 def _resolved_text(command: str, cfg: dict) -> str:
@@ -316,11 +324,8 @@ def _cmd_coeffs(cfg: dict) -> int:
     print(f"coeffs: {','.join(repr(c) for c in scheme.coeffs.tolist())}")
     print(f"sum: {float(scheme.coeffs.sum())!r}")
     print(f"coeff_l1: {scheme.coeff_l1()!r}")
-    ns = np.asarray(scheme.sizes, dtype=float)
-    for ell in range(1, scheme.m):
-        terms = scheme.coeffs / ns ** ell
-        print(f"cancellation l={ell}: {float(terms.sum()):.3e} "
-              f"(largest term {float(np.max(np.abs(terms))):.3e})")
+    for ell, (resid, top) in enumerate(scheme.cancellation(), start=1):
+        print(f"cancellation l={ell}: {resid:.3e} (largest term {top:.3e})")
     _result_line(
         command="coeffs",
         sizes=",".join(str(s) for s in scheme.sizes),
@@ -331,20 +336,10 @@ def _cmd_coeffs(cfg: dict) -> int:
 
 
 def _experiment_config(cfg: dict) -> ExperimentConfig:
-    return ExperimentConfig(
-        model=cfg["model"],
-        f=cfg.get("f", "identity"),
-        seed=cfg["seed"],
-        mode=cfg["mode"],
-        n=cfg.get("n"),
-        n_list=cfg.get("n_list"),
-        m=cfg["m"],
-        q=cfg["q"],
-        subsets=cfg["subsets"],
-        replications=cfg["reps"],
-        workers=cfg["workers"],
-        standardize=cfg.get("standardize", "oracle"),
-    )
+    # supnorm runs a family of functions, not f; its config names identity
+    kwargs = {"f": "identity"}
+    kwargs.update((_FIELD.get(k, k), v) for k, v in cfg.items())
+    return ExperimentConfig(**{k: v for k, v in kwargs.items() if k in _DEFAULT})
 
 
 def _cmd_rates(cfg: dict) -> int:
@@ -353,12 +348,8 @@ def _cmd_rates(cfg: dict) -> int:
     outdir = Path(cfg["out"])
     for res in sweep.runs:
         write_result_csvs(res, outdir)
-    tag = config_hash(config)
-    path = outdir / f"rates_{tag}.csv"
-    with path.open("w", newline="") as fh:
-        fh.write("n,rmse\n")
-        for n, rmse in zip(sweep.n_values, sweep.rmse):
-            fh.write(f"{n},{rmse!r}\n")
+    path = write_csv(outdir / f"rates_{config_hash(config)}.csv", ["n", "rmse"],
+                     zip(sweep.n_values, sweep.rmse))
     print(f"n values: {','.join(str(n) for n in sweep.n_values)}")
     print(f"rmse: {','.join(repr(float(v)) for v in sweep.rmse)}")
     print(f"slope: {sweep.slope!r} +- {sweep.slope_se!r}")
@@ -399,13 +390,10 @@ def _cmd_supnorm(cfg: dict) -> int:
     tag = _output_tag("supnorm", cfg)
     grid_path = outdir / f"supnorm_{tag}_grid.csv"
     grid_to_csv(grid, grid_path)
-    table_path = outdir / f"supnorm_{tag}_errors.csv"
-    with table_path.open("w", newline="") as fh:
-        fh.write("name,truth,mean_abs_error\n")
-        for name, truth, err in zip(
-            result.names, result.truths, result.per_function_mean
-        ):
-            fh.write(f"{name},{float(truth)!r},{float(err)!r}\n")
+    table_path = write_csv(
+        outdir / f"supnorm_{tag}_errors.csv", ["name", "truth", "mean_abs_error"],
+        zip(result.names, result.truths, result.per_function_mean),
+    )
     print(f"family size: {len(result.names)}  replications: {cfg['reps']}")
     print(f"mean worst-case error: {result.max_error_mean!r}")
     worst = int(np.argmax(result.per_function_mean))
@@ -434,13 +422,11 @@ def _cmd_mp_compare(cfg: dict) -> int:
     lam_sorted = np.concatenate([nulls, np.sort(gram_spectra(samples.data))])
     cdf = mp_cdf(gamma, lam_sorted)
     ks = esd_mp_ks(lam_sorted, gamma, cdf)
-    outdir = Path(cfg["out"])
     tag = _output_tag("mp-compare", cfg)
-    path = outdir / f"mp_compare_{tag}.csv"
-    with path.open("w", newline="") as fh:
-        fh.write("eigenvalue,esd_cdf,mp_cdf\n")
-        for i, (x, c) in enumerate(zip(lam_sorted, cdf), start=1):
-            fh.write(f"{float(x)!r},{i / d!r},{float(c)!r}\n")
+    path = write_csv(
+        Path(cfg["out"]) / f"mp_compare_{tag}.csv", ["eigenvalue", "esd_cdf", "mp_cdf"],
+        zip(lam_sorted, np.arange(1, d + 1) / d, cdf),
+    )
     print(f"ks distance: {ks!r}  (d={d}, n={n}, gamma={gamma:g})")
     print(f"wrote {path}")
     _result_line(command="mp-compare", ks=ks, gamma=gamma, d=d, n=n, seed=cfg["seed"])

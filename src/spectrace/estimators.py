@@ -125,19 +125,15 @@ class AggregationScheme:
         total = float(coeffs.sum())
         if abs(total - 1.0) > _SUM_TOL:
             raise SchemeError(f"coefficients sum to {total!r}, expected 1")
-        ns = np.asarray(sizes, dtype=float)
-        for ell in range(1, m):
-            terms = coeffs / ns ** ell
-            resid = abs(float(terms.sum()))
-            top = float(np.max(np.abs(terms)))
-            if resid > _CANCEL_TOL * top:
-                raise SchemeError(
-                    f"order-{ell} cancellation fails: residual {resid:.3e} "
-                    f"vs largest term {top:.3e}"
-                )
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "q", float(self.q))
+        for ell, (resid, top) in enumerate(self.cancellation(), start=1):
+            if abs(resid) > _CANCEL_TOL * top:
+                raise SchemeError(
+                    f"order-{ell} cancellation fails: residual {abs(resid):.3e} "
+                    f"vs largest term {top:.3e}"
+                )
 
     @property
     def m(self) -> int:
@@ -146,6 +142,13 @@ class AggregationScheme:
     @property
     def n(self) -> int:
         return self.sizes[-1]
+
+    def cancellation(self) -> list[tuple[float, float]]:
+        """(sum_j C_j / n_j**l, max_j |C_j / n_j**l|) for l = 1..m-1: each
+        residual the weights cancel, next to its largest term."""
+        ns = np.asarray(self.sizes, dtype=float)
+        terms = [self.coeffs / ns ** ell for ell in range(1, self.m)]
+        return [(float(t.sum()), float(np.max(np.abs(t)))) for t in terms]
 
     def coeff_l1(self) -> float:
         """sum |C_j|, how far the weights can amplify a level's error; at q = 2 it

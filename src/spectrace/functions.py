@@ -7,20 +7,17 @@ eigenvalues, so f(0) = 0 makes padding by zero eigenvalues harmless.
 
 from __future__ import annotations
 
-import csv
 from math import factorial, isfinite, pi
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import rng_from
+from .linalg import rng_from, write_csv
 
 __all__ = [
     "TestFunction",
     "FunctionClassGrid",
     "builtin",
-    "combine",
     "tau_f",
     "tau_f_rows",
     "default_grid",
@@ -109,34 +106,6 @@ class TestFunction:
 def _grid_sup(f: TestFunction, order: int, upper: float) -> float:
     """max of |f^(order)| over ``_GRID_POINTS`` equally spaced points of [0, upper]."""
     return float(np.max(np.abs(f.deriv(order, np.linspace(0.0, upper, _GRID_POINTS)))))
-
-
-def combine(
-    terms: Sequence[tuple[float, TestFunction]], name: str | None = None
-) -> TestFunction:
-    """Linear combination sum_k c_k f_k as a new test function.
-
-    Derivative bounds use the triangle inequality, so they stay valid but
-    may be loose.
-    """
-    if not terms:
-        raise ValueError("terms must be nonempty")
-    coefs = [float(c) for c, _ in terms]
-    funcs = [f for _, f in terms]
-    order = min(f.max_order for f in funcs)
-    if name is None:
-        name = "+".join(f"{c:g}*{f.name}" for c, f in zip(coefs, funcs))
-
-    def evaluate(j: int, arr: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(arr)
-        for c, f in zip(coefs, funcs):
-            out += c * np.asarray(f._evaluate(j, arr), dtype=float)
-        return out
-
-    def bound(j: int, upper: float) -> float:
-        return sum(abs(c) * f.derivative_bound(j, upper) for c, f in zip(coefs, funcs))
-
-    return TestFunction(name, order, evaluate, bound)
 
 
 def tau_f(f: TestFunction, eigenvalues) -> float:
@@ -420,10 +389,5 @@ def default_grid(order: int, count: int, seed: int) -> FunctionClassGrid:
 
 def grid_to_csv(grid: FunctionClassGrid, path) -> None:
     """Write (family, parameters) rows; :func:`builtin` parses ``family:parameters``."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["name", "parameters"])
-        for f in grid.members:
-            family, _, params = f.name.partition(":")
-            writer.writerow([family, params])
+    write_csv(path, ["name", "parameters"],
+              (f.name.partition(":")[::2] for f in grid.members))

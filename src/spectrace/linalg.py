@@ -4,7 +4,8 @@ Everything downstream (estimators, Monte Carlo) funnels through the
 primitives here, so determinism and eigenvalue hygiene (sorting, clipping
 of negative round-off) are enforced once, in this module. Every spectrum
 of a sample or subsample comes from :func:`gram_spectra`, the one place
-that picks the d x d Gram or its k x k dual.
+that picks the d x d Gram or its k x k dual. CSV is read and written
+here too: :func:`write_csv` writes every table the package outputs.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ __all__ = [
     "gram_spectra",
     "sym_eigvalues",
     "load_samples_csv",
+    "format_cell",
+    "write_csv",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -351,3 +354,25 @@ def load_samples_csv(path) -> SampleSet:
                 f"{path}: row {i + 1} has {len(row)} cells, expected {width}"
             )
     return SampleSet(np.asarray(rows, dtype=float))
+
+
+def format_cell(value) -> str:
+    """A table cell or RESULT value: a float, numpy's included, as
+    ``repr(float(value))``, the shortest text that reads back to the same
+    double; anything else as ``str(value)``."""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def write_csv(path, header, rows) -> Path:
+    """Write a table: the ``header`` row, then ``rows``, each cell by
+    :func:`format_cell`, in the csv module's default dialect (CRLF lines, as
+    RFC 4180 has them). Makes the parent directory; returns the path."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([format_cell(v) for v in row] for row in rows)
+    return path

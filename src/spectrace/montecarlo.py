@@ -13,7 +13,6 @@ and ``statistics.NormalDist``), so the package needs numpy only.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -34,7 +33,7 @@ from .estimators import (
     level_spectra,
 )
 from .functions import FunctionClassGrid, builtin, tau_f
-from .linalg import CovarianceModel, Stream, derive_seed, sample_gaussian
+from .linalg import CovarianceModel, Stream, derive_seed, sample_gaussian, write_csv
 # unused; bench/bench_tests.py expects this module among its import sites
 from .linalg import sym_eigvalues  # noqa: F401
 from .theory import gaussian_limit_std, ks_distance
@@ -444,22 +443,19 @@ def config_hash(config: ExperimentConfig) -> str:
 
 def write_result_csvs(result: ExperimentResult, outdir) -> tuple[Path, Path]:
     """Write replicates and summary CSVs; filenames embed the config hash."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     tag = config_hash(result.config)
-    rep_path = outdir / f"experiment_{tag}_replicates.csv"
-    sum_path = outdir / f"experiment_{tag}_summary.csv"
-    with rep_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["replicate", "estimate", "standardized"])
-        for i, (est, z) in enumerate(zip(result.estimates, result.standardized)):
-            writer.writerow([i, repr(float(est)), repr(float(z))])
-    with sum_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "value", "se"])
-        for key in _SUMMARY_ORDER:
-            se = repr(result.summary["bias_se"]) if key in ("mean", "bias") else ""
-            writer.writerow([key, repr(float(result.summary[key])), se])
+    summary = result.summary
+    rep_path = write_csv(
+        Path(outdir) / f"experiment_{tag}_replicates.csv",
+        ["replicate", "estimate", "standardized"],
+        zip(range(result.estimates.size), result.estimates, result.standardized),
+    )
+    sum_path = write_csv(
+        Path(outdir) / f"experiment_{tag}_summary.csv",
+        ["metric", "value", "se"],
+        ([key, summary[key], summary["bias_se"] if key in ("mean", "bias") else ""]
+         for key in _SUMMARY_ORDER),
+    )
     return rep_path, sum_path
 
 
@@ -470,13 +466,9 @@ def write_qq_csv(result: ExperimentResult, outdir) -> Path:
     standardized error, the pairs whose mean gap is ``w1_normal``. The
     filename embeds the config hash.
     """
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     z = np.sort(result.standardized)
-    path = outdir / f"experiment_{config_hash(result.config)}_qq.csv"
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["normal_quantile", "sample_quantile"])
-        for q, v in zip(normal_quantiles(z.size), z):
-            writer.writerow([repr(float(q)), repr(float(v))])
-    return path
+    return write_csv(
+        Path(outdir) / f"experiment_{config_hash(result.config)}_qq.csv",
+        ["normal_quantile", "sample_quantile"],
+        zip(normal_quantiles(z.size), z),
+    )

@@ -1,3 +1,4 @@
+import csv
 import warnings
 
 import numpy as np
@@ -447,6 +448,44 @@ def test_supnorm_output_names_and_bytes_ignore_workers(tmp_path, capsys):
     assert names == sorted(p.name for p in out2.glob("supnorm_*"))
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# columns that hold text; every other cell of every table is a number
+TEXT_COLUMNS = {"name", "parameters", "metric"}
+
+
+def test_every_table_is_crlf_csv_with_a_header_and_numbers_that_parse(tmp_path, capsys):
+    common = ("--model", "identity:3", "--seed", "5", "--out", str(tmp_path))
+    for argv in (
+        ("normality", "--f", "log1p", "--n", "40", "--reps", "200"),
+        ("rates", "--f", "log1p", "--n-list", "20,40,80", "--reps", "20"),
+        ("supnorm", "--m", "2", "--n", "40", "--reps", "5", "--grid-size", "3"),
+    ):
+        assert run_cli(capsys, *argv, *common)[0] == 0
+    assert run_cli(capsys, "mp-compare", "--gamma", "0.5", "--d", "50", "--n", "100",
+                   "--seed", "5", "--out", str(tmp_path))[0] == 0
+    paths = sorted(tmp_path.glob("*.csv"))
+    # replicates, summary and qq of normality, two per rates level, one rates
+    # table, supnorm's grid and errors, and one mp-compare table
+    assert len(paths) == 3 + 6 + 1 + 2 + 1
+    problems = []
+    for path in paths:
+        data = path.read_bytes()
+        if not data.endswith(b"\r\n") or data.count(b"\n") != data.count(b"\r\n"):
+            problems.append(f"{path.name}: a line does not end in CRLF")
+        with path.open(newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        if not rows or not all(column.isidentifier() for column in header):
+            problems.append(f"{path.name}: no header row and data rows")
+        for row in rows:
+            for column, cell in zip(header, row, strict=True):
+                if column in TEXT_COLUMNS or (column == "se" and cell == ""):
+                    continue
+                try:
+                    float(cell)
+                except ValueError:
+                    problems.append(f"{path.name}: {column} cell {cell!r}")
+    assert problems == []
 
 
 def test_estimate_eigendecomposes_once_per_engine_spectrum(

@@ -9,7 +9,6 @@ from spectrace.functions import (
     _bump,
     _scaled_sine,
     builtin,
-    combine,
     default_grid,
     grid_to_csv,
     tau_f,
@@ -127,14 +126,6 @@ def test_square_constants_are_exact():
     assert builtin("log1p").lipschitz_fprime(4.0) == 1.0
 
 
-def test_combine_linear_combination():
-    f = combine([(2.0, builtin("identity")), (-1.0, builtin("square"))])
-    x = np.array([0.0, 1.0, 2.0])
-    assert np.allclose(f(x), 2 * x - x ** 2)
-    assert np.allclose(f.deriv(1, x), 2 - 2 * x)
-    assert f.derivative_bound(2, 5.0) == 2.0
-
-
 def test_tau_f_known_values():
     assert tau_f(builtin("identity"), [2.0, 1.0, 0.5]) == 3.5
     assert tau_f(builtin("square"), [2.0, 1.0]) == 5.0
@@ -150,6 +141,12 @@ def test_tau_f_raises_naming_f_where_it_overflows():
     assert tau_f(builtin("square"), [1e150, 1.0]) == 1e150 * 1e150 + 1.0
 
 
+def _linear_combination(a, f1, b, f2):
+    """a f1 + b f2 as a test function of its own."""
+    return SmoothFunction(f"{a}*{f1.name}+{b}*{f2.name}", min(f1.max_order, f2.max_order),
+                          lambda j, x: a * f1.deriv(j, x) + b * f2.deriv(j, x))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     lam=hst.lists(hst.floats(0.0, 10.0), min_size=1, max_size=8),
@@ -159,7 +156,7 @@ def test_tau_f_raises_naming_f_where_it_overflows():
 def test_tau_f_is_linear_in_f(lam, a, b):
     lam = np.asarray(lam)
     f1, f2 = builtin("log1p"), builtin("square")
-    lhs = tau_f(combine([(a, f1), (b, f2)]), lam)
+    lhs = tau_f(_linear_combination(a, f1, b, f2), lam)
     rhs = a * tau_f(f1, lam) + b * tau_f(f2, lam)
     assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
 
@@ -202,8 +199,8 @@ def test_grid_derivative_bound_is_the_max_over_2001_points():
 
 
 def test_grid_rejects_overscaled_member():
-    too_big = combine([(3.0, builtin("scaled_sine:1.0"))], name="tripled")
-    with pytest.raises(ValueError, match="> 1"):
+    too_big = builtin("bump:2.0:0.2")  # unscaled, so |f'| reaches about 3
+    with pytest.raises(ValueError, match="bump:2.0:0.2: .* > 1"):
         FunctionClassGrid(2, [builtin("scaled_sine:1.0"), too_big])
 
 

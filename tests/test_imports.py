@@ -1,7 +1,7 @@
 """Every name a library module imports at module level is used there, no
 module imports another's private names, every ``__all__`` lists only names
-that exist, the package re-exports only listed names, and the package
-imports nothing from scipy, anywhere."""
+that exist, the package re-exports only listed names, only linalg imports
+csv, and the package imports nothing from scipy, anywhere."""
 
 import ast
 import importlib
@@ -111,6 +111,13 @@ def test_no_scipy_import_anywhere_in_the_package():
     found = [f"{path.stem}: {name}" for path in sorted(SRC.glob("*.py"))
              for name in _imported_modules(path) if name.split(".")[0] == "scipy"]
     assert found == []
+
+
+def test_only_linalg_imports_csv():
+    # every table goes through linalg.write_csv, so CSV has one home
+    found = [path.stem for path in sorted(SRC.glob("*.py"))
+             if "csv" in _imported_modules(path)]
+    assert found == ["linalg"]
 
 
 def test_importing_the_package_and_cli_loads_no_scipy():

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from scipy.integrate import quad
 
-from spectrace.functions import builtin, combine
+from spectrace.functions import TestFunction as SmoothFunction
+from spectrace.functions import builtin
 from spectrace.linalg import (
     CovarianceModel,
     gram_spectra,
@@ -74,7 +75,7 @@ def test_gaussian_limit_std_square_oracle():
 
 
 def test_gaussian_limit_std_zero_for_flat_function():
-    flat = combine([(0.0, builtin("identity"))], name="null")
+    flat = SmoothFunction("null", 1, lambda j, x: np.zeros_like(x))
     assert gaussian_limit_std(flat, CovarianceModel.identity(4)) == 0.0
 
 
