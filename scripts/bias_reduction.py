@@ -10,10 +10,10 @@ comparable to n) the plug-in bias is orders of magnitude larger.
 """
 
 import argparse
-import csv
 from pathlib import Path
 
 from spectrace import ExperimentConfig, run
+from spectrace.linalg import write_csv
 
 
 def main() -> int:
@@ -28,8 +28,6 @@ def main() -> int:
     args = ap.parse_args()
 
     n_values = [int(v) for v in args.n_list.split(",")]
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     rows = []
     print(f"model {args.model}, f {args.f}, {args.reps} replications")
     print(f"{'n':>6} {'estimator':>12} {'bias':>12} {'se':>10}")
@@ -45,11 +43,8 @@ def main() -> int:
             bias, se = res.summary["bias"], res.summary["bias_se"]
             print(f"{n:>6} {label:>12} {bias:>12.5f} {se:>10.5f}")
             rows.append((n, label, bias, se))
-    path = outdir / "bias_reduction.csv"
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "estimator", "bias", "se"])
-        w.writerows(rows)
+    path = write_csv(Path(args.out) / "bias_reduction.csv",
+                     ["n", "estimator", "bias", "se"], rows)
     print(f"wrote {path}")
     return 0
 

@@ -223,6 +223,8 @@ def _validate(command: str, cfg: dict) -> None:
             raise ConfigError("n is required when simulating from a model")
         if cfg["data"] is not None and cfg["n"] is not None:
             raise ConfigError("n conflicts with data; the CSV fixes the sample size")
+        if cfg["data"] is not None and not Path(cfg["data"]).is_file():
+            raise ConfigError(f"data file not found: {cfg['data']}")
     if command == "mp-compare" and (cfg["d"] < 50 or cfg["n"] < 50):
         raise ConfigError("mp-compare needs d >= 50 and n >= 50")
     for name in ("m", "n", "subsets", "reps", "workers", "grid_size"):
@@ -236,9 +238,9 @@ def _validate(command: str, cfg: dict) -> None:
             mp_support(cfg["gamma"])
         else:
             check_plan(cfg.get("mode", "aggregate"), cfg["m"], cfg["q"], cfg.get("subsets"))
-        if cfg.get("model"):
+        if cfg.get("model") is not None:
             parse_model(cfg["model"])
-        if cfg.get("f"):
+        if cfg.get("f") is not None:
             builtin(cfg["f"])
     except (ValueError, ComputeBudgetError) as exc:
         raise ConfigError(str(exc))
@@ -420,12 +422,11 @@ def _cmd_mp_compare(cfg: dict) -> int:
     # the law's atom at 0 needs the d - n null eigenvalues gram_spectra leaves out
     nulls = np.zeros(max(d - n, 0))
     lam_sorted = np.concatenate([nulls, np.sort(gram_spectra(samples.data))])
-    cdf = mp_cdf(gamma, lam_sorted)
-    ks = esd_mp_ks(lam_sorted, gamma, cdf)
+    ks = esd_mp_ks(lam_sorted, gamma)
     tag = _output_tag("mp-compare", cfg)
     path = write_csv(
         Path(cfg["out"]) / f"mp_compare_{tag}.csv", ["eigenvalue", "esd_cdf", "mp_cdf"],
-        zip(lam_sorted, np.arange(1, d + 1) / d, cdf),
+        zip(lam_sorted, np.arange(1, d + 1) / d, mp_cdf(gamma, lam_sorted)),
     )
     print(f"ks distance: {ks!r}  (d={d}, n={n}, gamma={gamma:g})")
     print(f"wrote {path}")

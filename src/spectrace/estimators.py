@@ -18,8 +18,7 @@ The engine works a level at a time: a level's index sets all come from
 one generator seeded by (seed, level), and they are drawn, their rows
 gathered, their Grams formed and eigendecomposed in blocks of at most
 ``_BLOCK_BYTES``, one solver call per block; ``combine_levels``
-evaluates f once per level. Both give the same bits as the per-subset
-loop.
+evaluates f once per level.
 
 Every spectrum, the plug-in's included, comes from ``linalg.gram_spectra``:
 a level of n_j < d rows solves the n_j x n_j dual X X'/n_j and keeps its

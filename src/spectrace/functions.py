@@ -320,12 +320,10 @@ def builtin(name: str) -> TestFunction:
 class FunctionClassGrid:
     """Finite family of test functions with derivative bounds <= 1.
 
-    Every member must satisfy max |f^(j)| <= 1 + 1e-9 on [0, check_upper]
+    Every member must satisfy max |f^(j)| <= 1 + 1e-9 on [0, 20]
     for j = 1..order+1 (checked on a fixed grid at construction), which
     makes worst-case-over-the-family error experiments meaningful.
     """
-
-    check_upper = _CHECK_UPPER
 
     def __init__(self, order: int, members: Sequence[TestFunction]) -> None:
         if order < 1:
@@ -348,12 +346,6 @@ class FunctionClassGrid:
                     )
         self.order = int(order)
         self.members = tuple(members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
 
     @property
     def names(self) -> tuple[str, ...]:

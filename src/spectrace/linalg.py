@@ -225,9 +225,9 @@ def sample_gaussian(
 def sample_covariance(samples: SampleSet) -> np.ndarray:
     """Gram-based covariance X'X / n (no centering), exactly symmetric.
 
-    The product is formed once and divided by n: numpy forms X'X exactly
-    symmetric, so the bits are those of (X'X + (X'X)') / 2n. Raises
-    :class:`FloatingPointError` when an entry of X'X / n is not finite.
+    The product is formed once and divided by n; numpy forms X'X exactly
+    symmetric. Raises :class:`FloatingPointError` when an entry of X'X / n
+    is not finite.
     Spectra of samples come from :func:`gram_spectra`, which forms this
     d x d matrix only when n >= d.
     """

@@ -17,7 +17,6 @@ import hashlib
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from functools import lru_cache
 from math import erf, erfc, sqrt
 from pathlib import Path
 from statistics import NormalDist
@@ -198,19 +197,14 @@ def _normal_cdf(x: float) -> float:
     return 1.0 - tail if t > 0.0 else tail
 
 
-@lru_cache(maxsize=8)
 def normal_quantiles(r: int) -> np.ndarray:
     """Standard normal quantiles at the plotting positions (i - 1/2)/r.
 
-    Wichura's AS241 through ``statistics.NormalDist``. Cached and read-only,
-    so a normality check evaluates them once for its W1 distance and QQ
-    pairs.
+    Wichura's AS241 through ``statistics.NormalDist``.
     """
     p = (np.arange(1, r + 1) - 0.5) / r
     inv_cdf = NormalDist().inv_cdf
-    q = np.array([inv_cdf(v) for v in p.tolist()])
-    q.flags.writeable = False
-    return q
+    return np.array([inv_cdf(v) for v in p.tolist()])
 
 
 def ks_to_normal(sample) -> float:

@@ -172,7 +172,7 @@ def ks_distance(cdf, cdf_left=None) -> float:
     return float(max(np.max(i / r - cdf), np.max(left - (i - 1) / r), 0.0))
 
 
-def esd_mp_ks(eigenvalues, gamma: float, cdf=None) -> float:
+def esd_mp_ks(eigenvalues, gamma: float) -> float:
     """Two-sided sup gap between the empirical spectral cdf and the law.
 
     eigenvalues are all d sample-covariance eigenvalues, the null ones
@@ -181,20 +181,9 @@ def esd_mp_ks(eigenvalues, gamma: float, cdf=None) -> float:
     against mp_cdf(gamma, .), whose left limit at the atom is F(0-) = 0.
     A d x d solve returns its null eigenvalues as round-off, not exact
     zeros, so every |lam| within ``linalg.CLIP_REL`` of max|lam| is taken
-    as a point of the atom. A caller that also reports the law at the
-    eigenvalues passes those values as ``cdf``, so the law is evaluated
-    once; ``eigenvalues`` must then be sorted non-decreasing and ``cdf``
-    of the same shape, or ``ValueError`` is raised.
+    as a point of the atom.
     """
-    lam = np.asarray(eigenvalues, dtype=float)
-    if cdf is None:
-        lam = np.sort(lam)
-        cdf = mp_cdf(gamma, lam)
-    else:
-        cdf = np.asarray(cdf, dtype=float)
-        if cdf.shape != lam.shape:
-            raise ValueError(f"cdf has shape {cdf.shape}, eigenvalues {lam.shape}")
-        if np.any(lam[1:] < lam[:-1]):
-            raise ValueError("eigenvalues must be sorted when cdf is given")
+    lam = np.sort(np.asarray(eigenvalues, dtype=float))
+    cdf = mp_cdf(gamma, lam)
     null = np.abs(lam) <= CLIP_REL * np.abs(lam).max(initial=0.0)
     return ks_distance(cdf, np.where(null, 0.0, cdf))

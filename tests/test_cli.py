@@ -311,7 +311,9 @@ def test_mp_compare_close_and_warning(tmp_path, capsys):
     assert len(csvs) == 1
     header, *rows = csvs[0].read_text().splitlines()
     assert header == "eigenvalue,esd_cdf,mp_cdf"
-    assert ks == theory.esd_mp_ks([float(row.split(",")[0]) for row in rows], 0.5)
+    table = np.array([[float(v) for v in row.split(",")] for row in rows])
+    assert ks == theory.esd_mp_ks(table[:, 0], 0.5)
+    assert np.array_equal(table[:, 2], theory.mp_cdf(0.5, table[:, 0]))
     # mismatched gamma draws a warning but still exits 0
     code, _, err = run_cli(
         capsys, "mp-compare", "--gamma", "0.8", "--d", "100", "--n", "200",
@@ -319,26 +321,6 @@ def test_mp_compare_close_and_warning(tmp_path, capsys):
     )
     assert code == 0
     assert "warning" in err and "0.5" in err
-
-
-def test_mp_compare_evaluates_the_law_once(tmp_path, capsys, monkeypatch):
-    calls = []
-    real = cli.mp_cdf
-
-    def counted(gamma, x):
-        calls.append(np.size(x))
-        return real(gamma, x)
-
-    monkeypatch.setattr(cli, "mp_cdf", counted)
-    monkeypatch.setattr(theory, "mp_cdf", counted)
-    code, out, _ = run_cli(
-        capsys, "mp-compare", "--gamma", "0.5", "--d", "100", "--n", "200",
-        "--seed", "12", "--out", str(tmp_path),
-    )
-    assert code == 0 and calls == [100]
-    csv = next(tmp_path.glob("mp_compare_*.csv")).read_text().splitlines()[1:]
-    cdf = np.array([float(line.split(",")[2]) for line in csv])
-    assert float(result_line(out)["ks"]) == theory.ks_distance(cdf)
 
 
 def test_mp_compare_above_gamma_one_reads_the_padded_dual_spectrum(tmp_path, capsys):
@@ -372,8 +354,10 @@ def test_mp_compare_above_gamma_one_reports_the_bulk_gap(tmp_path, capsys, gamma
     ks = float(result_line(out)["ks"])
     assert ks <= 0.05
     csv = next(tmp_path.glob("mp_compare_*.csv")).read_text().splitlines()[1:]
-    lam = np.array([float(line.split(",")[0]) for line in csv])
+    table = np.array([[float(v) for v in line.split(",")] for line in csv])
+    lam = table[:, 0]
     assert lam.size == d and ks == theory.esd_mp_ks(lam, gamma)
+    assert np.array_equal(table[:, 2], theory.mp_cdf(gamma, lam))
 
 
 def test_mp_compare_scale_preconditions(tmp_path, capsys):
@@ -597,6 +581,7 @@ def test_help_and_bad_subcommand_exit_codes(capsys):
 def test_bad_mode_and_standardize_exit_2_before_any_output(tmp_path, capsys):
     base = ("--model", "identity:3", "--f", "log1p", "--seed", "1")
     named_f = ("--model", "identity:3", "--seed", "1", "--n", "50", "--f")
+    no_model = ("--f", "log1p", "--seed", "1")
     for argv, word in [
         (("normality", *base, "--n", "100", "--mode", "bogus"), "mode"),
         (("estimate", *base, "--n", "100", "--mode", "bogus", "-B", "4"), "mode"),
@@ -632,6 +617,14 @@ def test_bad_mode_and_standardize_exit_2_before_any_output(tmp_path, capsys):
         (("estimate", *named_f, "bump:nan:1"), "must be finite"),
         (("estimate", *named_f, "scaled_sine:2:inf"), "must be finite"),
         (("normality", *named_f, "bump:1:inf", "--reps", "200"), "must be finite"),
+        # a data path that is not a file, and empty model or f names
+        (("estimate", *no_model, "--data", str(tmp_path / "missing.csv")),
+         "data file not found"),
+        (("estimate", *no_model, "--data", str(tmp_path)), "data file not found"),
+        (("estimate", *no_model, "--data", ""), "data file not found"),
+        (("normality", *no_model, "--n", "100", "--model", ""), "model profile"),
+        (("estimate", *no_model, "--n", "100", "--model", ""), "model profile"),
+        (("estimate", *named_f, ""), "unknown test function"),
     ]:
         out = tmp_path / argv[0]
         code, stdout, err = run_cli(capsys, *argv, "--out", str(out))

@@ -177,15 +177,15 @@ def test_default_grid_starts_with_plain_sine():
 
 def test_default_grid_distinct_deterministic_and_bounded():
     grid = default_grid(4, 8, seed=99)
-    assert len(grid) == 8
+    assert len(grid.members) == 8
     assert len(set(grid.names)) == 8
     again = default_grid(4, 8, seed=99)
     assert again.names == grid.names
     other = default_grid(4, 8, seed=100)
     assert other.names != grid.names
     # the construction already enforces the bound; spot-check directly
-    x = np.linspace(0.0, grid.check_upper, 2001)
-    for f in grid:
+    x = np.linspace(0.0, 20.0, 2001)
+    for f in grid.members:
         for j in range(1, 6):
             assert np.max(np.abs(f.deriv(j, x))) <= 1.0 + 1e-9
 
@@ -218,5 +218,5 @@ def test_grid_csv_roundtrip(tmp_path):
     back = [builtin(f"{family}:{params}" if params else family) for family, params in rows]
     assert tuple(g.name for g in back) == grid.names
     x = np.linspace(0.0, 12.0, 50)
-    for f, g in zip(grid, back):
+    for f, g in zip(grid.members, back):
         assert np.array_equal(f(x), g(x))

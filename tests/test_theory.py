@@ -240,16 +240,6 @@ def test_ks_distance_is_the_two_sided_sup_gap():
         ks_distance([])
 
 
-def test_esd_mp_ks_with_a_given_cdf_needs_sorted_eigenvalues_of_its_shape():
-    lam = np.linspace(0.2, 2.5, 40)
-    cdf = mp_cdf(0.4, lam)
-    assert esd_mp_ks(lam, 0.4, cdf) == esd_mp_ks(lam, 0.4)
-    with pytest.raises(ValueError, match="sorted"):
-        esd_mp_ks(lam[::-1], 0.4, cdf[::-1])
-    with pytest.raises(ValueError, match="shape"):
-        esd_mp_ks(lam, 0.4, cdf[:-1])
-
-
 def test_ks_distance_takes_the_left_limit_at_an_atom():
     # two of four points tied at an atom of mass 1/2 (F(0-) = 0, F(0) = 1/2),
     # the others where F = 3/4 and 1: the empirical cdf matches F at 0, and
