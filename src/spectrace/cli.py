@@ -9,15 +9,18 @@ reproduces the outputs byte for byte.
 
 Options are validated by building what the command runs: the
 ``ExperimentConfig`` of an experiment, the plan (``check_plan``) of
-estimate and coeffs, the law of mp-compare, and the model and test
-function. Only the rules no library object knows stay here: estimate's
-data sources, mp-compare's sizes and the >= 1 floors of the keys.
+estimate and coeffs, the law of mp-compare, the model and test function,
+and the samples of estimate's --data file, which the run then uses without
+reading the file again. Only the rules no library object knows stay here:
+estimate's choice of one data source, mp-compare's sizes and the >= 1
+floors of the keys.
 Normality's replicate floor (``NORMALITY_MIN_REPS``) is checked when the
 run starts, after ``config.resolved`` is written, and exits 3.
 
 Exit codes: 0 on success, 2 for configuration errors (bad flags, missing
-keys, conflicting sources, a plan that cannot run at any n, such as a
-jackknife run over the compute budget), 3 for numerical failures (scheme
+keys, conflicting sources, a missing config or data file, a data file that
+does not parse, a plan that cannot run at any n, such as a jackknife run
+over the compute budget), 3 for numerical failures (scheme
 collisions, eigensolver non-convergence, a sample covariance that
 overflows, a test function that is not finite at the eigenvalues, a zero
 or overflowing limit scale).
@@ -48,6 +51,7 @@ from .functions import builtin, default_grid, grid_to_csv, tau_f
 from .linalg import (
     CovarianceModel,
     EigenSolverError,
+    SampleSet,
     Stream,
     derive_seed,
     format_cell,
@@ -139,7 +143,7 @@ class _Command:
 
     help: str
     keys: list[_Key]
-    run: Callable[[dict], int]
+    run: Callable[..., int]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -176,11 +180,11 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _resolve(command: str, args: argparse.Namespace) -> dict:
+def _resolve(command: str, args: argparse.Namespace) -> tuple[dict, dict]:
     keys = _COMMANDS[command].keys
     known = {k.name for k in keys}
     file_cfg: dict[str, str] = {}
-    if getattr(args, "config", None):
+    if getattr(args, "config", None) is not None:
         file_cfg = _parse_config_file(args.config)
         if "command" in file_cfg:
             if file_cfg["command"] != command:
@@ -211,11 +215,13 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         if value is None and key.required:
             raise ConfigError(f"{key.name} is required for {command}")
         resolved[key.name] = value
-    _validate(command, resolved)
-    return resolved
+    return resolved, _validate(command, resolved)
 
 
-def _validate(command: str, cfg: dict) -> None:
+def _validate(command: str, cfg: dict) -> dict:
+    """Raise ConfigError unless the command can run; return the keyword
+    arguments its handler takes beyond cfg (estimate's parsed ``samples``)."""
+    built: dict = {}
     if command == "estimate":
         if (cfg["model"] is None) == (cfg["data"] is None):
             raise ConfigError("exactly one of model or data must be given")
@@ -242,8 +248,11 @@ def _validate(command: str, cfg: dict) -> None:
             parse_model(cfg["model"])
         if cfg.get("f") is not None:
             builtin(cfg["f"])
+        if cfg.get("data") is not None:
+            built["samples"] = load_samples_csv(cfg["data"])
     except (ValueError, ComputeBudgetError) as exc:
         raise ConfigError(str(exc))
+    return built
 
 
 def _format_value(value) -> str:
@@ -283,12 +292,10 @@ def _result_line(**kv) -> None:
 # --- commands ---------------------------------------------------------------
 
 
-def _cmd_estimate(cfg: dict) -> int:
+def _cmd_estimate(cfg: dict, samples: SampleSet | None = None) -> int:
     f = builtin(cfg["f"])
     model = None
-    if cfg["data"] is not None:
-        samples = load_samples_csv(cfg["data"])
-    else:
+    if samples is None:
         model = parse_model(cfg["model"])
         samples = sample_gaussian(model, cfg["n"], cfg["seed"])
     mode = cfg["mode"]
@@ -484,14 +491,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _resolve(args.command, args)
+        cfg, built = _resolve(args.command, args)
         _write_resolved(args.command, cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     # scheme and LAPACK errors are ValueErrors, overflows ArithmeticErrors
     try:
-        return _COMMANDS[args.command].run(cfg)
+        return _COMMANDS[args.command].run(cfg, **built)
     except (EigenSolverError, ComputeBudgetError, ReplicateError, ValueError,
             ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,6 +3,8 @@
 A test function f vanishes at 0 and exposes derivatives up to a declared
 order, vectorized over numpy arrays. Trace functionals are sums of f over
 eigenvalues, so f(0) = 0 makes padding by zero eigenvalues harmless.
+A derivative bound is a grid maximum, exact where the sup sits at an
+endpoint, as for every derivative of identity, square, cube, log1p, rational.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ __all__ = [
     "grid_to_csv",
 ]
 
-_GRID_POINTS = 2001  # resolution for grid-based derivative bounds
+_GRID_POINTS = 2001  # resolution of derivative bounds
 _CHECK_UPPER = 20.0  # function-class grids bound derivatives on [0, _CHECK_UPPER]
 
 
@@ -42,10 +44,6 @@ class TestFunction:
     evaluate : callable
         ``evaluate(order, arr) -> arr`` for 0 <= order <= max_order,
         vectorized over a 1-d float array.
-    bound : callable, optional
-        ``bound(order, upper) -> float | None`` giving sup of
-        ``|f^(order)|`` over [0, upper]. ``None`` (returned or omitted)
-        falls back to a grid maximum.
     """
 
     def __init__(
@@ -53,14 +51,12 @@ class TestFunction:
         name: str,
         max_order: int,
         evaluate: Callable[[int, np.ndarray], np.ndarray],
-        bound: Callable[[int, float], float | None] | None = None,
     ) -> None:
         if max_order < 1:
             raise ValueError("max_order must be >= 1")
         self.name = str(name)
         self.max_order = int(max_order)
         self._evaluate = evaluate
-        self._bound = bound
         with np.errstate(all="ignore"):  # a NaN f(0) is refused below, not warned of
             at_zero = float(np.asarray(evaluate(0, np.zeros(1)))[0])
         if not abs(at_zero) <= 1e-12:  # NaN fails too
@@ -85,27 +81,15 @@ class TestFunction:
         return self.deriv(0, x)
 
     def derivative_bound(self, order: int, upper: float) -> float:
-        """sup of |f^(order)| over [0, upper] (analytic when known, else grid max)."""
-        if not 0 <= order <= self.max_order:
-            raise ValueError(
-                f"{self.name}: derivative order {order} outside [0, {self.max_order}]"
-            )
-        if upper < 0:
-            raise ValueError("upper must be >= 0")
-        if self._bound is not None:
-            val = self._bound(order, float(upper))
-            if val is not None:
-                return float(val)
-        return _grid_sup(self, order, max(upper, 1e-12))
+        """sup of |f^(order)| over [0, upper], as the max over
+        ``_GRID_POINTS`` equally spaced points, both ends included."""
+        if not 0 <= upper < np.inf:  # np.linspace to inf or nan gives nan points
+            raise ValueError(f"upper must be finite and >= 0, got {upper!r}")
+        return float(np.max(np.abs(self.deriv(order, np.linspace(0.0, upper, _GRID_POINTS)))))
 
     def lipschitz_fprime(self, upper: float) -> float:
         """Lipschitz constant of f' on [0, upper], i.e. sup |f''|."""
         return self.derivative_bound(2, upper)
-
-
-def _grid_sup(f: TestFunction, order: int, upper: float) -> float:
-    """max of |f^(order)| over ``_GRID_POINTS`` equally spaced points of [0, upper]."""
-    return float(np.max(np.abs(f.deriv(order, np.linspace(0.0, upper, _GRID_POINTS)))))
 
 
 def tau_f(f: TestFunction, eigenvalues) -> float:
@@ -150,10 +134,7 @@ def _identity() -> TestFunction:
             return np.ones_like(x)
         return np.zeros_like(x)
 
-    def bound(j: int, a: float) -> float:
-        return (a, 1.0)[j] if j <= 1 else 0.0
-
-    return TestFunction("identity", _MAX_ORDER, evaluate, bound)
+    return TestFunction("identity", _MAX_ORDER, evaluate)
 
 
 def _square() -> TestFunction:
@@ -166,10 +147,7 @@ def _square() -> TestFunction:
             return np.full_like(x, 2.0)
         return np.zeros_like(x)
 
-    def bound(j: int, a: float) -> float:
-        return (a * a, 2.0 * a, 2.0)[j] if j <= 2 else 0.0
-
-    return TestFunction("square", _MAX_ORDER, evaluate, bound)
+    return TestFunction("square", _MAX_ORDER, evaluate)
 
 
 def _cube() -> TestFunction:
@@ -184,10 +162,7 @@ def _cube() -> TestFunction:
             return np.full_like(x, 6.0)
         return np.zeros_like(x)
 
-    def bound(j: int, a: float) -> float:
-        return (a ** 3, 3.0 * a * a, 6.0 * a, 6.0)[j] if j <= 3 else 0.0
-
-    return TestFunction("cube", _MAX_ORDER, evaluate, bound)
+    return TestFunction("cube", _MAX_ORDER, evaluate)
 
 
 def _log1p() -> TestFunction:
@@ -197,12 +172,7 @@ def _log1p() -> TestFunction:
         sign = 1.0 if j % 2 == 1 else -1.0
         return sign * factorial(j - 1) / (1.0 + x) ** j
 
-    def bound(j: int, a: float) -> float:
-        if j == 0:
-            return float(np.log1p(a))
-        return float(factorial(j - 1))  # attained at x = 0
-
-    return TestFunction("log1p", _MAX_ORDER, evaluate, bound)
+    return TestFunction("log1p", _MAX_ORDER, evaluate)
 
 
 def _rational() -> TestFunction:
@@ -213,12 +183,7 @@ def _rational() -> TestFunction:
         sign = 1.0 if j % 2 == 1 else -1.0
         return sign * factorial(j) / (1.0 + x) ** (j + 1)
 
-    def bound(j: int, a: float) -> float:
-        if j == 0:
-            return a / (1.0 + a)
-        return float(factorial(j))  # attained at x = 0
-
-    return TestFunction("rational", _MAX_ORDER, evaluate, bound)
+    return TestFunction("rational", _MAX_ORDER, evaluate)
 
 
 def _scaled_sine(omega: float = 1.0, power: float = 1.0) -> TestFunction:
@@ -232,12 +197,7 @@ def _scaled_sine(omega: float = 1.0, power: float = 1.0) -> TestFunction:
     def evaluate(j: int, x: np.ndarray) -> np.ndarray:
         return omega ** (j - power) * np.sin(omega * x + j * pi / 2.0)
 
-    def bound(j: int, a: float) -> float | None:
-        if j == 0 and omega * a < pi / 2.0:
-            return None  # sup not at the global envelope; use the grid
-        return omega ** (j - power)
-
-    return TestFunction(name, _MAX_ORDER, evaluate, bound)
+    return TestFunction(name, _MAX_ORDER, evaluate)
 
 
 def _hermite_e(order: int, t: np.ndarray) -> np.ndarray:
@@ -270,7 +230,7 @@ def _bump(center: float = 2.0, width: float = 0.5, scale: float = 1.0) -> TestFu
         sign = -1.0 if j % 2 == 1 else 1.0
         return s * sign * w ** (-j) * _hermite_e(j, t) * core
 
-    return TestFunction(name, _MAX_ORDER, evaluate, None)
+    return TestFunction(name, _MAX_ORDER, evaluate)
 
 
 _FAMILIES: dict[str, Callable[..., TestFunction]] = {
@@ -339,7 +299,7 @@ class FunctionClassGrid:
                     f"{f.name}: needs derivatives up to {order + 1}, has {f.max_order}"
                 )
             for j in range(1, order + 2):
-                top = _grid_sup(f, j, _CHECK_UPPER)
+                top = f.derivative_bound(j, _CHECK_UPPER)
                 if top > 1.0 + 1e-9:
                     raise ValueError(
                         f"{f.name}: |f^({j})| reaches {top:.6g} > 1 on [0, {_CHECK_UPPER}]"
@@ -373,7 +333,7 @@ def default_grid(order: int, count: int, seed: int) -> FunctionClassGrid:
             center = float(rng.uniform(0.5, 3.5))
             width = float(rng.uniform(0.4, 1.2))
             raw = _bump(center, width)
-            worst = max(_grid_sup(raw, j, _CHECK_UPPER) for j in range(1, order + 2))
+            worst = max(raw.derivative_bound(j, _CHECK_UPPER) for j in range(1, order + 2))
             scale = 1.0 if worst <= 1.0 else 1.0 / worst
             members.append(_bump(center, width, scale))
     return FunctionClassGrid(order, members[:count])

@@ -333,7 +333,7 @@ def load_samples_csv(path) -> SampleSet:
     """
     path = Path(path)
     rows: list[list[float]] = []
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:  # drops a leading BOM
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
             if not row or all(cell.strip() == "" for cell in row):

@@ -582,6 +582,11 @@ def test_bad_mode_and_standardize_exit_2_before_any_output(tmp_path, capsys):
     base = ("--model", "identity:3", "--f", "log1p", "--seed", "1")
     named_f = ("--model", "identity:3", "--seed", "1", "--n", "50", "--f")
     no_model = ("--f", "log1p", "--seed", "1")
+    bad_data = {"empty": "", "header_only": "a,b\n", "non_numeric": "1,2\n3,x\n",
+                "ragged": "1,2\n3\n", "nan_cell": "1,2\nnan,4\n"}
+    for name, text in bad_data.items():
+        (tmp_path / f"{name}.csv").write_text(text)
+    data = ("estimate", *no_model, "--data")
     for argv, word in [
         (("normality", *base, "--n", "100", "--mode", "bogus"), "mode"),
         (("estimate", *base, "--n", "100", "--mode", "bogus", "-B", "4"), "mode"),
@@ -622,6 +627,13 @@ def test_bad_mode_and_standardize_exit_2_before_any_output(tmp_path, capsys):
          "data file not found"),
         (("estimate", *no_model, "--data", str(tmp_path)), "data file not found"),
         (("estimate", *no_model, "--data", ""), "data file not found"),
+        # data files that do not parse
+        ((*data, str(tmp_path / "empty.csv")), "no data rows"),
+        ((*data, str(tmp_path / "header_only.csv")), "no data rows"),
+        ((*data, str(tmp_path / "non_numeric.csv")), "non-numeric cell in ['3', 'x']"),
+        ((*data, str(tmp_path / "ragged.csv")), "row 2 has 1 cells, expected 2"),
+        ((*data, str(tmp_path / "nan_cell.csv")), "non-finite entries"),
+        (("coeffs", "--config", "", "--m", "3", "--n", "400"), "config file not found"),
         (("normality", *no_model, "--n", "100", "--model", ""), "model profile"),
         (("estimate", *no_model, "--n", "100", "--model", ""), "model profile"),
         (("estimate", *named_f, ""), "unknown test function"),

@@ -422,6 +422,11 @@ def test_csv_roundtrip_with_and_without_header(tmp_path):
     bare = tmp_path / "bare.csv"
     np.savetxt(bare, s.data, delimiter=",", fmt="%.17g")
     assert np.array_equal(load_samples_csv(bare).data, s.data)
+    # a UTF-8 byte-order mark is not part of the first cell
+    for plain in (with_header, bare):
+        bom = tmp_path / f"bom_{plain.name}"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert np.array_equal(load_samples_csv(bom).data, s.data)
 
 
 def test_csv_rejects_ragged_and_empty(tmp_path):
