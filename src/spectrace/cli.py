@@ -7,20 +7,23 @@ effective configuration is echoed to ``<out>/config.resolved`` in exactly
 the accepted format, so re-running with ``--config <out>/config.resolved``
 reproduces the outputs byte for byte.
 
-Options are validated by building what the command runs: the
-``ExperimentConfig`` of an experiment, the plan (``check_plan``) of
-estimate and coeffs, the law of mp-compare, the model and test function,
-and the samples of estimate's --data file, which the run then uses without
-reading the file again. Only the rules no library object knows stay here:
-estimate's choice of one data source, mp-compare's sizes and the >= 1
-floors of the keys.
+Options are validated by building, before ``config.resolved`` is written,
+what each handler runs, which gets it as keyword arguments: the
+``ExperimentConfig`` of rates, normality and supnorm, supnorm's function
+grid, and estimate's test function with its model or the samples of its
+--data file. The plan (``check_plan``) of estimate and coeffs, the law of
+mp-compare and an experiment's model and f, which its run builds from the
+config, are built only to check them. Only the rules no library object
+knows stay here: estimate's choice of one data source, mp-compare's sizes
+and the >= 1 floors of the keys.
 Normality's replicate floor (``NORMALITY_MIN_REPS``) is checked when the
 run starts, after ``config.resolved`` is written, and exits 3.
 
 Exit codes: 0 on success, 2 for configuration errors (bad flags, missing
 keys, conflicting sources, a missing config or data file, a data file that
 does not parse, a plan that cannot run at any n, such as a jackknife run
-over the compute budget), 3 for numerical failures (scheme
+over the compute budget, a supnorm m above 11, whose grid would need
+derivatives past order 12), 3 for numerical failures (scheme
 collisions, eigensolver non-convergence, a sample covariance that
 overflows, a test function that is not finite at the eigenvalues, a zero
 or overflowing limit scale).
@@ -47,7 +50,7 @@ from .estimators import (
     level_spectra,
     make_scheme,
 )
-from .functions import builtin, default_grid, grid_to_csv, tau_f
+from .functions import FunctionClassGrid, TestFunction, builtin, default_grid, grid_to_csv, tau_f
 from .linalg import (
     CovarianceModel,
     EigenSolverError,
@@ -219,8 +222,8 @@ def _resolve(command: str, args: argparse.Namespace) -> tuple[dict, dict]:
 
 
 def _validate(command: str, cfg: dict) -> dict:
-    """Raise ConfigError unless the command can run; return the keyword
-    arguments its handler takes beyond cfg (estimate's parsed ``samples``)."""
+    """Raise ConfigError unless the command can run; return what its handler
+    runs, as the keyword arguments it takes beyond cfg."""
     built: dict = {}
     if command == "estimate":
         if (cfg["model"] is None) == (cfg["data"] is None):
@@ -239,17 +242,21 @@ def _validate(command: str, cfg: dict) -> dict:
     # build what the command runs, so a bad value fails before any work
     try:
         if command in ("rates", "normality", "supnorm"):
-            _experiment_config(cfg)
+            built["config"] = _experiment_config(cfg)
         elif command == "mp-compare":
             mp_support(cfg["gamma"])
         else:
             check_plan(cfg.get("mode", "aggregate"), cfg["m"], cfg["q"], cfg.get("subsets"))
-        if cfg.get("model") is not None:
-            parse_model(cfg["model"])
-        if cfg.get("f") is not None:
-            builtin(cfg["f"])
-        if cfg.get("data") is not None:
-            built["samples"] = load_samples_csv(cfg["data"])
+        # an experiment's run builds its own model and f from its config
+        model = None if cfg.get("model") is None else parse_model(cfg["model"])
+        f = None if cfg.get("f") is None else builtin(cfg["f"])
+        if command == "estimate":
+            samples = None if cfg["data"] is None else load_samples_csv(cfg["data"])
+            built.update(f=f, model=model, samples=samples)
+        if command == "supnorm":
+            # the grid's tag keeps it off every subset seed (master, i, SUBSET)
+            grid_seed = derive_seed(cfg["seed"], 0, Stream.GRID)
+            built["grid"] = default_grid(cfg["m"], cfg["grid_size"], grid_seed)
     except (ValueError, ComputeBudgetError) as exc:
         raise ConfigError(str(exc))
     return built
@@ -264,9 +271,8 @@ def _format_value(value) -> str:
 def _resolved_text(command: str, cfg: dict) -> str:
     lines = [f"command={command}"]
     for key in sorted(cfg):
-        if cfg[key] is None:
-            continue
-        lines.append(f"{key}={_format_value(cfg[key])}")
+        if cfg[key] is not None:
+            lines.append(f"{key}={_format_value(cfg[key])}")
     return "\n".join(lines) + "\n"
 
 
@@ -276,12 +282,10 @@ def _output_tag(command: str, cfg: dict) -> str:
     return hashlib.sha256(_resolved_text(command, kept).encode()).hexdigest()[:12]
 
 
-def _write_resolved(command: str, cfg: dict) -> str:
-    text = _resolved_text(command, cfg)
+def _write_resolved(command: str, cfg: dict) -> None:
     outdir = Path(cfg.get("out") or ".")
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "config.resolved").write_text(text)
-    return text
+    (outdir / "config.resolved").write_text(_resolved_text(command, cfg))
 
 
 def _result_line(**kv) -> None:
@@ -292,34 +296,42 @@ def _result_line(**kv) -> None:
 # --- commands ---------------------------------------------------------------
 
 
-def _cmd_estimate(cfg: dict, samples: SampleSet | None = None) -> int:
-    f = builtin(cfg["f"])
-    model = None
+def _scheme_report(scheme) -> dict[str, str]:
+    """A scheme's sizes, weights and coeff_l1 as estimate and coeffs report them."""
+    return {
+        "sizes": ",".join(str(s) for s in scheme.sizes),
+        "coeffs": ",".join(repr(c) for c in scheme.coeffs.tolist()),
+        "coeff_l1": repr(scheme.coeff_l1()),
+    }
+
+
+def _cmd_estimate(cfg: dict, f: TestFunction, model: CovarianceModel | None,
+                  samples: SampleSet | None) -> int:
     if samples is None:
-        model = parse_model(cfg["model"])
         samples = sample_gaussian(model, cfg["n"], cfg["seed"])
     mode = cfg["mode"]
     scheme, subsets = level_plan(mode, samples.n, cfg["m"], cfg["q"], cfg["subsets"])
     levels = level_spectra(samples, scheme, subsets, cfg["seed"])
     estimate = combine_levels(f, levels)
     lam = full_spectrum(levels)
-    print(f"estimate: {estimate!r}")
-    print(f"f: {f.name}  mode: {mode}  n: {samples.n}  dim: {samples.dim}")
+    # every line is computed before the first is printed, so a failure prints none
+    lines = [f"estimate: {estimate!r}",
+             f"f: {f.name}  mode: {mode}  n: {samples.n}  dim: {samples.dim}"]
     if scheme.m > 1:
-        print(f"sizes: {','.join(str(s) for s in scheme.sizes)}")
-        print(f"coeffs: {','.join(repr(c) for c in scheme.coeffs.tolist())}")
-        print(f"coeff_l1: {scheme.coeff_l1()!r}")
+        lines += [f"{k}: {v}" for k, v in _scheme_report(scheme).items()]
     if lam[0] > 0:
-        print(f"sample effective rank: {effective_rank(CovarianceModel(lam)):.6g}")
+        lines.append(f"sample effective rank: {effective_rank(CovarianceModel(lam)):.6g}")
     if model is not None:
         truth = tau_f(f, model.eigenvalues)
-        budget = rate_budget(f, model, samples.n, scheme.m)
-        print(f"model value: {truth!r}  deviation: {estimate - truth!r}")
-        print(
-            f"rate budget: main {budget.main_term:.6g} "
-            f"+ linear {budget.linear_residual:.6g} "
-            f"+ bias {budget.bias_term:.6g} = {budget.total:.6g}"
-        )
+        lines.append(f"model value: {truth!r}  deviation: {estimate - truth!r}")
+        if model.eigenvalues[0] > 0:  # effective_rank needs a nonzero spectrum
+            budget = rate_budget(f, model, samples.n, scheme.m)
+            lines.append(
+                f"rate budget: main {budget.main_term:.6g} "
+                f"+ linear {budget.linear_residual:.6g} "
+                f"+ bias {budget.bias_term:.6g} = {budget.total:.6g}"
+            )
+    print("\n".join(lines))
     _result_line(
         command="estimate", estimate=float(estimate), f=f.name, mode=mode,
         n=samples.n, dim=samples.dim, seed=cfg["seed"],
@@ -329,18 +341,12 @@ def _cmd_estimate(cfg: dict, samples: SampleSet | None = None) -> int:
 
 def _cmd_coeffs(cfg: dict) -> int:
     scheme = make_scheme(cfg["m"], cfg["n"], cfg["q"])
-    print(f"sizes: {','.join(str(s) for s in scheme.sizes)}")
-    print(f"coeffs: {','.join(repr(c) for c in scheme.coeffs.tolist())}")
-    print(f"sum: {float(scheme.coeffs.sum())!r}")
-    print(f"coeff_l1: {scheme.coeff_l1()!r}")
+    report = _scheme_report(scheme)
+    sizes, coeffs, coeff_l1 = (f"{k}: {v}" for k, v in report.items())
+    print(sizes, coeffs, f"sum: {float(scheme.coeffs.sum())!r}", coeff_l1, sep="\n")
     for ell, (resid, top) in enumerate(scheme.cancellation(), start=1):
         print(f"cancellation l={ell}: {resid:.3e} (largest term {top:.3e})")
-    _result_line(
-        command="coeffs",
-        sizes=",".join(str(s) for s in scheme.sizes),
-        coeffs=",".join(repr(c) for c in scheme.coeffs.tolist()),
-        coeff_l1=scheme.coeff_l1(),
-    )
+    _result_line(command="coeffs", **report)
     return 0
 
 
@@ -351,8 +357,7 @@ def _experiment_config(cfg: dict) -> ExperimentConfig:
     return ExperimentConfig(**{k: v for k, v in kwargs.items() if k in _DEFAULT})
 
 
-def _cmd_rates(cfg: dict) -> int:
-    config = _experiment_config(cfg)
+def _cmd_rates(cfg: dict, config: ExperimentConfig) -> int:
     sweep = rate_sweep(config)
     outdir = Path(cfg["out"])
     for res in sweep.runs:
@@ -370,8 +375,7 @@ def _cmd_rates(cfg: dict) -> int:
     return 0
 
 
-def _cmd_normality(cfg: dict) -> int:
-    config = _experiment_config(cfg)
+def _cmd_normality(cfg: dict, config: ExperimentConfig) -> int:
     result = normality_check(config)
     outdir = Path(cfg["out"])
     write_result_csvs(result, outdir)
@@ -389,11 +393,7 @@ def _cmd_normality(cfg: dict) -> int:
     return 0
 
 
-def _cmd_supnorm(cfg: dict) -> int:
-    config = _experiment_config(cfg)
-    # the grid's tag keeps it off every subset seed (master, i, SUBSET)
-    grid_seed = derive_seed(cfg["seed"], 0, Stream.GRID)
-    grid = default_grid(cfg["m"], cfg["grid_size"], grid_seed)
+def _cmd_supnorm(cfg: dict, config: ExperimentConfig, grid: FunctionClassGrid) -> int:
     result = supnorm_experiment(grid, config)
     outdir = Path(cfg["out"])
     tag = _output_tag("supnorm", cfg)

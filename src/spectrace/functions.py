@@ -318,10 +318,16 @@ def default_grid(order: int, count: int, seed: int) -> FunctionClassGrid:
     Sines sin(omega x) are normalized by omega when omega <= 1 and by
     omega**(order+1) otherwise, which caps every derivative up to
     order+1 at 1. Bumps are rescaled by their worst grid-measured
-    derivative. Deterministic given (order, count, seed).
+    derivative. Deterministic given (order, count, seed). ``order`` is a
+    run's m, and its members need derivatives up to m + 1 <= 12.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if order + 1 > _MAX_ORDER:
+        raise ValueError(
+            f"m = {order} needs derivatives up to order {order + 1}, but the grid's "
+            f"families have them up to {_MAX_ORDER}; m must be <= {_MAX_ORDER - 1}"
+        )
     rng = rng_from(seed)
     members: list[TestFunction] = [_scaled_sine(1.0)]
     while len(members) < count:

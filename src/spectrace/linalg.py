@@ -329,22 +329,27 @@ def load_samples_csv(path) -> SampleSet:
     """Read observations from CSV, one row per observation.
 
     A first row that does not parse as numbers is treated as a header and
-    skipped. Ragged rows or non-numeric cells elsewhere are errors.
+    skipped. Text that is not UTF-8, and ragged rows, non-numeric cells or
+    non-finite values elsewhere, are errors that name the file.
     """
     path = Path(path)
     rows: list[list[float]] = []
-    with path.open(newline="", encoding="utf-8-sig") as fh:  # drops a leading BOM
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or all(cell.strip() == "" for cell in row):
-                continue
-            try:
-                values = [float(cell) for cell in row]
-            except ValueError:
-                if lineno == 1 and not rows:
-                    continue  # header
-                raise ValueError(f"{path}:{lineno}: non-numeric cell in {row!r}")
-            rows.append(values)
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:  # drops a leading BOM
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                if not row or all(cell.strip() == "" for cell in row):
+                    continue
+                try:
+                    values = [float(cell) for cell in row]
+                except ValueError:
+                    if lineno == 1 and not rows:
+                        continue  # header
+                    raise ValueError(f"{path}:{lineno}: non-numeric cell in {row!r}")
+                if not np.all(np.isfinite(values)):
+                    raise ValueError(f"{path}:{lineno}: non-finite entries in {row!r}")
+                rows.append(values)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from exc
     if not rows:
         raise ValueError(f"{path}: no data rows")
     width = len(rows[0])

@@ -497,6 +497,50 @@ def test_estimate_eigendecomposes_once_per_engine_spectrum(
         assert sum(spectra) == expect, mode
 
 
+def test_each_command_builds_its_inputs_once(tmp_path, capsys, monkeypatch):
+    calls = {}
+
+    def counted(name, real):
+        def build(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+        return build
+
+    for name in ("_experiment_config", "builtin", "parse_model", "default_grid"):
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    data = tmp_path / "data.csv"
+    data.write_text("1,2\n3,4\n5,7\n2,1\n")
+    model = ("--model", "identity:3", "--seed", "1")
+    experiment = {"_experiment_config": 1, "parse_model": 1, "builtin": 1}
+    for argv, built in [
+        (("estimate", *model, "--f", "log1p", "--n", "40"), {"parse_model": 1, "builtin": 1}),
+        (("estimate", "--data", str(data), "--f", "log1p", "--seed", "1"), {"builtin": 1}),
+        (("coeffs", "--m", "2", "--n", "100"), {}),
+        (("rates", *model, "--f", "square", "--n-list", "20,40,80", "--reps", "3"),
+         experiment),
+        (("normality", *model, "--f", "log1p", "--n", "40", "--reps", "200"), experiment),
+        (("supnorm", *model, "--n", "40", "--reps", "2", "--grid-size", "2"),
+         {"_experiment_config": 1, "parse_model": 1, "default_grid": 1}),
+        (("mp-compare", "--gamma", "1", "--d", "50", "--n", "50", "--seed", "1"), {}),
+    ]:
+        calls.clear()
+        code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / argv[0]))
+        assert code == 0, err
+        assert calls == built, argv
+
+
+def test_estimate_on_an_all_zero_model_reports_without_a_rate_budget(tmp_path, capsys):
+    # the model's effective rank, which the rate budget needs, is undefined at 0
+    code, out, err = run_cli(
+        capsys, "estimate", "--model", "custom:0,0", "--f", "log1p", "--n", "5",
+        "--seed", "1", "--out", str(tmp_path),
+    )
+    assert code == 0 and err == ""
+    assert result_line(out)["estimate"] == "0.0"
+    assert "model value: 0.0" in out
+    assert "rate budget" not in out and "effective rank" not in out
+
+
 def test_supnorm_grid_seed_is_not_a_replicate_or_subset_seed(
     tmp_path, capsys, monkeypatch
 ):
@@ -583,9 +627,10 @@ def test_bad_mode_and_standardize_exit_2_before_any_output(tmp_path, capsys):
     named_f = ("--model", "identity:3", "--seed", "1", "--n", "50", "--f")
     no_model = ("--f", "log1p", "--seed", "1")
     bad_data = {"empty": "", "header_only": "a,b\n", "non_numeric": "1,2\n3,x\n",
-                "ragged": "1,2\n3\n", "nan_cell": "1,2\nnan,4\n"}
+                "ragged": "1,2\n3\n", "nan_cell": "1,2\nnan,4\n", "e400": "1,2\n1e400,4\n"}
     for name, text in bad_data.items():
         (tmp_path / f"{name}.csv").write_text(text)
+    (tmp_path / "latin1.csv").write_bytes("1,2\n3,caf\xe9\n".encode("latin-1"))
     data = ("estimate", *no_model, "--data")
     for argv, word in [
         (("normality", *base, "--n", "100", "--mode", "bogus"), "mode"),
@@ -633,6 +678,11 @@ def test_bad_mode_and_standardize_exit_2_before_any_output(tmp_path, capsys):
         ((*data, str(tmp_path / "non_numeric.csv")), "non-numeric cell in ['3', 'x']"),
         ((*data, str(tmp_path / "ragged.csv")), "row 2 has 1 cells, expected 2"),
         ((*data, str(tmp_path / "nan_cell.csv")), "non-finite entries"),
+        ((*data, str(tmp_path / "e400.csv")), "e400.csv:2: non-finite entries in ['1e400'"),
+        ((*data, str(tmp_path / "latin1.csv")), "latin1.csv: not UTF-8 text"),
+        # the grid's members would need derivatives past the families' order 12
+        (("supnorm", "--model", "identity:3", "--m", "12", "--n", "40000", "--reps", "2",
+          "--seed", "1"), "m must be <= 11"),
         (("coeffs", "--config", "", "--m", "3", "--n", "400"), "config file not found"),
         (("normality", *no_model, "--n", "100", "--model", ""), "model profile"),
         (("estimate", *no_model, "--n", "100", "--model", ""), "model profile"),

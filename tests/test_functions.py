@@ -183,6 +183,13 @@ def test_default_grid_distinct_deterministic_and_bounded():
             assert np.max(np.abs(f.deriv(j, x))) <= 1.0 + 1e-9
 
 
+def test_default_grid_refuses_an_order_past_the_families_derivatives():
+    # members need derivatives up to order + 1, and the families stop at 12
+    assert default_grid(11, 3, seed=5).order == 11
+    with pytest.raises(ValueError, match=r"m = 12 needs derivatives up to order 13.*<= 11"):
+        default_grid(12, 3, seed=5)
+
+
 @pytest.mark.parametrize("name", ALL_BUILTINS)
 def test_grid_derivative_bound_is_the_max_over_2001_points(name):
     f = builtin(name)
