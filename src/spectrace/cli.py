@@ -5,26 +5,27 @@ Options resolve in three layers: built-in defaults, then a flat
 ``key=value`` config file given with --config, then explicit flags. The
 effective configuration is echoed to ``<out>/config.resolved`` in exactly
 the accepted format, so re-running with ``--config <out>/config.resolved``
-reproduces the outputs byte for byte.
+reproduces the outputs byte for byte at the same BLAS thread count
+(``OPENBLAS_NUM_THREADS``); another can move them at round-off level.
 
 Options are validated by building, before ``config.resolved`` is written,
 what each handler runs, which gets it as keyword arguments: the
 ``ExperimentConfig`` of rates, normality and supnorm, supnorm's function
-grid, and estimate's test function with its model or the samples of its
---data file. The plan (``check_plan``) of estimate and coeffs, the law of
-mp-compare and an experiment's model and f, which its run builds from the
-config, are built only to check them. Only the rules no library object
-knows stay here: estimate's choice of one data source, mp-compare's sizes
-and the >= 1 floors of the keys.
+grid, coeffs' scheme, and estimate's test function, its model or the
+samples of its --data file, and its plan (``level_plan``) at their n. An
+experiment's model and f, which its run builds from the config, are built
+only to check them. Only the rules no library object knows stay here:
+estimate's choice of one data source, mp-compare's sizes (its law's ratio
+is d/n) and the >= 1 floors of the keys.
 Normality's replicate floor (``NORMALITY_MIN_REPS``) is checked when the
 run starts, after ``config.resolved`` is written, and exits 3.
 
 Exit codes: 0 on success, 2 for configuration errors (bad flags, missing
 keys, conflicting sources, a missing config or data file, a data file that
-does not parse, a plan that cannot run at any n, such as a jackknife run
-over the compute budget, a supnorm m above 11, whose grid would need
-derivatives past order 12), 3 for numerical failures (scheme
-collisions, eigensolver non-convergence, a sample covariance that
+does not parse, a plan that cannot run at its n, such as a jackknife run
+over the compute budget or an n too small for m and q, a supnorm m above
+11, whose grid would need derivatives past order 12), 3 for numerical
+failures (eigensolver non-convergence, a sample covariance that
 overflows, a test function that is not finite at the eigenvalues, a zero
 or overflowing limit scale).
 """
@@ -42,8 +43,8 @@ import numpy as np
 
 from .estimators import (
     MODES,
+    AggregationScheme,
     ComputeBudgetError,
-    check_plan,
     combine_levels,
     full_spectrum,
     level_plan,
@@ -77,7 +78,7 @@ from .montecarlo import (
     write_qq_csv,
     write_result_csvs,
 )
-from .theory import effective_rank, esd_mp_ks, mp_cdf, mp_support, rate_budget
+from .theory import effective_rank, esd_mp_ks, mp_cdf, rate_budget
 
 __all__ = ["ConfigError", "main", "entrypoint"]
 
@@ -241,22 +242,25 @@ def _validate(command: str, cfg: dict) -> dict:
             raise ConfigError(f"{name} must be >= 1")
     # build what the command runs, so a bad value fails before any work
     try:
+        if command == "supnorm":  # first: past m = 11 its error names the cause
+            # the grid's tag keeps it off every subset seed (master, i, SUBSET)
+            grid_seed = derive_seed(cfg["seed"], 0, Stream.GRID)
+            built["grid"] = default_grid(cfg["m"], cfg["grid_size"], grid_seed)
         if command in ("rates", "normality", "supnorm"):
             built["config"] = _experiment_config(cfg)
-        elif command == "mp-compare":
-            mp_support(cfg["gamma"])
-        else:
-            check_plan(cfg.get("mode", "aggregate"), cfg["m"], cfg["q"], cfg.get("subsets"))
+        elif command == "coeffs":
+            built["scheme"] = make_scheme(cfg["m"], cfg["n"], cfg["q"])
+        elif command == "estimate":
+            samples = None if cfg["data"] is None else load_samples_csv(cfg["data"])
+            n = cfg["n"] if samples is None else samples.n
+            built["samples"] = samples
+            built["scheme"], built["subsets"] = level_plan(
+                cfg["mode"], n, cfg["m"], cfg["q"], cfg["subsets"])
         # an experiment's run builds its own model and f from its config
         model = None if cfg.get("model") is None else parse_model(cfg["model"])
         f = None if cfg.get("f") is None else builtin(cfg["f"])
         if command == "estimate":
-            samples = None if cfg["data"] is None else load_samples_csv(cfg["data"])
-            built.update(f=f, model=model, samples=samples)
-        if command == "supnorm":
-            # the grid's tag keeps it off every subset seed (master, i, SUBSET)
-            grid_seed = derive_seed(cfg["seed"], 0, Stream.GRID)
-            built["grid"] = default_grid(cfg["m"], cfg["grid_size"], grid_seed)
+            built.update(f=f, model=model)
     except (ValueError, ComputeBudgetError) as exc:
         raise ConfigError(str(exc))
     return built
@@ -306,11 +310,11 @@ def _scheme_report(scheme) -> dict[str, str]:
 
 
 def _cmd_estimate(cfg: dict, f: TestFunction, model: CovarianceModel | None,
-                  samples: SampleSet | None) -> int:
+                  samples: SampleSet | None, scheme: AggregationScheme,
+                  subsets: int | None) -> int:
     if samples is None:
         samples = sample_gaussian(model, cfg["n"], cfg["seed"])
     mode = cfg["mode"]
-    scheme, subsets = level_plan(mode, samples.n, cfg["m"], cfg["q"], cfg["subsets"])
     levels = level_spectra(samples, scheme, subsets, cfg["seed"])
     estimate = combine_levels(f, levels)
     lam = full_spectrum(levels)
@@ -339,8 +343,7 @@ def _cmd_estimate(cfg: dict, f: TestFunction, model: CovarianceModel | None,
     return 0
 
 
-def _cmd_coeffs(cfg: dict) -> int:
-    scheme = make_scheme(cfg["m"], cfg["n"], cfg["q"])
+def _cmd_coeffs(cfg: dict, scheme: AggregationScheme) -> int:
     report = _scheme_report(scheme)
     sizes, coeffs, coeff_l1 = (f"{k}: {v}" for k, v in report.items())
     print(sizes, coeffs, f"sum: {float(scheme.coeffs.sum())!r}", coeff_l1, sep="\n")
@@ -417,14 +420,8 @@ def _cmd_supnorm(cfg: dict, config: ExperimentConfig, grid: FunctionClassGrid) -
 
 
 def _cmd_mp_compare(cfg: dict) -> int:
-    gamma, d, n = cfg["gamma"], cfg["d"], cfg["n"]
-    ratio = d / n
-    if abs(gamma - ratio) > 0.1 * gamma:
-        print(
-            f"warning: gamma={gamma:g} but d/n={ratio:g}; "
-            "the bulk law matches the sampled ratio, not the flag",
-            file=sys.stderr,
-        )
+    d, n = cfg["d"], cfg["n"]
+    gamma = d / n
     samples = sample_gaussian(CovarianceModel.identity(d), n, cfg["seed"])
     # the law's atom at 0 needs the d - n null eigenvalues gram_spectra leaves out
     nulls = np.zeros(max(d - n, 0))
@@ -477,8 +474,7 @@ _COMMANDS: dict[str, _Command] = {
     ),
     "mp-compare": _Command(
         "empirical spectral law vs the limiting bulk law",
-        [_Key("gamma", float, required=True, help="dimension-to-sample ratio of the law"),
-         _Key("d", int, required=True, help="dimension"), _N, *_COMMON],
+        [_Key("d", int, required=True, help="dimension"), _N, *_COMMON],
         _cmd_mp_compare,
     ),
 }

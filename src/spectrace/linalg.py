@@ -336,7 +336,9 @@ def load_samples_csv(path) -> SampleSet:
     rows: list[list[float]] = []
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:  # drops a leading BOM
-            for lineno, row in enumerate(csv.reader(fh), start=1):
+            reader = csv.reader(fh)
+            for row in reader:
+                lineno = reader.line_num  # the physical line the row ends on
                 if not row or all(cell.strip() == "" for cell in row):
                     continue
                 try:
@@ -345,6 +347,11 @@ def load_samples_csv(path) -> SampleSet:
                     if lineno == 1 and not rows:
                         continue  # header
                     raise ValueError(f"{path}:{lineno}: non-numeric cell in {row!r}")
+                if rows and len(values) != len(rows[0]):
+                    raise ValueError(
+                        f"{path}:{lineno}: {len(values)} cells in {row!r}, "
+                        f"expected {len(rows[0])}"
+                    )
                 if not np.all(np.isfinite(values)):
                     raise ValueError(f"{path}:{lineno}: non-finite entries in {row!r}")
                 rows.append(values)
@@ -352,12 +359,6 @@ def load_samples_csv(path) -> SampleSet:
         raise ValueError(f"{path}: not UTF-8 text ({exc})") from exc
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    width = len(rows[0])
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ValueError(
-                f"{path}: row {i + 1} has {len(row)} cells, expected {width}"
-            )
     return SampleSet(np.asarray(rows, dtype=float))
 
 

@@ -25,7 +25,6 @@ from typing import Callable
 import numpy as np
 
 from .estimators import (
-    check_plan,
     combine_levels,
     full_spectrum,
     level_plan,
@@ -101,10 +100,10 @@ class ExperimentConfig:
     """Everything that determines an experiment's outputs.
 
     ``workers`` is a scheduling hint and is excluded from the config hash;
-    all other fields are statistical. A config whose plan cannot run at
-    any n (``check_plan``), or whose ``n_list`` is no rate-sweep design
-    (fewer than three distinct sizes >= 1, or a span under a factor of
-    four), raises at construction.
+    all other fields are statistical. A config whose ``n_list`` is no
+    rate-sweep design (fewer than three distinct sizes >= 1, or a span
+    under a factor of four), or whose plan (``level_plan``) cannot run at
+    its n or at each size of its ``n_list``, raises at construction.
     """
 
     model: str
@@ -121,7 +120,6 @@ class ExperimentConfig:
     standardize: str = "oracle"
 
     def __post_init__(self) -> None:
-        check_plan(self.mode, self.m, self.q, self.subsets)
         if self.standardize not in STANDARDIZE:
             raise ValueError(
                 f"standardize must be one of {STANDARDIZE}, got {self.standardize!r}"
@@ -149,6 +147,9 @@ class ExperimentConfig:
                 raise ValueError(
                     f"n values must span at least a factor of 4, got {ns[0]}..{ns[-1]}"
                 )
+        for n in (self.n, *(self.n_list or ())):
+            if n is not None:
+                level_plan(self.mode, n, self.m, self.q, self.subsets)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 import csv
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,14 +77,18 @@ def test_estimate_from_data_csv(tmp_path, capsys):
     assert float(result_line(out)["estimate"]) == plugin_estimate(builtin("log1p"), loaded)
 
 
-def test_estimate_scheme_collision_exits_3(tmp_path, capsys):
-    code, _, err = run_cli(
-        capsys, "estimate", "--model", "identity:4", "--f", "log1p",
-        "--mode", "aggregate", "--m", "2", "--n", "3", "--q", "2",
-        "--seed", "1", "--out", str(tmp_path),
-    )
-    assert code == 3
-    assert "increase n or decrease q" in err
+def test_estimate_scheme_collision_exits_2_before_any_output(tmp_path, capsys):
+    # the gate builds the scheme at the run's n, so neither error reaches the run
+    for n, q, word in (("3", "2", "too small"), ("5", "1.1", "collide")):
+        out = tmp_path / n
+        code, stdout, err = run_cli(
+            capsys, "estimate", "--model", "identity:4", "--f", "log1p",
+            "--mode", "aggregate", "--m", "3", "--n", n, "--q", q,
+            "--seed", "1", "--out", str(out),
+        )
+        assert code == 2
+        assert word in err and "increase n or decrease q" in err
+        assert stdout == "" and not out.exists()
 
 
 @pytest.mark.parametrize("mode", ["plugin", "jackknife"])
@@ -298,9 +304,9 @@ def test_config_file_rejects_unknown_key_and_wrong_command(tmp_path, capsys):
     assert code == 2 and "coeffs" in err
 
 
-def test_mp_compare_close_and_warning(tmp_path, capsys):
+def test_mp_compare_is_close_to_the_law(tmp_path, capsys):
     code, out, err = run_cli(
-        capsys, "mp-compare", "--gamma", "0.5", "--d", "100", "--n", "200",
+        capsys, "mp-compare", "--d", "100", "--n", "200",
         "--seed", "12", "--out", str(tmp_path),
     )
     assert code == 0
@@ -314,13 +320,32 @@ def test_mp_compare_close_and_warning(tmp_path, capsys):
     table = np.array([[float(v) for v in row.split(",")] for row in rows])
     assert ks == theory.esd_mp_ks(table[:, 0], 0.5)
     assert np.array_equal(table[:, 2], theory.mp_cdf(0.5, table[:, 0]))
-    # mismatched gamma draws a warning but still exits 0
-    code, _, err = run_cli(
-        capsys, "mp-compare", "--gamma", "0.8", "--d", "100", "--n", "200",
-        "--seed", "12", "--out", str(tmp_path),
+
+
+def test_mp_compare_takes_its_ratio_from_d_over_n(tmp_path, capsys):
+    # 70/150 is not dyadic: the law's ratio is the double d / n, not a rounded flag
+    code, out, _ = run_cli(
+        capsys, "mp-compare", "--d", "70", "--n", "150", "--seed", "3",
+        "--out", str(tmp_path),
     )
     assert code == 0
-    assert "warning" in err and "0.5" in err
+    assert result_line(out)["gamma"] == repr(70 / 150)
+    csv_path = next(tmp_path.glob("mp_compare_*.csv"))
+    table = np.array([[float(v) for v in row.split(",")]
+                      for row in csv_path.read_text().splitlines()[1:]])
+    assert np.array_equal(table[:, 2], theory.mp_cdf(70 / 150, table[:, 0]))
+    assert "gamma" not in (tmp_path / "config.resolved").read_text()
+
+
+def test_mp_compare_refuses_a_gamma_flag_or_key(tmp_path, capsys):
+    cfgfile = tmp_path / "old.cfg"
+    cfgfile.write_text("command=mp-compare\ngamma=0.5\nd=100\nn=200\nseed=1\n")
+    out = tmp_path / "out"
+    for argv in (("--gamma", "0.5", "--d", "100", "--n", "200", "--seed", "1"),
+                 ("--config", str(cfgfile))):
+        code, stdout, err = run_cli(capsys, "mp-compare", *argv, "--out", str(out))
+        assert code == 2 and "gamma" in err
+        assert stdout == "" and not out.exists()
 
 
 def test_mp_compare_above_gamma_one_reads_the_padded_dual_spectrum(tmp_path, capsys):
@@ -328,7 +353,7 @@ def test_mp_compare_above_gamma_one_reads_the_padded_dual_spectrum(tmp_path, cap
     # after the d - n null ones that mp-compare adds as exact zeros, the
     # law's atom at 0
     code, _, _ = run_cli(
-        capsys, "mp-compare", "--gamma", "2", "--d", "120", "--n", "60",
+        capsys, "mp-compare", "--d", "120", "--n", "60",
         "--seed", "13", "--out", str(tmp_path),
     )
     assert code == 0
@@ -347,7 +372,7 @@ def test_mp_compare_above_gamma_one_reports_the_bulk_gap(tmp_path, capsys, gamma
     # not the 1 - 1/gamma (0.5, 0.75) read with F(0-) taken as F(0)
     d, n = 100 * gamma, 100
     code, out, _ = run_cli(
-        capsys, "mp-compare", "--gamma", str(gamma), "--d", str(d), "--n", str(n),
+        capsys, "mp-compare", "--d", str(d), "--n", str(n),
         "--seed", "4", "--out", str(tmp_path),
     )
     assert code == 0
@@ -362,7 +387,7 @@ def test_mp_compare_above_gamma_one_reports_the_bulk_gap(tmp_path, capsys, gamma
 
 def test_mp_compare_scale_preconditions(tmp_path, capsys):
     code, _, err = run_cli(
-        capsys, "mp-compare", "--gamma", "0.5", "--d", "10", "--n", "200",
+        capsys, "mp-compare", "--d", "10", "--n", "200",
         "--seed", "1", "--out", str(tmp_path),
     )
     assert code == 2
@@ -446,7 +471,7 @@ def test_every_table_is_crlf_csv_with_a_header_and_numbers_that_parse(tmp_path, 
         ("supnorm", "--m", "2", "--n", "40", "--reps", "5", "--grid-size", "3"),
     ):
         assert run_cli(capsys, *argv, *common)[0] == 0
-    assert run_cli(capsys, "mp-compare", "--gamma", "0.5", "--d", "50", "--n", "100",
+    assert run_cli(capsys, "mp-compare", "--d", "50", "--n", "100",
                    "--seed", "5", "--out", str(tmp_path))[0] == 0
     paths = sorted(tmp_path.glob("*.csv"))
     # replicates, summary and qq of normality, two per rates level, one rates
@@ -506,22 +531,25 @@ def test_each_command_builds_its_inputs_once(tmp_path, capsys, monkeypatch):
             return real(*args, **kwargs)
         return build
 
-    for name in ("_experiment_config", "builtin", "parse_model", "default_grid"):
+    for name in ("_experiment_config", "builtin", "parse_model", "default_grid",
+                 "level_plan", "make_scheme"):
         monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
     data = tmp_path / "data.csv"
     data.write_text("1,2\n3,4\n5,7\n2,1\n")
     model = ("--model", "identity:3", "--seed", "1")
     experiment = {"_experiment_config": 1, "parse_model": 1, "builtin": 1}
     for argv, built in [
-        (("estimate", *model, "--f", "log1p", "--n", "40"), {"parse_model": 1, "builtin": 1}),
-        (("estimate", "--data", str(data), "--f", "log1p", "--seed", "1"), {"builtin": 1}),
-        (("coeffs", "--m", "2", "--n", "100"), {}),
+        (("estimate", *model, "--f", "log1p", "--n", "40"),
+         {"parse_model": 1, "builtin": 1, "level_plan": 1}),
+        (("estimate", "--data", str(data), "--f", "log1p", "--seed", "1"),
+         {"builtin": 1, "level_plan": 1}),
+        (("coeffs", "--m", "2", "--n", "100"), {"make_scheme": 1}),
         (("rates", *model, "--f", "square", "--n-list", "20,40,80", "--reps", "3"),
          experiment),
         (("normality", *model, "--f", "log1p", "--n", "40", "--reps", "200"), experiment),
         (("supnorm", *model, "--n", "40", "--reps", "2", "--grid-size", "2"),
          {"_experiment_config": 1, "parse_model": 1, "default_grid": 1}),
-        (("mp-compare", "--gamma", "1", "--d", "50", "--n", "50", "--seed", "1"), {}),
+        (("mp-compare", "--d", "50", "--n", "50", "--seed", "1"), {}),
     ]:
         calls.clear()
         code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / argv[0]))
@@ -627,7 +655,8 @@ def test_bad_mode_and_standardize_exit_2_before_any_output(tmp_path, capsys):
     named_f = ("--model", "identity:3", "--seed", "1", "--n", "50", "--f")
     no_model = ("--f", "log1p", "--seed", "1")
     bad_data = {"empty": "", "header_only": "a,b\n", "non_numeric": "1,2\n3,x\n",
-                "ragged": "1,2\n3\n", "nan_cell": "1,2\nnan,4\n", "e400": "1,2\n1e400,4\n"}
+                "ragged": "1,2\n3\n", "ragged_header": "a,b\n1,2\n3\n",
+                "nan_cell": "1,2\nnan,4\n", "e400": "1,2\n1e400,4\n"}
     for name, text in bad_data.items():
         (tmp_path / f"{name}.csv").write_text(text)
     (tmp_path / "latin1.csv").write_bytes("1,2\n3,caf\xe9\n".encode("latin-1"))
@@ -642,10 +671,14 @@ def test_bad_mode_and_standardize_exit_2_before_any_output(tmp_path, capsys):
         (("coeffs", "--m", "1", "--n", "100"), "m must be >= 2"),
         (("normality", *base, "--n", "100", "--mode", "aggregate", "--m", "1"),
          "m must be >= 2"),
-        (("mp-compare", "--gamma", "nan", "--d", "60", "--n", "60", "--seed", "1"),
-         "gamma"),
-        (("mp-compare", "--gamma", "inf", "--d", "60", "--n", "60", "--seed", "1"),
-         "gamma"),
+        # plans that cannot run at their n: m = 3, q = 2 needs n >= 8
+        (("coeffs", "--m", "3", "--n", "5"), "n=5 is too small"),
+        (("estimate", *base, "--n", "5", "--mode", "aggregate", "--m", "3"),
+         "n=5 is too small"),
+        (("normality", *base, "--n", "5", "--mode", "aggregate", "--m", "3",
+          "--reps", "200"), "n=5 is too small"),
+        (("rates", *base, "--n-list", "5,10,40", "--mode", "aggregate", "--m", "3",
+          "--reps", "5"), "n=5 is too small"),
         # 1 + subsets * (m - 1) > 10,000 is known before any replicate runs
         (("normality", *base, "--n", "100", "--mode", "jackknife", "-B", "20000"),
          "budget is 10000"),
@@ -676,7 +709,8 @@ def test_bad_mode_and_standardize_exit_2_before_any_output(tmp_path, capsys):
         ((*data, str(tmp_path / "empty.csv")), "no data rows"),
         ((*data, str(tmp_path / "header_only.csv")), "no data rows"),
         ((*data, str(tmp_path / "non_numeric.csv")), "non-numeric cell in ['3', 'x']"),
-        ((*data, str(tmp_path / "ragged.csv")), "row 2 has 1 cells, expected 2"),
+        ((*data, str(tmp_path / "ragged.csv")), "ragged.csv:2: 1 cells in ['3'], expected 2"),
+        ((*data, str(tmp_path / "ragged_header.csv")), "ragged_header.csv:3: 1 cells"),
         ((*data, str(tmp_path / "nan_cell.csv")), "non-finite entries"),
         ((*data, str(tmp_path / "e400.csv")), "e400.csv:2: non-finite entries in ['1e400'"),
         ((*data, str(tmp_path / "latin1.csv")), "latin1.csv: not UTF-8 text"),
@@ -693,3 +727,40 @@ def test_bad_mode_and_standardize_exit_2_before_any_output(tmp_path, capsys):
         assert code == 2 and word in err
         assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of every ``spectrace`` command in README's ``sh`` blocks,
+    backslash continuations joined and leading ``VAR=value`` words dropped."""
+    commands, in_sh = [], False
+    for line in README.read_text().replace("\\\n", " ").splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+            continue
+        words = shlex.split(line, comments=True) if in_sh else []
+        while words and "=" in words[0]:
+            words.pop(0)
+        if words[:1] == ["spectrace"]:
+            commands.append(words[1:])
+    return commands
+
+
+def test_readme_commands_resolve_through_the_gate(tmp_path, monkeypatch):
+    # resolved only, never run; each writes its config.resolved, which a
+    # later re-run example reads
+    monkeypatch.chdir(tmp_path)
+    np.savetxt("observations.csv", np.arange(12.0).reshape(4, 3) ** 2, delimiter=",")
+    commands = readme_commands()
+    assert "mp-compare" in {argv[0] for argv in commands}
+    assert any("--config" in argv for argv in commands)
+    parser = cli._build_parser()
+    for argv in commands:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: spectrace {shlex.join(argv)}")
+        cfg, _ = cli._resolve(args.command, args)
+        cli._write_resolved(args.command, cfg)

@@ -365,6 +365,9 @@ def test_supnorm_errors_are_each_members_scalar_run_errors():
 def test_every_experiment_resolves_its_plan_once(monkeypatch):
     # one replicate map serves run and supnorm alike, and each resolves
     # the mode's plan once, not once per replicate or per family member
+    # (construction checks the plan too, so the count starts after it)
+    cfg = ExperimentConfig(model="identity:4", f="log1p", seed=3, mode="jackknife",
+                           n=40, m=2, subsets=3, replications=5)
     calls = []
     real = montecarlo.level_plan
 
@@ -373,8 +376,6 @@ def test_every_experiment_resolves_its_plan_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(montecarlo, "level_plan", counted)
-    cfg = ExperimentConfig(model="identity:4", f="log1p", seed=3, mode="jackknife",
-                           n=40, m=2, subsets=3, replications=5)
     run(cfg)
     supnorm_experiment(default_grid(2, 2, seed=3), cfg)
     assert calls == [("jackknife", 40, 2, 2.0, 3)] * 2
