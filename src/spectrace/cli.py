@@ -10,11 +10,11 @@ reproduces the outputs byte for byte at the same BLAS thread count
 
 Options are validated by building, before ``config.resolved`` is written,
 what each handler runs, which gets it as keyword arguments: the
-``ExperimentConfig`` of rates, normality and supnorm, supnorm's function
-grid, coeffs' scheme, and estimate's test function, its model or the
-samples of its --data file, and its plan (``level_plan``) at their n. An
-experiment's model and f, which its run builds from the config, are built
-only to check them. Only the rules no library object knows stay here:
+``ExperimentConfig`` of rates, normality and supnorm (which builds and
+keeps its model, f and plan), supnorm's function grid, coeffs' scheme,
+and estimate's test function, its model or the samples of its --data
+file, and its scheme (``level_plan``) at their n. Nothing is built twice.
+Only the rules no library object knows stay here:
 estimate's choice of one data source, mp-compare's sizes (its law's ratio
 is d/n) and the >= 1 floors of the keys.
 Normality's replicate floor (``NORMALITY_MIN_REPS``) is checked when the
@@ -254,13 +254,9 @@ def _validate(command: str, cfg: dict) -> dict:
             samples = None if cfg["data"] is None else load_samples_csv(cfg["data"])
             n = cfg["n"] if samples is None else samples.n
             built["samples"] = samples
-            built["scheme"], built["subsets"] = level_plan(
-                cfg["mode"], n, cfg["m"], cfg["q"], cfg["subsets"])
-        # an experiment's run builds its own model and f from its config
-        model = None if cfg.get("model") is None else parse_model(cfg["model"])
-        f = None if cfg.get("f") is None else builtin(cfg["f"])
-        if command == "estimate":
-            built.update(f=f, model=model)
+            built["scheme"] = level_plan(cfg["mode"], n, cfg["m"], cfg["q"], cfg["subsets"])
+            built["model"] = None if cfg["model"] is None else parse_model(cfg["model"])
+            built["f"] = builtin(cfg["f"])
     except (ValueError, ComputeBudgetError) as exc:
         raise ConfigError(str(exc))
     return built
@@ -310,12 +306,11 @@ def _scheme_report(scheme) -> dict[str, str]:
 
 
 def _cmd_estimate(cfg: dict, f: TestFunction, model: CovarianceModel | None,
-                  samples: SampleSet | None, scheme: AggregationScheme,
-                  subsets: int | None) -> int:
+                  samples: SampleSet | None, scheme: AggregationScheme) -> int:
     if samples is None:
         samples = sample_gaussian(model, cfg["n"], cfg["seed"])
     mode = cfg["mode"]
-    levels = level_spectra(samples, scheme, subsets, cfg["seed"])
+    levels = level_spectra(samples, scheme, cfg["seed"])
     estimate = combine_levels(f, levels)
     lam = full_spectrum(levels)
     # every line is computed before the first is printed, so a failure prints none

@@ -7,12 +7,14 @@ cancel. The jackknife variant replaces each prefix by an average over
 random subsets of the same size, which symmetrizes the estimate over the
 sample at extra compute cost. The plug-in is the one-level scheme.
 
-``check_plan`` holds the rules a plan must meet at every sample size;
-``level_plan`` turns a mode into the (scheme, subsets) pair that one
-engine, ``level_spectra``, runs; it computes the covariance spectra of
-every level once, the full sample always last (``full_spectrum``).
-Scalar estimates are the weighted sum ``combine_levels`` of tau_f over
-its output, and the signed spectral measure is the same output as atoms.
+``level_plan`` turns a mode into the one ``AggregationScheme`` that the
+engine, ``level_spectra``, runs: its sizes, weights and, for the
+jackknife, the subsets drawn per level. The scheme checks its rules and
+its compute budget when it is built, so the engine does not. It computes
+the covariance spectra of every level once, the full sample always last
+(``full_spectrum``). Scalar estimates are the weighted sum
+``combine_levels`` of tau_f over its output, and the signed spectral
+measure is the same output as atoms.
 
 The engine works a level at a time: a level's index sets all come from
 one generator seeded by (seed, level), and they are drawn, their rows
@@ -29,8 +31,8 @@ round-off differs from the d x d solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import floor, isfinite
+from dataclasses import dataclass, replace
+from math import floor, isfinite, log
 
 import numpy as np
 
@@ -53,7 +55,6 @@ __all__ = [
     "coeffs_closed_form",
     "coeffs_linear_system",
     "make_scheme",
-    "check_plan",
     "degenerate_scheme",
     "plugin_estimate",
     "aggregate_estimate",
@@ -86,7 +87,7 @@ class SchemeError(ValueError):
 
 
 class ComputeBudgetError(RuntimeError):
-    """Requested subset evaluations exceed the allowed budget."""
+    """Requested covariance eigendecompositions exceed the allowed budget."""
 
 
 @dataclass(frozen=True)
@@ -99,11 +100,18 @@ class AggregationScheme:
     for the nodes 1/n_1, ..., 1/n_m. Both identities are re-checked at
     construction; the cancellation check is relative to the largest term,
     since the raw sums shrink like n**-l.
+
+    ``subsets`` is how many random size-n_j subsets the jackknife averages
+    at each level with n_j < n; None runs every level on its prefix. One
+    estimate computes m spectra, or 1 + subsets * (m - 1) when it draws
+    subsets, since the full-sample level is never subsampled; more than
+    10,000 raises :class:`ComputeBudgetError` at construction.
     """
 
     sizes: tuple[int, ...]
     coeffs: np.ndarray
     q: float = 2.0
+    subsets: int | None = None
 
     def __post_init__(self) -> None:
         sizes = tuple(int(s) for s in self.sizes)
@@ -133,6 +141,14 @@ class AggregationScheme:
                     f"order-{ell} cancellation fails: residual {abs(resid):.3e} "
                     f"vs largest term {top:.3e}"
                 )
+        if self.subsets is not None and self.subsets < 1:
+            raise SchemeError("subsets must be >= 1")
+        evals = m if self.subsets is None else 1 + self.subsets * (m - 1)
+        if evals > _MAX_EVALS:
+            raise ComputeBudgetError(
+                f"{evals} covariance eigendecompositions requested, budget is "
+                f"{_MAX_EVALS}; lower the number of subsets per level"
+            )
 
     @property
     def m(self) -> int:
@@ -190,18 +206,27 @@ def coeffs_linear_system(sizes) -> np.ndarray:
     return np.linalg.solve(mat, rhs)
 
 
+def _check_q(q: float) -> None:
+    if not (q > 1.0 and isfinite(q)):
+        raise SchemeError("q must be finite and > 1")
+
+
 def make_scheme(m: int, n: int, q: float = 2.0) -> AggregationScheme:
     """Geometric scheme: sizes round(q**(j-m) * n), largest pinned to n.
 
-    Requires m >= 2, q finite and > 1 (``check_plan``) and n >= 2 * q**(m-1)
-    so the smallest subsample has at least two observations; rounding
-    collisions (two levels landing on the same size) are errors rather
-    than silent merges.
+    Requires q finite and > 1, m >= 2 and n >= 2 * q**(m-1) so the
+    smallest subsample has at least two observations; rounding collisions
+    (two levels landing on the same size) are errors rather than silent
+    merges.
     """
-    check_plan("aggregate", m, q)
-    if n < 2.0 * q ** (m - 1):
+    _check_q(q)
+    if m < 2:
+        raise SchemeError("m must be >= 2 to build an aggregation scheme")
+    # q**(m-1) overflows a float long before it could be below any n
+    need = 2.0 * q ** (m - 1) if (m - 1) * log(q) < 700.0 else float("inf")
+    if n < need:
         raise SchemeError(
-            f"n={n} is too small for m={m}, q={q} (needs n >= {2.0 * q ** (m - 1):g}): "
+            f"n={n} is too small for m={m}, q={q} (needs n >= {need:g}): "
             "increase n or decrease q"
         )
     sizes = [int(floor(q ** float(j - m) * n + 0.5)) for j in range(1, m + 1)]
@@ -228,63 +253,30 @@ def degenerate_scheme(n: int) -> AggregationScheme:
     return AggregationScheme((int(n),), np.ones(1), 1.0)
 
 
-def level_plan(
-    mode: str, n: int, m: int, q: float, subsets: int
-) -> tuple[AggregationScheme, int | None]:
-    """The (scheme, subsets) pair that ``level_spectra`` runs for ``mode``.
+def level_plan(mode: str, n: int, m: int, q: float, subsets: int) -> AggregationScheme:
+    """The scheme that ``level_spectra`` runs for ``mode`` at sample size n.
 
-    The plug-in is the one-level scheme and ignores m and q; aggregate
-    and jackknife use the geometric m-level scheme, and only the
-    jackknife draws ``subsets`` random subsets per sub-full level.
-    """
-    check_plan(mode, m, q, subsets)
-    scheme = degenerate_scheme(n) if mode == "plugin" else make_scheme(m, n, q)
-    return scheme, _mode_subsets(mode, subsets)
-
-
-def _mode_subsets(mode: str, subsets: int) -> int | None:
-    """Subsets per sub-full level: only the jackknife draws them."""
-    return subsets if mode == "jackknife" else None
-
-
-def check_plan(mode: str, m: int, q: float, subsets: int | None = None) -> None:
-    """Raise unless a (mode, m, q, subsets) plan can run at some sample size.
-
-    The plug-in is the one-level scheme and ignores m; the rules that
-    depend on n are :func:`make_scheme`'s.
+    The plug-in is the one-level scheme and ignores m, though q must still
+    be finite and > 1; aggregate and jackknife use the geometric m-level
+    scheme of :func:`make_scheme`, and only the jackknife's carries
+    ``subsets``, so only it is held to the compute budget.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if not (q > 1.0 and isfinite(q)):
-        raise SchemeError("q must be finite and > 1")
-    if mode != "plugin" and m < 2:
-        raise SchemeError("m must be >= 2 to build an aggregation scheme")
-    if mode == "jackknife":
-        check_compute_budget(m, subsets)
-
-
-def check_compute_budget(m: int, subsets: int | None) -> None:
-    """Raise :class:`ComputeBudgetError` if ``level_spectra`` would exceed it.
-
-    An m-level run computes m spectra, or 1 + subsets * (m - 1) when it
-    draws subsets: only the last level has n_j = n, and it is never
-    subsampled.
-    """
-    evals = m if subsets is None else 1 + subsets * (m - 1)
-    if evals > _MAX_EVALS:
-        raise ComputeBudgetError(
-            f"{evals} covariance eigendecompositions requested, budget is "
-            f"{_MAX_EVALS}; lower the number of subsets per level"
-        )
+    if mode == "plugin":
+        _check_q(q)
+        return degenerate_scheme(n)
+    scheme = make_scheme(m, n, q)
+    return replace(scheme, subsets=subsets) if mode == "jackknife" else scheme
 
 
 def level_spectra(
-    samples: SampleSet, scheme: AggregationScheme, subsets: int | None, seed: int
+    samples: SampleSet, scheme: AggregationScheme, seed: int
 ) -> list[tuple[float, np.ndarray]]:
     """Subsample covariance spectra, one (C_j, spectra) pair per level.
 
-    ``spectra`` has one row per spectrum. With ``subsets=None`` level j
-    holds the spectrum of the prefix of the first n_j observations.
+    ``spectra`` has one row per spectrum. When ``scheme.subsets`` is None
+    level j holds the spectrum of the prefix of the first n_j observations.
     Otherwise every level with n_j < n holds the spectra of ``subsets``
     uniformly drawn size-n_j subsets; the full-sample level always holds
     one spectrum. Subset b of a level is the first n_j entries of the
@@ -300,9 +292,7 @@ def level_spectra(
         raise SchemeError(
             f"scheme expects n={scheme.n} observations, sample has n={samples.n}"
         )
-    if subsets is not None and subsets < 1:
-        raise ValueError("subsets_per_level must be >= 1")
-    check_compute_budget(scheme.m, subsets)
+    subsets = scheme.subsets
     x = samples.data
     n, d = x.shape
     levels = []
@@ -367,10 +357,10 @@ def aggregate_estimate(
 ) -> float:
     """Signed combination of plug-ins on nested prefixes of the sample.
 
-    Level j uses the first n_j observations; the full sample is always the
-    last level.
+    Level j uses the first n_j observations, whatever ``scheme.subsets``
+    says; the full sample is always the last level.
     """
-    return combine_levels(f, level_spectra(samples, scheme, None, 0))
+    return combine_levels(f, level_spectra(samples, replace(scheme, subsets=None), 0))
 
 
 def jackknife_estimate(
@@ -383,14 +373,16 @@ def jackknife_estimate(
     """Aggregation with each prefix replaced by an average over subsets.
 
     For every level with n_j < n, the plug-in is averaged over
-    ``subsets_per_level`` uniformly drawn size-n_j subsets; the full-sample
+    ``subsets_per_level`` uniformly drawn size-n_j subsets, which replaces
+    ``scheme.subsets``; the full-sample
     level needs no averaging. A level's subsets come from one generator
     seeded by (seed, level), so the result is a pure function of the
     inputs regardless of evaluation order. One estimate may request at most
     10,000 covariance eigendecompositions; more raises
     :class:`ComputeBudgetError`.
     """
-    return combine_levels(f, level_spectra(samples, scheme, subsets_per_level, seed))
+    levels = level_spectra(samples, replace(scheme, subsets=subsets_per_level), seed)
+    return combine_levels(f, levels)
 
 
 @dataclass(frozen=True)
@@ -433,7 +425,8 @@ def spectral_measure_estimate(
     if mode not in MODES or (mode == "plugin" and scheme.m != 1):
         raise ValueError(f"mode must be one of {MODES} (plugin needs m=1), "
                          f"got {mode!r} with m={scheme.m}")
-    levels = level_spectra(samples, scheme, _mode_subsets(mode, subsets_per_level), seed)
+    subsets = subsets_per_level if mode == "jackknife" else None
+    levels = level_spectra(samples, replace(scheme, subsets=subsets), seed)
     return SignedSpectralMeasure(
         np.concatenate([spectra.ravel() for _, spectra in levels]),
         np.concatenate([

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from enum import IntEnum, unique
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -153,8 +154,8 @@ class CovarianceModel:
         """Spectrum lam_k = k**(-beta), k = 1..dim."""
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        if beta < 0:
-            raise ValueError("beta must be >= 0")
+        if not (beta >= 0 and isfinite(beta)):
+            raise ValueError("beta must be finite and >= 0")
         k = np.arange(1, dim + 1, dtype=float)
         return CovarianceModel(k ** -beta)
 

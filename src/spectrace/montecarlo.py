@@ -102,8 +102,14 @@ class ExperimentConfig:
     ``workers`` is a scheduling hint and is excluded from the config hash;
     all other fields are statistical. A config whose ``n_list`` is no
     rate-sweep design (fewer than three distinct sizes >= 1, or a span
-    under a factor of four), or whose plan (``level_plan``) cannot run at
-    its n or at each size of its ``n_list``, raises at construction.
+    under a factor of four), whose plan (``level_plan``) cannot run at its
+    n or at each size of its ``n_list``, or whose model or f does not
+    parse, raises at construction.
+
+    Construction keeps what it built, as attributes outside the fields (so
+    ``asdict`` and ``config_hash`` do not see them): ``covariance``, the
+    model's ``CovarianceModel``; ``test_function``, f's ``TestFunction``;
+    and ``scheme``, the plan at n, or None when n is unset.
     """
 
     model: str
@@ -147,9 +153,11 @@ class ExperimentConfig:
                 raise ValueError(
                     f"n values must span at least a factor of 4, got {ns[0]}..{ns[-1]}"
                 )
-        for n in (self.n, *(self.n_list or ())):
-            if n is not None:
-                level_plan(self.mode, n, self.m, self.q, self.subsets)
+        plans = {n: level_plan(self.mode, n, self.m, self.q, self.subsets)
+                 for n in (self.n, *(self.n_list or ())) if n is not None}
+        object.__setattr__(self, "scheme", plans.get(self.n))
+        object.__setattr__(self, "covariance", parse_model(self.model))
+        object.__setattr__(self, "test_function", builtin(self.f))
 
 
 @dataclass(frozen=True)
@@ -261,39 +269,37 @@ def _summarize(truth: float, estimates: np.ndarray, standardized: np.ndarray) ->
     }
 
 
-def _map_replicates(
-    config: ExperimentConfig, model: CovarianceModel, one: Callable[[list], object]
-) -> list:
+def _map_replicates(config: ExperimentConfig, one: Callable[[list], object]) -> list:
     """One result per replicate, in index order, on ``config.workers`` threads.
 
-    The one replicate body of every experiment: with the plan of one
-    ``level_plan`` call, replicate i samples ``model`` on its sampling seed
-    and returns ``one(level_spectra(...))`` on its subset seed. Both seeds
-    are derived here only (the subset seed is 0, and unread, when the plan
-    draws no subsets). Each worker thread draws every one of its samples
-    into one (n, d) buffer of its own, so the replicate loop allocates no
-    sample array; nothing outlives the replicate that draws into it, as
-    ``level_spectra`` returns fresh spectra. A failing replicate raises
-    :class:`ReplicateError` naming its index and those seeds, so it can be
-    re-run alone.
+    The one replicate body of every experiment: replicate i samples the
+    config's model on its sampling seed and returns
+    ``one(level_spectra(...))`` of the config's scheme on its subset seed.
+    Both seeds are derived here only (the subset seed is 0, and unread,
+    when the scheme draws no subsets). Each worker thread draws every one
+    of its samples into one (n, d) buffer of its own, so the replicate loop
+    allocates no sample array; nothing outlives the replicate that draws
+    into it, as ``level_spectra`` returns fresh spectra. A failing
+    replicate raises :class:`ReplicateError` naming its index and those
+    seeds, so it can be re-run alone.
     """
     if config.n is None:
         raise ValueError("config.n is required; n_list is for rate_sweep")
-    n = int(config.n)
-    scheme, subsets = level_plan(config.mode, n, config.m, config.q, config.subsets)
+    n, model, scheme = int(config.n), config.covariance, config.scheme
+    draws = scheme.subsets is not None
     local = threading.local()
 
     def guarded(i: int):
         sampling = derive_seed(config.seed, i)
-        subset = 0 if subsets is None else derive_seed(config.seed, i, Stream.SUBSET)
+        subset = derive_seed(config.seed, i, Stream.SUBSET) if draws else 0
         try:
             if not hasattr(local, "buffer"):
                 local.buffer = np.empty((n, model.dim))
             samples = sample_gaussian(model, n, sampling, out=local.buffer)
-            return one(level_spectra(samples, scheme, subsets, subset))
+            return one(level_spectra(samples, scheme, subset))
         except Exception as exc:
             seeds = f"sampling seed {sampling}"
-            if subsets is not None:
+            if draws:
                 seeds += f", subset seed {subset}"
             raise ReplicateError(f"replicate {i} ({seeds}): {exc}") from exc
 
@@ -320,8 +326,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     The oracle scale is checked before any replicate runs, a plug-in scale
     inside its replicate, so a zero scale fails naming the seeds.
     """
-    model = parse_model(config.model)
-    f = builtin(config.f)
+    model, f = config.covariance, config.test_function
     truth = tau_f(f, model.eigenvalues)
     oracle = config.standardize == "oracle"
     oracle_std = _limit_scale(f, model) if oracle else None
@@ -332,7 +337,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
             return est, oracle_std
         return est, _limit_scale(f, CovarianceModel(full_spectrum(levels)))
 
-    estimates, scales = np.array(_map_replicates(config, model, one), dtype=float).T
+    estimates, scales = np.array(_map_replicates(config, one), dtype=float).T
 
     with np.errstate(over="ignore", invalid="ignore"):
         standardized = sqrt(config.n) * (estimates - truth) / (sqrt(2.0) * scales)
@@ -378,14 +383,14 @@ def supnorm_experiment(
     share the same randomness, and member j's error is exactly that of
     ``run`` with f = member j.
     """
-    model = parse_model(config.model)
+    model = config.covariance
     truths = np.array([tau_f(f, model.eigenvalues) for f in grid.members])
 
     def one(levels) -> np.ndarray:
         ests = np.array([combine_levels(f, levels) for f in grid.members])
         return np.abs(ests - truths)
 
-    errors = np.array(_map_replicates(config, model, one))
+    errors = np.array(_map_replicates(config, one))
     max_error = errors.max(axis=1)
     return SupnormResult(
         config=config,

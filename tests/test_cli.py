@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spectrace import cli, estimators, linalg, montecarlo, theory
+from spectrace import cli, estimators, functions, linalg, montecarlo, theory
 from spectrace.cli import main
 from spectrace.estimators import jackknife_estimate, make_scheme, plugin_estimate
 from spectrace.functions import builtin
@@ -523,6 +523,8 @@ def test_estimate_eigendecomposes_once_per_engine_spectrum(
 
 
 def test_each_command_builds_its_inputs_once(tmp_path, capsys, monkeypatch):
+    # counted at every import site, so a build inside the library counts too;
+    # "config" counts ExperimentConfig constructions
     calls = {}
 
     def counted(name, real):
@@ -531,24 +533,40 @@ def test_each_command_builds_its_inputs_once(tmp_path, capsys, monkeypatch):
             return real(*args, **kwargs)
         return build
 
-    for name in ("_experiment_config", "builtin", "parse_model", "default_grid",
-                 "level_plan", "make_scheme"):
-        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    for name, home in (("_experiment_config", cli), ("builtin", functions),
+                       ("parse_model", montecarlo), ("default_grid", functions),
+                       ("level_plan", estimators), ("make_scheme", estimators)):
+        real = getattr(home, name)
+        for mod in (cli, estimators, functions, linalg, montecarlo, theory):
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counted(name, real))
+    config = montecarlo.ExperimentConfig
+    monkeypatch.setattr(config, "__post_init__", counted("config", config.__post_init__))
     data = tmp_path / "data.csv"
     data.write_text("1,2\n3,4\n5,7\n2,1\n")
     model = ("--model", "identity:3", "--seed", "1")
-    experiment = {"_experiment_config": 1, "parse_model": 1, "builtin": 1}
+    jackknife = ("--mode", "jackknife", "--m", "2", "-B", "3")
+    experiment = {"_experiment_config": 1, "config": 1, "parse_model": 1, "builtin": 1,
+                  "level_plan": 1}
     for argv, built in [
         (("estimate", *model, "--f", "log1p", "--n", "40"),
          {"parse_model": 1, "builtin": 1, "level_plan": 1}),
+        (("estimate", *model, "--f", "log1p", "--n", "40", *jackknife),
+         {"parse_model": 1, "builtin": 1, "level_plan": 1, "make_scheme": 1}),
         (("estimate", "--data", str(data), "--f", "log1p", "--seed", "1"),
          {"builtin": 1, "level_plan": 1}),
         (("coeffs", "--m", "2", "--n", "100"), {"make_scheme": 1}),
+        # the sweep's config checks a plan per size, and each size's config
+        # builds its own: nothing is built outside a construction
         (("rates", *model, "--f", "square", "--n-list", "20,40,80", "--reps", "3"),
-         experiment),
+         {"_experiment_config": 1, "config": 4, "parse_model": 4, "builtin": 4,
+          "level_plan": 6}),
         (("normality", *model, "--f", "log1p", "--n", "40", "--reps", "200"), experiment),
+        (("normality", *model, "--f", "log1p", "--n", "40", "--reps", "200", *jackknife),
+         {**experiment, "make_scheme": 1}),
+        # supnorm's config names the placeholder f identity, built once
         (("supnorm", *model, "--n", "40", "--reps", "2", "--grid-size", "2"),
-         {"_experiment_config": 1, "parse_model": 1, "default_grid": 1}),
+         {**experiment, "default_grid": 1, "make_scheme": 1}),
         (("mp-compare", "--d", "50", "--n", "50", "--seed", "1"), {}),
     ]:
         calls.clear()
@@ -585,9 +603,9 @@ def test_supnorm_grid_seed_is_not_a_replicate_or_subset_seed(
         sample_seeds.append(seed)
         return real_sample(model, n, seed, out=out)
 
-    def levels(samples, scheme, subsets, seed):
+    def levels(samples, scheme, seed):
         subset_seeds.append(seed)
-        return real_levels(samples, scheme, subsets, seed)
+        return real_levels(samples, scheme, seed)
 
     monkeypatch.setattr(cli, "default_grid", grid)
     monkeypatch.setattr(montecarlo, "sample_gaussian", sample)
@@ -679,6 +697,10 @@ def test_bad_mode_and_standardize_exit_2_before_any_output(tmp_path, capsys):
           "--reps", "200"), "n=5 is too small"),
         (("rates", *base, "--n-list", "5,10,40", "--mode", "aggregate", "--m", "3",
           "--reps", "5"), "n=5 is too small"),
+        # 2.0 ** 1099 overflows a float: refused by the same rule, not a traceback
+        (("coeffs", "--m", "1100", "--n", "100"), "n=100 is too small for m=1100"),
+        (("estimate", *base, "--n", "100", "--mode", "aggregate", "--m", "1100"),
+         "n=100 is too small for m=1100"),
         # 1 + subsets * (m - 1) > 10,000 is known before any replicate runs
         (("normality", *base, "--n", "100", "--mode", "jackknife", "-B", "20000"),
          "budget is 10000"),
@@ -720,6 +742,11 @@ def test_bad_mode_and_standardize_exit_2_before_any_output(tmp_path, capsys):
         (("coeffs", "--config", "", "--m", "3", "--n", "400"), "config file not found"),
         (("normality", *no_model, "--n", "100", "--model", ""), "model profile"),
         (("estimate", *no_model, "--n", "100", "--model", ""), "model profile"),
+        # k**-inf would be the rank-1 model [1, 0, 0, 0, 0]
+        (("normality", *no_model, "--n", "40", "--reps", "200", "--model",
+          "poly_decay:5:inf"), "beta must be finite"),
+        (("normality", *no_model, "--n", "40", "--reps", "200", "--model",
+          "poly_decay:5:1e400"), "beta must be finite"),
         (("estimate", *named_f, ""), "unknown test function"),
     ]:
         out = tmp_path / argv[0]
@@ -746,6 +773,28 @@ def readme_commands() -> list[list[str]]:
         if words[:1] == ["spectrace"]:
             commands.append(words[1:])
     return commands
+
+
+def readme_python_blocks() -> list[str]:
+    """The source of every ``python`` block of README."""
+    blocks, lines = [], None
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            if lines is not None:
+                blocks.append("\n".join(lines) + "\n")
+            lines = [] if line == "```python" else None
+        elif lines is not None:
+            lines.append(line)
+    return blocks
+
+
+def test_readme_python_examples_run(tmp_path, monkeypatch, capsys):
+    # each block in a fresh namespace, as a reader would paste it
+    monkeypatch.chdir(tmp_path)
+    blocks = readme_python_blocks()
+    assert any("jackknife_estimate" in block for block in blocks)
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {"__name__": "__main__"})
 
 
 def test_readme_commands_resolve_through_the_gate(tmp_path, monkeypatch):

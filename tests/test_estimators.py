@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,6 +102,43 @@ def test_scheme_direct_construction_validates():
         AggregationScheme((50, 100), np.array([-0.5, 1.5]))
     with pytest.raises(SchemeError, match="increasing"):
         AggregationScheme((100, 50), np.array([2.0, -1.0]))
+
+
+def test_scheme_refuses_an_m_whose_size_rule_overflows_a_float():
+    # 2.0 ** 1099 overflows; 1.5 ** 1099 does not, and both are refused alike
+    for q, need in ((2.0, "inf"), (1.5, "6.68842e+193")):
+        message = f"n=100 is too small for m=1100, q={q} (needs n >= {need})"
+        with pytest.raises(SchemeError, match=re.escape(message)):
+            make_scheme(1100, 100, q)
+
+
+def test_scheme_checks_its_subsets_and_budget_at_construction():
+    scheme = make_scheme(3, 400, 2.0)
+    assert scheme.subsets is None
+    assert replace(scheme, subsets=4999).subsets == 4999  # 1 + 4999 * 2 evals
+    with pytest.raises(ComputeBudgetError, match="10001 covariance eigendecompositions"):
+        replace(scheme, subsets=5000)
+    with pytest.raises(SchemeError, match="subsets must be >= 1"):
+        replace(scheme, subsets=0)
+    # the full-sample level is never subsampled, so one level draws nothing
+    assert replace(degenerate_scheme(40), subsets=20_000).subsets == 20_000
+
+
+def test_level_plan_gives_only_the_jackknife_subsets():
+    plugin = level_plan("plugin", 40, 3, 2.0, 7)
+    assert (plugin.sizes, plugin.subsets) == ((40,), None)
+    assert level_plan("aggregate", 40, 3, 2.0, 7).subsets is None
+    jack = level_plan("jackknife", 40, 3, 2.0, 7)
+    assert jack.sizes == make_scheme(3, 40, 2.0).sizes and jack.subsets == 7
+    # the plug-in ignores m, but not q; only the jackknife is held to the budget
+    assert level_plan("plugin", 40, 1, 2.0, 7).m == 1
+    with pytest.raises(SchemeError, match="q must be finite and > 1"):
+        level_plan("plugin", 40, 1, 0.5, 7)
+    assert level_plan("aggregate", 40, 2, 2.0, 20_000).subsets is None
+    with pytest.raises(ComputeBudgetError):
+        level_plan("jackknife", 40, 2, 2.0, 20_000)
+    with pytest.raises(ValueError, match="mode must be one of"):
+        level_plan("bogus", 40, 2, 2.0, 7)
 
 
 @settings(max_examples=25, deadline=None)
@@ -320,11 +360,11 @@ def test_level_spectra_do_not_depend_on_the_block_size(monkeypatch, level_draws)
     block_default = estimators._BLOCK_BYTES
     x = sample_gaussian(CovarianceModel.from_values([3.0, 2.0, 1.0, 1.0, 0.5, 0.1]),
                         400, 51)
-    scheme = make_scheme(3, 400, 2.0)
-    default = level_spectra(x, scheme, 50, 9)
+    scheme = replace(make_scheme(3, 400, 2.0), subsets=50)
+    default = level_spectra(x, scheme, 9)
     for block_bytes in (1, 3 * 200 * 6 * 8):
         monkeypatch.setattr(estimators, "_BLOCK_BYTES", block_bytes)
-        levels = level_spectra(x, scheme, 50, 9)
+        levels = level_spectra(x, scheme, 9)
         assert [w for w, _ in levels] == [w for w, _ in default]
         for (_, got), (_, expect) in zip(levels, default):
             assert got.shape == expect.shape and (got == expect).all()
@@ -335,14 +375,14 @@ def test_level_spectra_do_not_depend_on_the_block_size(monkeypatch, level_draws)
     # 2 if it counted d^2)
     d, n = 50, 80
     x = sample_gaussian(CovarianceModel.from_values(np.linspace(2.0, 0.1, d)), n, 54)
-    scheme = make_scheme(3, n, 2.0)
+    scheme = replace(make_scheme(3, n, 2.0), subsets=10)
     monkeypatch.setattr(estimators, "_BLOCK_BYTES", block_default)
-    default = level_spectra(x, scheme, 10, 11)
+    default = level_spectra(x, scheme, 11)
     assert [s.shape for _, s in default] == [(10, 20), (10, 40), (1, d)]
     for block_bytes in (1, 91_440):
         level_draws.clear()
         monkeypatch.setattr(estimators, "_BLOCK_BYTES", block_bytes)
-        levels = level_spectra(x, scheme, 10, 11)
+        levels = level_spectra(x, scheme, 11)
         for (_, got), (_, expect) in zip(levels, default):
             assert got.shape == expect.shape and (got == expect).all()
         for i, (level, (b, _)) in enumerate(level_draws):
@@ -366,12 +406,12 @@ def test_level_spectra_do_not_depend_on_the_block_size_when_the_draw_dominates(
     # at most 2, 2 and 1 fit. 7 = 2 + 2 + 2 + 1 leaves a short last block
     d, n = 2, 2000
     x = sample_gaussian(CovarianceModel.from_values([2.0, 0.5]), n, 53)
-    scheme = make_scheme(4, n, 2.0)
-    default = level_spectra(x, scheme, 7, 10)
+    scheme = replace(make_scheme(4, n, 2.0), subsets=7)
+    default = level_spectra(x, scheme, 10)
     for block_bytes in (1, 96_000):
         level_draws.clear()
         monkeypatch.setattr(estimators, "_BLOCK_BYTES", block_bytes)
-        levels = level_spectra(x, scheme, 7, 10)
+        levels = level_spectra(x, scheme, 10)
         for (_, got), (_, expect) in zip(levels, default):
             assert got.shape == expect.shape and (got == expect).all()
         assert sorted({level for level, _ in level_draws}) == [0, 1, 2]
@@ -387,9 +427,9 @@ def test_level_spectra_do_not_depend_on_the_block_size_when_the_draw_dominates(
 def test_level_spectra_raise_on_an_overflowing_gram(mode):
     # finite data whose Gram overflows; jackknife overflows in a stacked block
     x = SampleSet(1e200 * rng_from(3).standard_normal((8, 2)))
-    scheme, subsets = level_plan(mode, 8, 2, 2.0, 4)
+    scheme = level_plan(mode, 8, 2, 2.0, 4)
     with pytest.raises(FloatingPointError, match="sample covariance overflows"):
-        level_spectra(x, scheme, subsets, 0)
+        level_spectra(x, scheme, 0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -407,9 +447,9 @@ def test_identity_estimates_scale_with_the_square_of_the_data(mode, d, n, m, log
     c = 10.0 ** log_c
     f = builtin("identity")
     x = sample_gaussian(CovarianceModel.from_values(np.linspace(2.0, 0.1, d)), n, seed)
-    scheme, subsets = level_plan(mode, n, m, 2.0, 5)
-    base = combine_levels(f, level_spectra(x, scheme, subsets, seed))
-    levels = level_spectra(SampleSet(c * x.data), scheme, subsets, seed)
+    scheme = level_plan(mode, n, m, 2.0, 5)
+    base = combine_levels(f, level_spectra(x, scheme, seed))
+    levels = level_spectra(SampleSet(c * x.data), scheme, seed)
     scaled = combine_levels(f, levels)
     tol = 1e-12 * scheme.coeff_l1() * float(full_spectrum(levels).sum())
     assert abs(scaled - c * c * base) <= tol
@@ -452,8 +492,8 @@ def test_rank_deficient_data_never_trips_the_negativity_check(d, n, log_scale, s
     x = SampleSet(10.0 ** log_scale * rng.standard_normal((n, d))
                   * rng.uniform(0.5, 2.0, size=d))
     for mode in MODES:
-        scheme, subsets = level_plan(mode, n, 2, 2.0, 4)
-        levels = level_spectra(x, scheme, subsets, seed)
+        scheme = level_plan(mode, n, 2, 2.0, 4)
+        levels = level_spectra(x, scheme, seed)
         for f in (builtin("log1p"), builtin("rational")):
             assert np.isfinite(combine_levels(f, levels))
         for (_, spectra), size in zip(levels, scheme.sizes):
@@ -474,10 +514,10 @@ def test_plugin_is_invariant_under_row_permutation(d, n, seed):
     rng = rng_from(seed)
     x = rng.standard_normal((n, d)) * rng.uniform(0.1, 3.0, size=d)
     f = builtin("log1p")
-    scheme, subsets = level_plan("plugin", n, 2, 2.0, 1)
-    base = combine_levels(f, level_spectra(SampleSet(x), scheme, subsets, 0))
+    scheme = level_plan("plugin", n, 2, 2.0, 1)
+    base = combine_levels(f, level_spectra(SampleSet(x), scheme, 0))
     permuted = SampleSet(x[rng.permutation(n)])
-    got = combine_levels(f, level_spectra(permuted, scheme, subsets, 0))
+    got = combine_levels(f, level_spectra(permuted, scheme, 0))
     assert abs(got - base) <= 1e-10 * max(1.0, abs(base))
     assert got == plugin_estimate(f, permuted)
 

@@ -1,12 +1,12 @@
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from math import sqrt
 
 import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
-from spectrace import estimators, linalg, montecarlo
+from spectrace import estimators, functions, linalg, montecarlo
 from spectrace.estimators import (
     ComputeBudgetError,
     aggregate_estimate,
@@ -49,6 +49,10 @@ def test_parse_model_profiles():
     for bad in ("identity", "identity:0", "poly_decay:5", "custom:", "wishart:3"):
         with pytest.raises(ValueError):
             parse_model(bad)
+    # a non-finite beta would give the rank-1 spectrum k**-inf = [1, 0, 0, ...]
+    for bad in ("poly_decay:5:inf", "poly_decay:5:1e400", "poly_decay:5:nan"):
+        with pytest.raises(ValueError, match="beta must be finite and >= 0"):
+            parse_model(bad)
 
 
 def test_config_validation():
@@ -68,6 +72,27 @@ def test_config_validation():
     with pytest.raises(ValueError, match="m must be >= 2"):
         ExperimentConfig(model="identity:2", f="identity", seed=0, n=50,
                          mode="aggregate", m=1)
+    # a model or f that does not parse fails at construction, not in run
+    with pytest.raises(ValueError, match="bad model profile 'nope'"):
+        ExperimentConfig(model="nope", f="identity", seed=0, n=50)
+    with pytest.raises(ValueError, match="unknown test function 'nope'"):
+        ExperimentConfig(model="identity:2", f="nope", seed=0, n=50)
+    with pytest.raises(ValueError, match="bad model profile"):
+        ExperimentConfig(model="poly_decay:5:inf", f="identity", seed=0,
+                         n_list=(10, 20, 40))
+
+
+def test_config_keeps_what_it_built_outside_its_fields():
+    cfg = ExperimentConfig(model="poly_decay:4:1.0", f="log1p", seed=0, n=40,
+                           mode="jackknife", m=2, subsets=3)
+    assert np.array_equal(cfg.covariance.eigenvalues,
+                          parse_model("poly_decay:4:1.0").eigenvalues)
+    assert cfg.test_function.name == "log1p"
+    assert (cfg.scheme.sizes, cfg.scheme.subsets) == (make_scheme(2, 40).sizes, 3)
+    assert set(asdict(cfg)) == {f.name for f in fields(ExperimentConfig)}
+    assert "covariance" not in repr(cfg)
+    sweep = ExperimentConfig(model="identity:2", f="log1p", seed=0, n_list=(10, 20, 40))
+    assert sweep.scheme is None
 
 
 def test_single_replicate_matches_direct_computation():
@@ -362,23 +387,36 @@ def test_supnorm_errors_are_each_members_scalar_run_errors():
             ), (mode, member.name)
 
 
-def test_every_experiment_resolves_its_plan_once(monkeypatch):
-    # one replicate map serves run and supnorm alike, and each resolves
-    # the mode's plan once, not once per replicate or per family member
-    # (construction checks the plan too, so the count starts after it)
+def test_experiments_build_nothing_their_config_built(monkeypatch):
+    # one replicate map serves run and supnorm alike; both take the model,
+    # f and plan the config built, at every import site, and build none
     cfg = ExperimentConfig(model="identity:4", f="log1p", seed=3, mode="jackknife",
                            n=40, m=2, subsets=3, replications=5)
     calls = []
-    real = montecarlo.level_plan
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(name, real):
+        def build(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return build
 
-    monkeypatch.setattr(montecarlo, "level_plan", counted)
+    for name, home in (("parse_model", montecarlo), ("builtin", functions),
+                       ("level_plan", estimators), ("make_scheme", estimators)):
+        real = getattr(home, name)
+        for mod in (estimators, functions, montecarlo):
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counted(name, real))
+    # a scheme checks its budget when built, so no replicate re-checks it
+    scheme = estimators.AggregationScheme
+    monkeypatch.setattr(scheme, "__post_init__", counted("scheme", scheme.__post_init__))
     run(cfg)
     supnorm_experiment(default_grid(2, 2, seed=3), cfg)
-    assert calls == [("jackknife", 40, 2, 2.0, 3)] * 2
+    assert calls == []
+    ExperimentConfig(model="identity:4", f="log1p", seed=3, mode="jackknife",
+                     n=40, m=2, subsets=3)
+    # make_scheme's scheme, then the jackknife's copy that carries its subsets
+    assert sorted(calls) == ["builtin", "level_plan", "make_scheme", "parse_model",
+                             "scheme", "scheme"]
 
 
 def test_result_csvs_roundtrip_and_layout(tmp_path):
@@ -459,7 +497,7 @@ def test_each_worker_draws_every_replicate_into_one_buffer(monkeypatch, workers)
 
 def test_replicate_failure_carries_index(monkeypatch):
     # the engine fails inside replicate 0 of a jackknife run
-    def fail(samples, scheme, subsets, seed):
+    def fail(samples, scheme, seed):
         raise ValueError("boom")
 
     monkeypatch.setattr(montecarlo, "level_spectra", fail)
@@ -475,7 +513,7 @@ def test_replicate_failure_carries_index(monkeypatch):
 
 
 def test_replicate_failure_without_subsets_names_sampling_seed_only(monkeypatch):
-    def fail(samples, scheme, subsets, seed):
+    def fail(samples, scheme, seed):
         raise ValueError("boom")
 
     monkeypatch.setattr(montecarlo, "level_spectra", fail)
