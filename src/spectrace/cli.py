@@ -13,21 +13,22 @@ what each handler runs, which gets it as keyword arguments: the
 ``ExperimentConfig`` of rates, normality and supnorm (which builds and
 keeps its model, f and plan), supnorm's function grid, coeffs' scheme,
 and estimate's test function, its model or the samples of its --data
-file, and its scheme (``level_plan``) at their n. Nothing is built twice.
-Only the rules no library object knows stay here:
-estimate's choice of one data source, mp-compare's sizes (its law's ratio
-is d/n) and the >= 1 floors of the keys.
+file, and its scheme (``level_plan``) at their n. Nothing is built twice,
+not even per size of rates. Only the rules no library object knows stay
+here: estimate's choice of one data source, mp-compare's sizes (its law's
+ratio is d/n) and the >= 1 floors of the keys.
 Normality's replicate floor (``NORMALITY_MIN_REPS``) is checked when the
 run starts, after ``config.resolved`` is written, and exits 3.
 
 Exit codes: 0 on success, 2 for configuration errors (bad flags, missing
-keys, conflicting sources, a missing config or data file, a data file that
-does not parse, a plan that cannot run at its n, such as a jackknife run
-over the compute budget or an n too small for m and q, a supnorm m above
-11, whose grid would need derivatives past order 12), 3 for numerical
-failures (eigensolver non-convergence, a sample covariance that
-overflows, a test function that is not finite at the eigenvalues, a zero
-or overflowing limit scale).
+keys, conflicting sources, a missing config or data file, a config file that
+is not UTF-8, a data file that does not parse, an --out that cannot be a
+directory, a plan that cannot run at its n, such as a jackknife run over the
+compute budget or an n too small for m and q, a supnorm m above 11, whose
+grid would need derivatives past order 12), 3 for numerical failures
+(eigensolver non-convergence, a sample covariance that overflows, a test
+function that is not finite at the eigenvalues, a zero or overflowing limit
+scale).
 """
 
 from __future__ import annotations
@@ -105,13 +106,7 @@ class _Key:
 
 
 def _conv_n_list(text: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(v) for v in str(text).split(",") if v.strip() != "")
-    except ValueError:
-        raise ConfigError(f"bad n_list {text!r}; expected comma-separated integers")
-    if not values:
-        raise ConfigError(f"bad n_list {text!r}; expected comma-separated integers")
-    return values
+    return tuple(int(v) for v in text.split(",") if v.strip() != "")
 
 
 # the experiment keys' defaults are ExperimentConfig's; reps fills its replications
@@ -172,8 +167,12 @@ def _parse_config_file(path: str) -> dict[str, str]:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        text = p.read_text(encoding="utf-8-sig")  # drops a leading BOM
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(p.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -212,8 +211,6 @@ def _resolve(command: str, args: argparse.Namespace) -> tuple[dict, dict]:
         if isinstance(value, str) and key.conv is not None:
             try:
                 value = key.conv(value)
-            except ConfigError:
-                raise
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad value for {key.name}: {value!r} ({exc})")
         if value is None and key.required:
@@ -484,7 +481,7 @@ def main(argv=None) -> int:
     try:
         cfg, built = _resolve(args.command, args)
         _write_resolved(args.command, cfg)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # OSError: an --out that cannot be a directory
         print(f"error: {exc}", file=sys.stderr)
         return 2
     # scheme and LAPACK errors are ValueErrors, overflows ArithmeticErrors

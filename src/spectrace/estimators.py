@@ -211,7 +211,7 @@ def _check_q(q: float) -> None:
         raise SchemeError("q must be finite and > 1")
 
 
-def make_scheme(m: int, n: int, q: float = 2.0) -> AggregationScheme:
+def make_scheme(m: int, n: int, q: float = 2.0, subsets: int | None = None) -> AggregationScheme:
     """Geometric scheme: sizes round(q**(j-m) * n), largest pinned to n.
 
     Requires q finite and > 1, m >= 2 and n >= 2 * q**(m-1) so the
@@ -245,7 +245,7 @@ def make_scheme(m: int, n: int, q: float = 2.0) -> AggregationScheme:
             f"coefficient cross-check failed for sizes {sizes}: "
             f"max gap {gap:.3e} vs scale {scale:.3e}"
         )
-    return AggregationScheme(tuple(sizes), closed, float(q))
+    return AggregationScheme(tuple(sizes), closed, float(q), subsets)
 
 
 def degenerate_scheme(n: int) -> AggregationScheme:
@@ -266,8 +266,7 @@ def level_plan(mode: str, n: int, m: int, q: float, subsets: int) -> Aggregation
     if mode == "plugin":
         _check_q(q)
         return degenerate_scheme(n)
-    scheme = make_scheme(m, n, q)
-    return replace(scheme, subsets=subsets) if mode == "jackknife" else scheme
+    return make_scheme(m, n, q, subsets if mode == "jackknife" else None)
 
 
 def level_spectra(

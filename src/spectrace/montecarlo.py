@@ -16,7 +16,8 @@ from __future__ import annotations
 import hashlib
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from copy import copy
+from dataclasses import asdict, dataclass
 from math import erf, erfc, sqrt
 from pathlib import Path
 from statistics import NormalDist
@@ -109,7 +110,7 @@ class ExperimentConfig:
     Construction keeps what it built, as attributes outside the fields (so
     ``asdict`` and ``config_hash`` do not see them): ``covariance``, the
     model's ``CovarianceModel``; ``test_function``, f's ``TestFunction``;
-    and ``scheme``, the plan at n, or None when n is unset.
+    and ``plans``, the plan at n and at each n_list size, keyed by size.
     """
 
     model: str
@@ -155,7 +156,7 @@ class ExperimentConfig:
                 )
         plans = {n: level_plan(self.mode, n, self.m, self.q, self.subsets)
                  for n in (self.n, *(self.n_list or ())) if n is not None}
-        object.__setattr__(self, "scheme", plans.get(self.n))
+        object.__setattr__(self, "plans", plans)
         object.__setattr__(self, "covariance", parse_model(self.model))
         object.__setattr__(self, "test_function", builtin(self.f))
 
@@ -274,7 +275,7 @@ def _map_replicates(config: ExperimentConfig, one: Callable[[list], object]) -> 
 
     The one replicate body of every experiment: replicate i samples the
     config's model on its sampling seed and returns
-    ``one(level_spectra(...))`` of the config's scheme on its subset seed.
+    ``one(level_spectra(...))`` of the config's plan at n on its subset seed.
     Both seeds are derived here only (the subset seed is 0, and unread,
     when the scheme draws no subsets). Each worker thread draws every one
     of its samples into one (n, d) buffer of its own, so the replicate loop
@@ -285,7 +286,7 @@ def _map_replicates(config: ExperimentConfig, one: Callable[[list], object]) -> 
     """
     if config.n is None:
         raise ValueError("config.n is required; n_list is for rate_sweep")
-    n, model, scheme = int(config.n), config.covariance, config.scheme
+    n, model, scheme = int(config.n), config.covariance, config.plans[config.n]
     draws = scheme.subsets is not None
     local = threading.local()
 
@@ -350,15 +351,17 @@ def rate_sweep(config: ExperimentConfig) -> RateSweepResult:
 
     The config has checked that the list holds at least three distinct
     sizes spanning a factor of four or more; size n runs on its own master
-    seed ``(seed, n, Stream.RATE)``.
+    seed ``(seed, n, Stream.RATE)``, and on the sweep's model, f and plan at n.
     """
     if not config.n_list:
         raise ValueError("config.n_list is required for rate_sweep")
     ns = sorted(set(config.n_list))
     runs = []
     for n in ns:
-        seed = derive_seed(config.seed, n, Stream.RATE)
-        sub = replace(config, n=n, n_list=None, seed=seed)
+        # the fields replace(config, n=n, n_list=None, seed=...) sets, nothing rebuilt
+        sub = copy(config)
+        vars(sub).update(n=n, n_list=None, seed=derive_seed(config.seed, n, Stream.RATE),
+                         plans={n: config.plans[n]})
         runs.append(run(sub))
     rmse = np.array([res.summary["rmse"] for res in runs])
     x = np.log(np.asarray(ns, dtype=float))

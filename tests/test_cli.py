@@ -272,6 +272,12 @@ def test_config_file_layering_and_override(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "estimate", "--config", str(cfgfile))
     assert code == 0
     base = float(result_line(out)["estimate"])
+    resolved = (tmp_path / "config.resolved").read_text()
+    # a leading UTF-8 byte-order mark is dropped, as in a --data file
+    bom = tmp_path / "bom.cfg"
+    bom.write_bytes(b"\xef\xbb\xbf" + cfgfile.read_bytes())
+    assert run_cli(capsys, "estimate", "--config", str(bom)) == (0, out, "")
+    assert (tmp_path / "config.resolved").read_text() == resolved
     # flag overrides the file seed, changing the draw
     code, out, _ = run_cli(capsys, "estimate", "--config", str(cfgfile), "--seed", "78")
     assert code == 0
@@ -540,27 +546,28 @@ def test_each_command_builds_its_inputs_once(tmp_path, capsys, monkeypatch):
         for mod in (cli, estimators, functions, linalg, montecarlo, theory):
             if getattr(mod, name, None) is real:
                 monkeypatch.setattr(mod, name, counted(name, real))
-    config = montecarlo.ExperimentConfig
-    monkeypatch.setattr(config, "__post_init__", counted("config", config.__post_init__))
+    for name, cls in (("config", montecarlo.ExperimentConfig),
+                      ("scheme", estimators.AggregationScheme)):
+        monkeypatch.setattr(cls, "__post_init__", counted(name, cls.__post_init__))
     data = tmp_path / "data.csv"
     data.write_text("1,2\n3,4\n5,7\n2,1\n")
     model = ("--model", "identity:3", "--seed", "1")
     jackknife = ("--mode", "jackknife", "--m", "2", "-B", "3")
     experiment = {"_experiment_config": 1, "config": 1, "parse_model": 1, "builtin": 1,
-                  "level_plan": 1}
+                  "level_plan": 1, "scheme": 1}
+    # the sweep's config builds a plan per size, which the sizes run on
+    sweep = {**experiment, "level_plan": 3, "scheme": 3}
+    rates = ("rates", *model, "--f", "square", "--n-list", "20,40,80", "--reps", "3")
     for argv, built in [
         (("estimate", *model, "--f", "log1p", "--n", "40"),
-         {"parse_model": 1, "builtin": 1, "level_plan": 1}),
+         {"parse_model": 1, "builtin": 1, "level_plan": 1, "scheme": 1}),
         (("estimate", *model, "--f", "log1p", "--n", "40", *jackknife),
-         {"parse_model": 1, "builtin": 1, "level_plan": 1, "make_scheme": 1}),
+         {"parse_model": 1, "builtin": 1, "level_plan": 1, "make_scheme": 1, "scheme": 1}),
         (("estimate", "--data", str(data), "--f", "log1p", "--seed", "1"),
-         {"builtin": 1, "level_plan": 1}),
-        (("coeffs", "--m", "2", "--n", "100"), {"make_scheme": 1}),
-        # the sweep's config checks a plan per size, and each size's config
-        # builds its own: nothing is built outside a construction
-        (("rates", *model, "--f", "square", "--n-list", "20,40,80", "--reps", "3"),
-         {"_experiment_config": 1, "config": 4, "parse_model": 4, "builtin": 4,
-          "level_plan": 6}),
+         {"builtin": 1, "level_plan": 1, "scheme": 1}),
+        (("coeffs", "--m", "2", "--n", "100"), {"make_scheme": 1, "scheme": 1}),
+        (rates, sweep),
+        ((*rates, *jackknife), {**sweep, "make_scheme": 3}),
         (("normality", *model, "--f", "log1p", "--n", "40", "--reps", "200"), experiment),
         (("normality", *model, "--f", "log1p", "--n", "40", "--reps", "200", *jackknife),
          {**experiment, "make_scheme": 1}),
@@ -678,6 +685,8 @@ def test_bad_mode_and_standardize_exit_2_before_any_output(tmp_path, capsys):
     for name, text in bad_data.items():
         (tmp_path / f"{name}.csv").write_text(text)
     (tmp_path / "latin1.csv").write_bytes("1,2\n3,caf\xe9\n".encode("latin-1"))
+    (tmp_path / "latin1.cfg").write_bytes(
+        "# caf\xe9\nmodel=identity:3\nf=log1p\nn=40\nseed=1\n".encode("latin-1"))
     data = ("estimate", *no_model, "--data")
     for argv, word in [
         (("normality", *base, "--n", "100", "--mode", "bogus"), "mode"),
@@ -714,6 +723,10 @@ def test_bad_mode_and_standardize_exit_2_before_any_output(tmp_path, capsys):
         (("rates", *base, "--reps", "10", "--n-list", "50,60,70"), "factor of 4"),
         (("rates", *base, "--reps", "10", "--n-list", "100,400"), "3 distinct"),
         (("rates", *base, "--reps", "10", "--n-list", "0,10,40"), ">= 1, got 0"),
+        # a size that is no integer fails its conversion, an empty list the design
+        (("rates", *base, "--reps", "10", "--n-list", "a,b"),
+         "bad value for n_list: 'a,b' (invalid literal for int()"),
+        (("rates", *base, "--reps", "10", "--n-list", ","), "3 distinct n values, got []"),
         # too many parameters, and non-finite ones
         (("estimate", *named_f, "log1p:2"), "takes no parameters"),
         (("estimate", *named_f, "scaled_sine:1:2:3"), "at most 2"),
@@ -740,6 +753,8 @@ def test_bad_mode_and_standardize_exit_2_before_any_output(tmp_path, capsys):
         (("supnorm", "--model", "identity:3", "--m", "12", "--n", "40000", "--reps", "2",
           "--seed", "1"), "m must be <= 11"),
         (("coeffs", "--config", "", "--m", "3", "--n", "400"), "config file not found"),
+        (("normality", "--config", str(tmp_path / "latin1.cfg")),
+         "latin1.cfg: not UTF-8 text"),
         (("normality", *no_model, "--n", "100", "--model", ""), "model profile"),
         (("estimate", *no_model, "--n", "100", "--model", ""), "model profile"),
         # k**-inf would be the rank-1 model [1, 0, 0, 0, 0]
@@ -754,6 +769,15 @@ def test_bad_mode_and_standardize_exit_2_before_any_output(tmp_path, capsys):
         assert code == 2 and word in err
         assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+    # an --out that cannot be a directory: an existing file, or a path below one
+    afile = tmp_path / "afile"
+    afile.write_text("x")
+    for out, word in ((afile, "File exists"), (afile / "sub", "Not a directory")):
+        code, stdout, err = run_cli(capsys, "coeffs", "--m", "2", "--n", "100",
+                                    "--out", str(out))
+        assert code == 2 and word in err
+        assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert afile.read_text() == "x"
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

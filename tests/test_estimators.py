@@ -115,11 +115,13 @@ def test_scheme_refuses_an_m_whose_size_rule_overflows_a_float():
 def test_scheme_checks_its_subsets_and_budget_at_construction():
     scheme = make_scheme(3, 400, 2.0)
     assert scheme.subsets is None
-    assert replace(scheme, subsets=4999).subsets == 4999  # 1 + 4999 * 2 evals
-    with pytest.raises(ComputeBudgetError, match="10001 covariance eigendecompositions"):
-        replace(scheme, subsets=5000)
-    with pytest.raises(SchemeError, match="subsets must be >= 1"):
-        replace(scheme, subsets=0)
+    # a copy that sets subsets, and make_scheme given them, check alike
+    for build in (lambda s: replace(scheme, subsets=s), lambda s: make_scheme(3, 400, 2.0, s)):
+        assert build(4999).subsets == 4999  # 1 + 4999 * 2 evals
+        with pytest.raises(ComputeBudgetError, match="10001 covariance eigendecompositions"):
+            build(5000)
+        with pytest.raises(SchemeError, match="subsets must be >= 1"):
+            build(0)
     # the full-sample level is never subsampled, so one level draws nothing
     assert replace(degenerate_scheme(40), subsets=20_000).subsets == 20_000
 

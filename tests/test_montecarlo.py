@@ -11,12 +11,14 @@ from spectrace.estimators import (
     ComputeBudgetError,
     aggregate_estimate,
     jackknife_estimate,
+    level_plan,
     make_scheme,
     plugin_estimate,
 )
 from spectrace.functions import builtin, default_grid, tau_f
 from spectrace.linalg import (
     CovarianceModel,
+    Stream,
     derive_seed,
     sample_covariance,
     sample_gaussian,
@@ -88,11 +90,14 @@ def test_config_keeps_what_it_built_outside_its_fields():
     assert np.array_equal(cfg.covariance.eigenvalues,
                           parse_model("poly_decay:4:1.0").eigenvalues)
     assert cfg.test_function.name == "log1p"
-    assert (cfg.scheme.sizes, cfg.scheme.subsets) == (make_scheme(2, 40).sizes, 3)
+    assert list(cfg.plans) == [40]
+    assert (cfg.plans[40].sizes, cfg.plans[40].subsets) == (make_scheme(2, 40).sizes, 3)
     assert set(asdict(cfg)) == {f.name for f in fields(ExperimentConfig)}
-    assert "covariance" not in repr(cfg)
-    sweep = ExperimentConfig(model="identity:2", f="log1p", seed=0, n_list=(10, 20, 40))
-    assert sweep.scheme is None
+    assert "covariance" not in repr(cfg) and "plans" not in repr(cfg)
+    # a sweep keeps the plan at each of its sizes, a repeated size once
+    sweep = ExperimentConfig(model="identity:2", f="log1p", seed=0, n_list=(10, 40, 20, 40))
+    assert {n: plan.sizes for n, plan in sweep.plans.items()} == {
+        10: (10,), 40: (40,), 20: (20,)}
 
 
 def test_single_replicate_matches_direct_computation():
@@ -392,6 +397,7 @@ def test_experiments_build_nothing_their_config_built(monkeypatch):
     # f and plan the config built, at every import site, and build none
     cfg = ExperimentConfig(model="identity:4", f="log1p", seed=3, mode="jackknife",
                            n=40, m=2, subsets=3, replications=5)
+    sweep = replace(cfg, n=None, n_list=(10, 20, 40), replications=2)
     calls = []
 
     def counted(name, real):
@@ -411,12 +417,35 @@ def test_experiments_build_nothing_their_config_built(monkeypatch):
     monkeypatch.setattr(scheme, "__post_init__", counted("scheme", scheme.__post_init__))
     run(cfg)
     supnorm_experiment(default_grid(2, 2, seed=3), cfg)
+    rate_sweep(sweep)
     assert calls == []
     ExperimentConfig(model="identity:4", f="log1p", seed=3, mode="jackknife",
                      n=40, m=2, subsets=3)
-    # make_scheme's scheme, then the jackknife's copy that carries its subsets
+    # make_scheme builds the jackknife's scheme with its subsets, once
     assert sorted(calls) == ["builtin", "level_plan", "make_scheme", "parse_model",
-                             "scheme", "scheme"]
+                             "scheme"]
+
+
+@pytest.mark.parametrize("mode", ["aggregate", "jackknife"])
+def test_sweep_sizes_equal_the_configs_replace_would_rebuild(mode):
+    # each size runs on a copy holding the sweep's model, f and plan; the
+    # reference is the config replace() rebuilds, and its run
+    cfg = ExperimentConfig(model="poly_decay:6:1.0", f="log1p", seed=4, mode=mode,
+                           n_list=(40, 80, 160, 160), m=2, subsets=3, replications=6)
+    sweep = rate_sweep(cfg)
+    assert sweep.n_values == (40, 80, 160)
+    for n, res in zip(sweep.n_values, sweep.runs):
+        ref = replace(cfg, n=n, n_list=None, seed=derive_seed(cfg.seed, n, Stream.RATE))
+        assert res.config == ref and config_hash(res.config) == config_hash(ref)
+        assert res.config.covariance is cfg.covariance
+        assert res.config.test_function is cfg.test_function
+        plan, rebuilt = res.config.plans[n], level_plan(mode, n, cfg.m, cfg.q, cfg.subsets)
+        assert list(res.config.plans) == [n] and plan is cfg.plans[n]
+        assert (plan.sizes, plan.subsets) == (rebuilt.sizes, rebuilt.subsets)
+        assert plan.coeffs.tobytes() == rebuilt.coeffs.tobytes()
+        again = run(ref)
+        assert res.estimates.tobytes() == again.estimates.tobytes()
+        assert res.standardized.tobytes() == again.standardized.tobytes()
 
 
 def test_result_csvs_roundtrip_and_layout(tmp_path):
