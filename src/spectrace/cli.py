@@ -172,6 +172,7 @@ def _parse_config_file(path: str) -> dict[str, str]:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
     out: dict[str, str] = {}
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -179,7 +180,10 @@ def _parse_config_file(path: str) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in seen:
+            raise ConfigError(f"{path}:{lineno}: {key} is set twice (first on line {seen[key]})")
+        seen[key], out[key] = lineno, value.strip()
     return out
 
 

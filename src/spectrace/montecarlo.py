@@ -96,12 +96,22 @@ def parse_model(profile: str) -> CovarianceModel:
     )
 
 
+def _integral(name: str, value) -> int:
+    """``value`` as a Python int; a ValueError unless it is integral."""
+    if isinstance(value, str) or not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything that determines an experiment's outputs.
 
     ``workers`` is a scheduling hint and is excluded from the config hash;
-    all other fields are statistical. A config whose ``n_list`` is no
+    all other fields are statistical. Construction stores q as a float and
+    the integer fields as Python ints, refusing a value that is not
+    integral, so equal configs hash equally (q=2 and q=2.0, n=np.int64(100)
+    and n=100). A config whose ``n_list`` is no
     rate-sweep design (fewer than three distinct sizes >= 1, or a span
     under a factor of four), whose plan (``level_plan``) cannot run at its
     n or at each size of its ``n_list``, or whose model or f does not
@@ -131,20 +141,17 @@ class ExperimentConfig:
             raise ValueError(
                 f"standardize must be one of {STANDARDIZE}, got {self.standardize!r}"
             )
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if self.subsets < 1:
-            raise ValueError("subsets must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        object.__setattr__(self, "q", float(self.q))
+        for name in ("seed", "m", "replications", "subsets", "workers", "n"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _integral(name, value))
+                if value < 1 and name not in ("seed", "m"):
+                    raise ValueError(f"{name} must be >= 1")
         if self.n is None and self.n_list is None:
             raise ValueError("one of n or n_list must be set")
-        if self.n is not None and self.n < 1:
-            raise ValueError("n must be >= 1")
         if self.n_list is not None:
-            object.__setattr__(
-                self, "n_list", tuple(int(v) for v in self.n_list)
-            )
+            object.__setattr__(self, "n_list", tuple(_integral("n_list", v) for v in self.n_list))
             ns = sorted(set(self.n_list))
             if len(ns) < 3:
                 raise ValueError(f"need at least 3 distinct n values, got {ns}")

@@ -259,6 +259,19 @@ def test_coeffs_oracle(tmp_path, capsys):
     assert "cancellation l=1" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("coeffs", "--m", "9", "--n", "26600"),
+    ("supnorm", "--model", "identity:3", "--m", "11", "--n", "2048", "--reps", "2",
+     "--seed", "1"),
+])
+def test_plans_up_to_the_largest_m_run(tmp_path, capsys, argv):
+    # past m of about 6 a Vandermonde solve of the weights is off by more
+    # than 1e-8, so no check against it may refuse these valid plans
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == 0 and err == ""
+    assert result_line(out)["command"] == argv[0]
+
+
 def test_config_file_layering_and_override(tmp_path, capsys):
     cfgfile = tmp_path / "exp.cfg"
     cfgfile.write_text(
@@ -308,6 +321,19 @@ def test_config_file_rejects_unknown_key_and_wrong_command(tmp_path, capsys):
     mismatched.write_text("command=coeffs\nm=2\nn=100\n")
     code, _, err = run_cli(capsys, "estimate", "--config", str(mismatched))
     assert code == 2 and "coeffs" in err
+    # a key set twice is refused, naming the file, the key and both lines,
+    # before config.resolved is written; so is a repeated command= line
+    twice = tmp_path / "twice.cfg"
+    for text, key, first, second in (
+        ("model=identity:3\nf=log1p\nn=100\nseed=1\nreps=20\n\nn=200\n", "n", 3, 7),
+        ("command=coeffs\nm=2\ncommand=coeffs\nn=100\n", "command", 1, 3),
+    ):
+        twice.write_text(text)
+        out = tmp_path / f"out_{key}"
+        command = "coeffs" if key == "command" else "normality"
+        code, stdout, err = run_cli(capsys, command, "--config", str(twice), "--out", str(out))
+        assert code == 2 and stdout == "" and not out.exists()
+        assert f"{twice}:{second}: {key} is set twice (first on line {first})" in err
 
 
 def test_mp_compare_is_close_to_the_law(tmp_path, capsys):

@@ -178,6 +178,20 @@ def test_config_hash_ignores_workers_only():
     assert h1 == h8
     assert config_hash(ExperimentConfig(**{**base, "seed": 5})) != h1
     assert config_hash(ExperimentConfig(**{**base, "n": 61})) != h1
+    # equal configs hash equally, whatever the type of their literals
+    for key, value in (("q", 2), ("q", np.float64(2.0)), ("n", np.int64(60)),
+                       ("n", 60.0), ("seed", np.int64(4)), ("m", np.int32(2)),
+                       ("subsets", np.int64(50)), ("replications", np.uint16(40)),
+                       ("workers", np.int64(1))):
+        cfg = ExperimentConfig(**{**base, key: value})
+        assert cfg == ExperimentConfig(**base) and config_hash(cfg) == h1
+        assert type(getattr(cfg, key)) is type(getattr(ExperimentConfig(**base), key))
+    for key, value in (("n", 60.5), ("seed", 4.25), ("m", float("nan")),
+                       ("replications", float("inf")), ("n", "60")):
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            ExperimentConfig(**{**base, key: value})
+    with pytest.raises(ValueError, match="n_list must be an integer"):
+        ExperimentConfig(**{**base, "n": None, "n_list": (50, 100.5, 200)})
 
 
 def test_trace_variance_matches_gaussian_moments():
