@@ -14,21 +14,21 @@ what each handler runs, which gets it as keyword arguments: the
 keeps its model, f and plan), supnorm's function grid, coeffs' scheme,
 and estimate's test function, its model or the samples of its --data
 file, and its scheme (``level_plan``) at their n. Nothing is built twice,
-not even per size of rates. Only the rules no library object knows stay
-here: estimate's choice of one data source, mp-compare's sizes (its law's
-ratio is d/n) and the >= 1 floors of the keys.
+not even per size of rates, and each key's floor is the built object's.
+Only the rules no library object knows stay here: estimate's choice of one
+data source and mp-compare's sizes (its law's ratio is d/n).
 Normality's replicate floor (``NORMALITY_MIN_REPS``) is checked when the
 run starts, after ``config.resolved`` is written, and exits 3.
 
 Exit codes: 0 on success, 2 for configuration errors (bad flags, missing
 keys, conflicting sources, a missing config or data file, a config file that
 is not UTF-8, a data file that does not parse, an --out that cannot be a
-directory, a plan that cannot run at its n, such as a jackknife run over the
-compute budget or an n too small for m and q, a supnorm m above 11, whose
-grid would need derivatives past order 12), 3 for numerical failures
-(eigensolver non-convergence, a sample covariance that overflows, a test
-function that is not finite at the eigenvalues, a zero or overflowing limit
-scale).
+directory, a count below 1, a plan that cannot run at its n, such as a
+jackknife run over the compute budget or an n too small for m and q, a
+supnorm m above 11, whose grid would need derivatives past order 12), 3 for
+numerical failures (eigensolver non-convergence, a sample covariance that
+overflows, a test function that is not finite at the eigenvalues, a zero or
+overflowing limit scale).
 """
 
 from __future__ import annotations
@@ -178,9 +178,9 @@ def _parse_config_file(path: str) -> dict[str, str]:
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
-        if not sep:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key = key.strip()
+        if not sep or not key:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         if key in seen:
             raise ConfigError(f"{path}:{lineno}: {key} is set twice (first on line {seen[key]})")
         seen[key], out[key] = lineno, value.strip()
@@ -238,9 +238,6 @@ def _validate(command: str, cfg: dict) -> dict:
             raise ConfigError(f"data file not found: {cfg['data']}")
     if command == "mp-compare" and (cfg["d"] < 50 or cfg["n"] < 50):
         raise ConfigError("mp-compare needs d >= 50 and n >= 50")
-    for name in ("m", "n", "subsets", "reps", "workers", "grid_size"):
-        if name in cfg and cfg[name] is not None and cfg[name] < 1:
-            raise ConfigError(f"{name} must be >= 1")
     # build what the command runs, so a bad value fails before any work
     try:
         if command == "supnorm":  # first: past m = 11 its error names the cause

@@ -7,14 +7,14 @@ cancel. The jackknife variant replaces each prefix by an average over
 random subsets of the same size, which symmetrizes the estimate over the
 sample at extra compute cost. The plug-in is the one-level scheme.
 
-``level_plan`` turns a mode into the one ``AggregationScheme`` that the
-engine, ``level_spectra``, runs: its sizes, the weights it derives from
-them and, for the jackknife, the subsets drawn per level. The scheme
-checks its rules and its compute budget when it is built, so the engine
-does not. The engine computes the covariance spectra of every level once,
-the full sample always last (``full_spectrum``). Scalar estimates are the
-weighted sum ``combine_levels`` of tau_f over its output, and the signed
-spectral measure is the same output as atoms.
+``level_plan`` owns a plan's ranges and turns a mode into the one
+``AggregationScheme`` that the engine, ``level_spectra``, runs: its sizes,
+the weights it derives from them and, for the jackknife, the subsets drawn
+per level. The scheme checks its rules and its compute budget when it is
+built, so the engine does not. The engine computes the covariance spectra
+of every level once, the full sample always last (``full_spectrum``).
+Scalar estimates are the weighted sum ``combine_levels`` of tau_f over its
+output, and the signed spectral measure is the same output as atoms.
 
 The engine works a level at a time: a level's index sets all come from
 one generator seeded by (seed, level), and they are drawn, their rows
@@ -65,8 +65,7 @@ __all__ = [
     "taylor_remainder",
 ]
 
-# Tolerances tied to the scheme's defining identities.
-_SUM_TOL = 1e-10
+# Tolerance of the scheme's defining identities, relative to their largest term.
 _CANCEL_TOL = 1e-10
 
 # Most covariance eigendecompositions a single estimate may request.
@@ -97,9 +96,9 @@ class AggregationScheme:
     they satisfy sum_j C_j = 1 and sum_j C_j / n_j**l = 0 for l = 1..m-1,
     which is what cancels the low-order bias terms. This is Richardson
     extrapolation in 1/n, C_j being the Lagrange weights at 0 for the
-    nodes 1/n_1, ..., 1/n_m. Both identities are checked at construction;
-    the cancellation check is relative to the largest term, since the raw
-    sums shrink like n**-l.
+    nodes 1/n_1, ..., 1/n_m. Any strictly increasing sizes >= 1 define a
+    scheme; it holds no q. Both identities are checked at construction,
+    relative to the largest term (the sum's round-off grows with max |C_j|).
 
     ``subsets`` is how many random size-n_j subsets the jackknife averages
     at each level with n_j < n; None runs every level on its prefix. One
@@ -111,29 +110,19 @@ class AggregationScheme:
     sizes: tuple[int, ...]
     coeffs: np.ndarray = field(init=False)
     _: KW_ONLY
-    q: float = 2.0
     subsets: int | None = None
 
     def __post_init__(self) -> None:
         sizes = tuple(int(s) for s in self.sizes)
         if not sizes or sizes[0] < 1 or any(a >= b for a, b in zip(sizes, sizes[1:])):
             raise SchemeError(f"sizes must be strictly increasing and >= 1: {sizes}")
-        if not (self.q >= 1.0):
-            raise SchemeError("q must be >= 1")
         m = len(sizes)
-        if m > 1:
-            # smallest size stays within the geometric span (0.5 covers rounding)
-            if sizes[0] < sizes[-1] / self.q ** (m - 1) - 0.5:
-                raise SchemeError(
-                    f"smallest size {sizes[0]} below n/q^(m-1) for n={sizes[-1]}, q={self.q}"
-                )
         coeffs = coeffs_closed_form(sizes)
         total = float(coeffs.sum())
-        if abs(total - 1.0) > _SUM_TOL:
+        if abs(total - 1.0) > _CANCEL_TOL * float(np.max(np.abs(coeffs))):
             raise SchemeError(f"coefficients sum to {total!r}, expected 1")
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "q", float(self.q))
         for ell, (resid, top) in enumerate(self.cancellation(), start=1):
             if abs(resid) > _CANCEL_TOL * top:
                 raise SchemeError(
@@ -233,24 +222,28 @@ def make_scheme(m: int, n: int, q: float = 2.0, subsets: int | None = None) -> A
             f"subsample sizes collide after rounding: {sizes}; "
             "increase n or decrease q"
         )
-    return AggregationScheme(tuple(sizes), q=float(q), subsets=subsets)
+    return AggregationScheme(tuple(sizes), subsets=subsets)
 
 
 def degenerate_scheme(n: int) -> AggregationScheme:
     """Single-level scheme; aggregation with it is exactly the plug-in."""
-    return AggregationScheme((int(n),), q=1.0)
+    return AggregationScheme((int(n),))
 
 
 def level_plan(mode: str, n: int, m: int, q: float, subsets: int) -> AggregationScheme:
     """The scheme that ``level_spectra`` runs for ``mode`` at sample size n.
 
-    The plug-in is the one-level scheme and ignores m, though q must still
-    be finite and > 1; aggregate and jackknife use the geometric m-level
-    scheme of :func:`make_scheme`, and only the jackknife's carries
-    ``subsets``, so only it is held to the compute budget.
+    It refuses n, m and subsets below 1 and a q that is not finite and > 1
+    in every mode, though the plug-in, the one-level scheme, ignores m, q
+    and subsets; aggregate and jackknife use the geometric m-level scheme
+    of :func:`make_scheme`, and only the jackknife's carries ``subsets``,
+    so only it is held to the compute budget.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    for name, value in (("n", n), ("m", m), ("subsets", subsets)):
+        if value < 1:
+            raise SchemeError(f"{name} must be >= 1, got {value}")
     if mode == "plugin":
         _check_q(q)
         return degenerate_scheme(n)

@@ -319,10 +319,12 @@ def default_grid(order: int, count: int, seed: int) -> FunctionClassGrid:
     omega**(order+1) otherwise, which caps every derivative up to
     order+1 at 1. Bumps are rescaled by their worst grid-measured
     derivative. Deterministic given (order, count, seed). ``order`` is a
-    run's m, and its members need derivatives up to m + 1 <= 12.
+    run's m (members need derivatives up to m + 1 <= 12), ``count`` its grid_size.
     """
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise ValueError(f"grid_size must be >= 1, got {count}")
+    if order < 1:
+        raise ValueError(f"m must be >= 1, got {order}")
     if order + 1 > _MAX_ORDER:
         raise ValueError(
             f"m = {order} needs derivatives up to order {order + 1}, but the grid's "

@@ -111,11 +111,11 @@ class ExperimentConfig:
     all other fields are statistical. Construction stores q as a float and
     the integer fields as Python ints, refusing a value that is not
     integral, so equal configs hash equally (q=2 and q=2.0, n=np.int64(100)
-    and n=100). A config whose ``n_list`` is no
-    rate-sweep design (fewer than three distinct sizes >= 1, or a span
-    under a factor of four), whose plan (``level_plan``) cannot run at its
-    n or at each size of its ``n_list``, or whose model or f does not
-    parse, raises at construction.
+    and n=100). A config with ``replications`` or ``workers`` below 1, an
+    ``n_list`` that is no rate-sweep design (fewer than three distinct
+    sizes, or a span under a factor of four), a plan (``level_plan``, which
+    owns n, m and subsets) that cannot run at its n or at each size of its
+    ``n_list``, or a model or f that does not parse raises at construction.
 
     Construction keeps what it built, as attributes outside the fields (so
     ``asdict`` and ``config_hash`` do not see them): ``covariance``, the
@@ -146,8 +146,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, _integral(name, value))
-                if value < 1 and name not in ("seed", "m"):
-                    raise ValueError(f"{name} must be >= 1")
+                if value < 1 and name in ("replications", "workers"):  # plans own the rest
+                    raise ValueError(f"{name} must be >= 1, got {value}")
         if self.n is None and self.n_list is None:
             raise ValueError("one of n or n_list must be set")
         if self.n_list is not None:
@@ -155,8 +155,6 @@ class ExperimentConfig:
             ns = sorted(set(self.n_list))
             if len(ns) < 3:
                 raise ValueError(f"need at least 3 distinct n values, got {ns}")
-            if ns[0] < 1:
-                raise ValueError(f"n values must be >= 1, got {ns[0]}")
             if ns[-1] < 4 * ns[0]:
                 raise ValueError(
                     f"n values must span at least a factor of 4, got {ns[0]}..{ns[-1]}"

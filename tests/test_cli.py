@@ -334,6 +334,62 @@ def test_config_file_rejects_unknown_key_and_wrong_command(tmp_path, capsys):
         code, stdout, err = run_cli(capsys, command, "--config", str(twice), "--out", str(out))
         assert code == 2 and stdout == "" and not out.exists()
         assert f"{twice}:{second}: {key} is set twice (first on line {first})" in err
+    # a line with no key before its "=" is no key=value line
+    nokey = tmp_path / "nokey.cfg"
+    nokey.write_text("model=identity:3\nf=log1p\nn=100\nseed=1\n=5\n")
+    out = tmp_path / "out_nokey"
+    code, stdout, err = run_cli(capsys, "normality", "--config", str(nokey), "--out", str(out))
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err == f"error: {nokey}:5: expected key=value, got '=5'\n"
+
+
+# a run of each command that passes the gate
+_FLOOR_BASE = {
+    "estimate": {"model": "identity:3", "f": "log1p", "n": "100", "seed": "1"},
+    "coeffs": {"m": "2", "n": "100"},
+    "rates": {"model": "identity:3", "f": "log1p", "n_list": "50,100,200", "seed": "1",
+              "reps": "10"},
+    "normality": {"model": "identity:3", "f": "log1p", "n": "100", "seed": "1",
+                  "reps": "200"},
+    "supnorm": {"model": "identity:3", "n": "100", "seed": "1", "reps": "2"},
+}
+# every count a command takes, set to 0: (command, key, message); the
+# plug-in ignores m and subsets but refuses them below 1 all the same
+_FLOORS = [
+    ("estimate", "m", "m must be >= 1, got 0"),
+    ("estimate", "n", "n must be >= 1, got 0"),
+    ("estimate", "subsets", "subsets must be >= 1, got 0"),
+    ("coeffs", "m", "m must be >= 2"),
+    ("coeffs", "n", "n=0 is too small"),
+    ("rates", "m", "m must be >= 1, got 0"),
+    ("rates", "subsets", "subsets must be >= 1, got 0"),
+    ("rates", "reps", "replications must be >= 1, got 0"),
+    ("rates", "workers", "workers must be >= 1, got 0"),
+    ("normality", "m", "m must be >= 1, got 0"),
+    ("normality", "n", "n must be >= 1, got 0"),
+    ("normality", "subsets", "subsets must be >= 1, got 0"),
+    ("normality", "reps", "replications must be >= 1, got 0"),
+    ("normality", "workers", "workers must be >= 1, got 0"),
+    ("supnorm", "m", "m must be >= 1, got 0"),
+    ("supnorm", "n", "n must be >= 1, got 0"),
+    ("supnorm", "subsets", "subsets must be >= 1, got 0"),
+    ("supnorm", "reps", "replications must be >= 1, got 0"),
+    ("supnorm", "workers", "workers must be >= 1, got 0"),
+    ("supnorm", "grid_size", "grid_size must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("command,key,message", _FLOORS, ids=[f"{c}-{k}" for c, k, _ in _FLOORS])
+def test_every_floor_exits_2_before_any_output(tmp_path, capsys, command, key, message):
+    cfg = {**_FLOOR_BASE[command], key: "0"}
+    flags = [a for k, v in cfg.items() for a in ("--" + k.replace("_", "-"), v)]
+    conf = tmp_path / "floor.cfg"
+    conf.write_text("".join(f"{k}={v}\n" for k, v in cfg.items()))
+    for how, argv in (("flag", flags), ("config", ["--config", str(conf)])):
+        out = tmp_path / how
+        code, stdout, err = run_cli(capsys, command, *argv, "--out", str(out))
+        assert code == 2 and stdout == "" and not out.exists()
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
 def test_mp_compare_is_close_to_the_law(tmp_path, capsys):

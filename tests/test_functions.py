@@ -188,6 +188,12 @@ def test_default_grid_refuses_an_order_past_the_families_derivatives():
     assert default_grid(11, 3, seed=5).order == 11
     with pytest.raises(ValueError, match=r"m = 12 needs derivatives up to order 13.*<= 11"):
         default_grid(12, 3, seed=5)
+    # and below 1 it names the run's m and grid_size, not a member's failure
+    for order, count, message in ((0, 3, "m must be >= 1, got 0"),
+                                  (-1, 3, "m must be >= 1, got -1"),
+                                  (2, 0, "grid_size must be >= 1, got 0")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            default_grid(order, count, seed=5)
 
 
 @pytest.mark.parametrize("name", ALL_BUILTINS)

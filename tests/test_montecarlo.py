@@ -74,6 +74,13 @@ def test_config_validation():
     with pytest.raises(ValueError, match="m must be >= 2"):
         ExperimentConfig(model="identity:2", f="identity", seed=0, n=50,
                          mode="aggregate", m=1)
+    # the plug-in ignores m and subsets, but its plan refuses them below 1
+    for name in ("m", "subsets", "n"):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1, got 0"):
+            ExperimentConfig(**{"model": "identity:2", "f": "identity", "seed": 0,
+                                "n": 50, "mode": "plugin", name: 0})
+    with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+        ExperimentConfig(model="identity:2", f="identity", seed=0, n=50, workers=0)
     # a model or f that does not parse fails at construction, not in run
     with pytest.raises(ValueError, match="bad model profile 'nope'"):
         ExperimentConfig(model="nope", f="identity", seed=0, n=50)
