@@ -323,7 +323,7 @@ def default_grid(order: int, count: int, seed: int) -> FunctionClassGrid:
     """
     if count < 1:
         raise ValueError(f"grid_size must be >= 1, got {count}")
-    if order < 1:
+    if order < 1:  # FunctionClassGrid checks it too, but the bumps below read order first
         raise ValueError(f"m must be >= 1, got {order}")
     if order + 1 > _MAX_ORDER:
         raise ValueError(
