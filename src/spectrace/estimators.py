@@ -220,7 +220,7 @@ def make_scheme(m: int, n: int, q: float = 2.0, subsets: int | None = None) -> A
     if len(set(sizes)) != m:
         raise SchemeError(
             f"subsample sizes collide after rounding: {sizes}; "
-            "increase n or decrease q"
+            "increase n or q"
         )
     return AggregationScheme(tuple(sizes), subsets=subsets)
 

@@ -3,6 +3,9 @@
 A test function f vanishes at 0 and exposes derivatives up to a declared
 order, vectorized over numpy arrays. Trace functionals are sums of f over
 eigenvalues, so f(0) = 0 makes padding by zero eigenvalues harmless.
+Two rules give the built-ins' derivatives: the power rule for identity,
+square and cube (x**p, p = 1, 2, 3), and log1p's derivatives, which
+rational = 1 - 1/(1 + x) takes shifted up one order.
 A derivative bound is a grid maximum, exact where the sup sits at an
 endpoint, as for every derivative of identity, square, cube, log1p, rational.
 """
@@ -126,62 +129,35 @@ def tau_f_rows(f: TestFunction, spectra) -> np.ndarray:
 _MAX_ORDER = 12
 
 
-def _identity() -> TestFunction:
+def _power(name: str, p: int) -> TestFunction:
+    # f(x) = x**p: f^(j) = p!/(p-j)! x**(p-j) below p, the constant p! at p, 0 above.
     def evaluate(j: int, x: np.ndarray) -> np.ndarray:
-        if j == 0:
-            return x
-        if j == 1:
-            return np.ones_like(x)
-        return np.zeros_like(x)
+        if j > p:
+            return np.zeros_like(x)
+        if j == p:
+            return np.full_like(x, float(factorial(p)))
+        return factorial(p) // factorial(p - j) * x ** (p - j)
 
-    return TestFunction("identity", _MAX_ORDER, evaluate)
-
-
-def _square() -> TestFunction:
-    def evaluate(j: int, x: np.ndarray) -> np.ndarray:
-        if j == 0:
-            return x * x
-        if j == 1:
-            return 2.0 * x
-        if j == 2:
-            return np.full_like(x, 2.0)
-        return np.zeros_like(x)
-
-    return TestFunction("square", _MAX_ORDER, evaluate)
+    return TestFunction(name, _MAX_ORDER, evaluate)
 
 
-def _cube() -> TestFunction:
-    def evaluate(j: int, x: np.ndarray) -> np.ndarray:
-        if j == 0:
-            return x ** 3
-        if j == 1:
-            return 3.0 * x * x
-        if j == 2:
-            return 6.0 * x
-        if j == 3:
-            return np.full_like(x, 6.0)
-        return np.zeros_like(x)
-
-    return TestFunction("cube", _MAX_ORDER, evaluate)
+def _log1p_deriv(j: int, x: np.ndarray) -> np.ndarray:
+    """j-th derivative of log1p for j >= 1: (-1)**(j-1) (j-1)! / (1+x)**j."""
+    sign = 1.0 if j % 2 == 1 else -1.0
+    return sign * factorial(j - 1) / (1.0 + x) ** j
 
 
 def _log1p() -> TestFunction:
     def evaluate(j: int, x: np.ndarray) -> np.ndarray:
-        if j == 0:
-            return np.log1p(x)
-        sign = 1.0 if j % 2 == 1 else -1.0
-        return sign * factorial(j - 1) / (1.0 + x) ** j
+        return np.log1p(x) if j == 0 else _log1p_deriv(j, x)
 
     return TestFunction("log1p", _MAX_ORDER, evaluate)
 
 
 def _rational() -> TestFunction:
-    # f(x) = x / (1 + x)
+    # f(x) = x / (1 + x) = 1 - 1/(1 + x), so f^(j) = -log1p^(j+1) for j >= 1
     def evaluate(j: int, x: np.ndarray) -> np.ndarray:
-        if j == 0:
-            return x / (1.0 + x)
-        sign = 1.0 if j % 2 == 1 else -1.0
-        return sign * factorial(j) / (1.0 + x) ** (j + 1)
+        return x / (1.0 + x) if j == 0 else -_log1p_deriv(j + 1, x)
 
     return TestFunction("rational", _MAX_ORDER, evaluate)
 
@@ -234,9 +210,9 @@ def _bump(center: float = 2.0, width: float = 0.5, scale: float = 1.0) -> TestFu
 
 
 _FAMILIES: dict[str, Callable[..., TestFunction]] = {
-    "identity": _identity,
-    "square": _square,
-    "cube": _cube,
+    "identity": lambda: _power("identity", 1),
+    "square": lambda: _power("square", 2),
+    "cube": lambda: _power("cube", 3),
     "log1p": _log1p,
     "rational": _rational,
     "scaled_sine": _scaled_sine,
@@ -271,7 +247,10 @@ def builtin(name: str) -> TestFunction:
             f"test function {family!r} takes {at_most} parameters, "
             f"got {len(args)} in {name!r}"
         )
-    return make(*args)
+    try:
+        return make(*args)
+    except OverflowError:  # Python float ** raises where numpy gives inf
+        raise ValueError(f"parameters of test function {name!r} overflow a float")
 
 
 # --- function-class grids -------------------------------------------------

@@ -78,8 +78,10 @@ def test_estimate_from_data_csv(tmp_path, capsys):
 
 
 def test_estimate_scheme_collision_exits_2_before_any_output(tmp_path, capsys):
-    # the gate builds the scheme at the run's n, so neither error reaches the run
-    for n, q, word in (("3", "2", "too small"), ("5", "1.1", "collide")):
+    # the gate builds the scheme at the run's n, so neither error reaches the run;
+    # a larger q spreads colliding levels apart (q 1.5 builds 2, 3, 5 at n 5)
+    for n, q, word, advice in (("3", "2", "too small", "increase n or decrease q"),
+                               ("5", "1.1", "collide", "increase n or q")):
         out = tmp_path / n
         code, stdout, err = run_cli(
             capsys, "estimate", "--model", "identity:4", "--f", "log1p",
@@ -87,7 +89,7 @@ def test_estimate_scheme_collision_exits_2_before_any_output(tmp_path, capsys):
             "--seed", "1", "--out", str(out),
         )
         assert code == 2
-        assert word in err and "increase n or decrease q" in err
+        assert word in err and advice in err
         assert stdout == "" and not out.exists()
 
 
@@ -790,6 +792,10 @@ def test_bad_mode_and_standardize_exit_2_before_any_output(tmp_path, capsys):
         (("estimate", *named_f, "bump:nan:1"), "must be finite"),
         (("estimate", *named_f, "scaled_sine:2:inf"), "must be finite"),
         (("normality", *named_f, "bump:1:inf", "--reps", "200"), "must be finite"),
+        # finite parameters whose Python-float powers overflow
+        (("estimate", *named_f, "bump:1:1e-300"), "'bump:1:1e-300' overflow a float"),
+        (("normality", *named_f, "scaled_sine:1e-300:5", "--reps", "200"),
+         "'scaled_sine:1e-300:5' overflow a float"),
         # a data path that is not a file, and empty model or f names
         (("estimate", *no_model, "--data", str(tmp_path / "missing.csv")),
          "data file not found"),

@@ -1,3 +1,5 @@
+from math import factorial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,6 +43,27 @@ def test_builtin_derivatives_at_known_points():
     f = builtin("scaled_sine:1.0")
     x = np.linspace(0, 5, 11)
     assert np.allclose(f.deriv(4, x), np.sin(x))
+    # every order of the rule-built tables against its closed form, written out
+    x = np.concatenate([[0.0, 1e-300, 1e-10], np.linspace(0.0, 1e3, 40003)])
+    zero, one = np.zeros_like(x), np.ones_like(x)
+    powers = {"identity": [x, one],
+              "square": [x * x, 2.0 * x, 2.0 * one],
+              "cube": [x ** 3, 3.0 * x * x, 6.0 * x, 6.0 * one]}
+    table = {name: rows + [zero] * (13 - len(rows)) for name, rows in powers.items()}
+    table["log1p"] = [np.log1p(x)] + [
+        (-1.0) ** (j - 1) * factorial(j - 1) / (1.0 + x) ** j for j in range(1, 13)]
+    table["rational"] = [x / (1.0 + x)] + [
+        (-1.0) ** (j - 1) * factorial(j) / (1.0 + x) ** (j + 1) for j in range(1, 13)]
+    for name, rows in table.items():
+        f = builtin(name)
+        assert f.max_order == len(rows) - 1 == 12
+        for j, want in enumerate(rows):
+            got = f.deriv(j, x)
+            if (name, j) == ("cube", 1):
+                # the rule computes 3 (x x), the closed form (3 x) x: up to 2 ulp apart
+                np.testing.assert_array_max_ulp(got, want, maxulp=2)
+            else:
+                assert np.array_equal(got, want), (name, j)
 
 
 def test_all_builtins_vanish_at_zero():
@@ -59,6 +82,10 @@ def test_unknown_function_and_bad_params_rejected():
         builtin("log1p:2")
     with pytest.raises(ValueError, match="'scaled_sine' takes at most 2 parameters, got 3"):
         builtin("scaled_sine:1:2:3")
+    # finite parameters whose Python-float powers overflow
+    for name in ("bump:1:1e-300", "scaled_sine:1e-300:5"):
+        with pytest.raises(ValueError, match=f"test function '{name}' overflow a float"):
+            builtin(name)
 
 
 def test_nonvanishing_function_rejected_at_construction():
