@@ -1,8 +1,8 @@
 """Smooth test functions with tracked derivatives and derivative bounds.
 
 A test function f vanishes at 0 and exposes derivatives up to a declared
-order, vectorized over numpy arrays. Trace functionals are sums of f over
-eigenvalues, so f(0) = 0 makes padding by zero eigenvalues harmless.
+order, vectorized over numpy arrays and each checked finite at 0 when f is
+built. Trace functionals sum f over eigenvalues, so zero padding is harmless.
 Two rules give the built-ins' derivatives: the power rule for identity,
 square and cube (x**p, p = 1, 2, 3), and log1p's derivatives, which
 rational = 1 - 1/(1 + x) takes shifted up one order.
@@ -34,7 +34,7 @@ _CHECK_UPPER = 20.0  # function-class grids bound derivatives on [0, _CHECK_UPPE
 
 
 class TestFunction:
-    """Function on [0, inf) with f(0) = 0 and derivatives up to ``max_order``.
+    """Function on [0, inf) with f(0) = 0 and derivatives up to ``max_order``, finite at 0.
 
     Parameters
     ----------
@@ -60,10 +60,13 @@ class TestFunction:
         self.name = str(name)
         self.max_order = int(max_order)
         self._evaluate = evaluate
-        with np.errstate(all="ignore"):  # a NaN f(0) is refused below, not warned of
-            at_zero = float(np.asarray(evaluate(0, np.zeros(1)))[0])
-        if not abs(at_zero) <= 1e-12:  # NaN fails too
-            raise ValueError(f"{name}: f(0) = {at_zero!r}, must vanish")
+        with np.errstate(all="ignore"):  # non-finite values are refused below, not warned of
+            at_zero = [float(evaluate(j, np.zeros(1))[0]) for j in range(self.max_order + 1)]
+        if not abs(at_zero[0]) <= 1e-12:  # NaN fails too
+            raise ValueError(f"{name}: f(0) = {at_zero[0]!r}, must vanish")
+        for order, value in enumerate(at_zero):
+            if not isfinite(value):
+                raise ValueError(f"{name}: derivative of order {order} is {value!r} at 0")
 
     def __repr__(self) -> str:
         return f"TestFunction({self.name!r}, max_order={self.max_order})"
@@ -249,7 +252,7 @@ def builtin(name: str) -> TestFunction:
         )
     try:
         return make(*args)
-    except OverflowError:  # Python float ** raises where numpy gives inf
+    except OverflowError:  # Python float ** at some order, where numpy gives inf
         raise ValueError(f"parameters of test function {name!r} overflow a float")
 
 

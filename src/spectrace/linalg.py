@@ -23,6 +23,7 @@ __all__ = [
     "Stream",
     "CovarianceModel",
     "SampleSet",
+    "check_seed",
     "derive_seed",
     "rng_from",
     "sample_gaussian",
@@ -33,8 +34,6 @@ __all__ = [
     "format_cell",
     "write_csv",
 ]
-
-_MASK64 = (1 << 64) - 1
 
 # Relative width of the clipping band for eigenvalues of nominally PSD
 # matrices: values in (-CLIP_REL * max|eig|, 0) are round-off, not signal.
@@ -66,14 +65,20 @@ class Stream(IntEnum):
     RATE = 4  # (master, n, RATE): the master seed of a rate sweep's size n
 
 
+def check_seed(seed) -> int:
+    """``seed`` as an int, refused unless it lies in [0, 2**64), as every seed part must."""
+    if not 0 <= int(seed) < 1 << 64:
+        raise ValueError(f"seed {seed} is outside [0, 2**64)")
+    return int(seed)
+
+
 def _entropy(parts: tuple[int, ...]) -> list[int]:
-    # the length word up front keeps (s,), (s, 0), (s, 0, 0) on distinct
-    # streams; trailing zeros alone do not change a SeedSequence pool
-    return [len(parts), *(int(p) & _MASK64 for p in parts)]
+    """The length word, so (s,) and (s, 0) differ, then each part through :func:`check_seed`."""
+    return [len(parts), *map(check_seed, parts)]
 
 
 def derive_seed(*parts: int) -> int:
-    """Collapse integer parts into one 64-bit seed, deterministically.
+    """Collapse parts in [0, 2**64) into one 64-bit seed, deterministically.
 
     Used everywhere a child stream is split off a parent seed (a replicate
     index, or an index and a :class:`Stream` tag), so that results never

@@ -32,7 +32,7 @@ from .estimators import (
     level_spectra,
 )
 from .functions import FunctionClassGrid, builtin, tau_f
-from .linalg import CovarianceModel, Stream, derive_seed, sample_gaussian, write_csv
+from .linalg import CovarianceModel, Stream, check_seed, derive_seed, sample_gaussian, write_csv
 # unused; bench/bench_tests.py expects this module among its import sites
 from .linalg import sym_eigvalues  # noqa: F401
 from .theory import gaussian_limit_std, ks_distance
@@ -111,11 +111,11 @@ class ExperimentConfig:
     all other fields are statistical. Construction stores q as a float and
     the integer fields as Python ints, refusing a value that is not
     integral, so equal configs hash equally (q=2 and q=2.0, n=np.int64(100)
-    and n=100). A config with ``replications`` or ``workers`` below 1, an
-    ``n_list`` that is no rate-sweep design (fewer than three distinct
-    sizes, or a span under a factor of four), a plan (``level_plan``, which
-    owns n, m and subsets) that cannot run at its n or at each size of its
-    ``n_list``, or a model or f that does not parse raises at construction.
+    and n=100). A config with ``replications`` or ``workers`` below 1, a
+    seed ``check_seed`` refuses, an ``n_list`` that is no rate-sweep design
+    (fewer than three distinct sizes, or a span under a factor of four), a
+    plan (``level_plan``, which owns n, m and subsets) that cannot run at
+    its n or at each n_list size, or a model or f that does not parse is not built.
 
     Construction keeps what it built, as attributes outside the fields (so
     ``asdict`` and ``config_hash`` do not see them): ``covariance``, the
@@ -148,6 +148,7 @@ class ExperimentConfig:
                 object.__setattr__(self, name, _integral(name, value))
                 if value < 1 and name in ("replications", "workers"):  # plans own the rest
                     raise ValueError(f"{name} must be >= 1, got {value}")
+        check_seed(self.seed)
         if self.n is None and self.n_list is None:
             raise ValueError("one of n or n_list must be set")
         if self.n_list is not None:

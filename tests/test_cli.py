@@ -738,10 +738,16 @@ def test_bad_mode_and_standardize_exit_2_before_any_output(tmp_path, capsys):
     names = {"reps": "replications", "grid-size": "grid_size"}
     floors = [((*run, f"--{key}", "0"), f"{names.get(key, key)} must be >= 1, got 0")
               for run, keys in floor_runs for key in keys]
+    # a seed outside [0, 2**64) would alias one inside it: every command that
+    # takes a seed refuses it (the last --seed wins)
+    seed_runs = [run for run, _ in floor_runs] + [("mp-compare", "--d", "60", "--n", "60")]
+    seeds = [((*run, "--seed", seed), f"seed {seed} is outside [0, 2**64)")
+             for run in seed_runs for seed in ("-1", "18446744073709551616")]
     # a floor set in a config file is refused the same way
     (tmp_path / "floor.cfg").write_text("model=identity:3\nf=log1p\nn=100\nseed=1\nreps=0\n")
     for argv, word in [
         *floors,
+        *seeds,
         (("normality", "--config", str(tmp_path / "floor.cfg")),
          "replications must be >= 1, got 0"),
         (("coeffs", "--m", "0", "--n", "100"), "m must be >= 2"),
@@ -796,6 +802,11 @@ def test_bad_mode_and_standardize_exit_2_before_any_output(tmp_path, capsys):
         (("estimate", *named_f, "bump:1:1e-300"), "'bump:1:1e-300' overflow a float"),
         (("normality", *named_f, "scaled_sine:1e-300:5", "--reps", "200"),
          "'scaled_sine:1e-300:5' overflow a float"),
+        # ... or overflow only at a higher order, caught when f is built at 0
+        (("estimate", "--model", "identity:2", "--f", "scaled_sine:1e200:-1", "--n", "20",
+          "--seed", "1"), "'scaled_sine:1e200:-1' overflow a float"),
+        (("normality", *named_f, "bump:0:1e-300", "--reps", "200"),
+         "'bump:0:1e-300' overflow a float"),
         # a data path that is not a file, and empty model or f names
         (("estimate", *no_model, "--data", str(tmp_path / "missing.csv")),
          "data file not found"),

@@ -82,8 +82,10 @@ def test_unknown_function_and_bad_params_rejected():
         builtin("log1p:2")
     with pytest.raises(ValueError, match="'scaled_sine' takes at most 2 parameters, got 3"):
         builtin("scaled_sine:1:2:3")
-    # finite parameters whose Python-float powers overflow
-    for name in ("bump:1:1e-300", "scaled_sine:1e-300:5"):
+    # finite parameters whose Python-float powers overflow, in f or only in a
+    # higher order: f' = 1e400 cos(1e200 x), and w**-2 = 1e600 in the bump's f''
+    for name in ("bump:1:1e-300", "scaled_sine:1e-300:5", "scaled_sine:1e200:-1",
+                 "bump:0:1e-300"):
         with pytest.raises(ValueError, match=f"test function '{name}' overflow a float"):
             builtin(name)
 
@@ -98,6 +100,32 @@ def test_nonvanishing_function_rejected_at_construction():
                        (_bump, (np.nan, 1.0))):
         with pytest.raises(ValueError, match=r"f\(0\) = nan, must vanish"):
             make(*args)
+    # so does any order that is not finite at 0
+    with pytest.raises(ValueError, match="steep: derivative of order 2 is inf at 0"):
+        SmoothFunction("steep", 3, lambda j, x: np.full_like(x, np.inf if j == 2 else 0.0))
+
+
+_MAGNITUDE = hst.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+_SIGNED = hst.tuples(_MAGNITUDE, hst.sampled_from([1.0, -1.0])).map(lambda p: p[0] * p[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=hst.one_of(
+    hst.builds("scaled_sine:{!r}:{!r}".format, _MAGNITUDE, _SIGNED),
+    hst.builds("bump:{!r}:{!r}:{!r}".format, _SIGNED, _MAGNITUDE, _SIGNED),
+))
+def test_parameters_are_refused_when_built_or_every_order_evaluates(name):
+    # magnitudes log-uniform in 1e-300..1e300, either sign where the family
+    # takes one (omega and the width must be > 0)
+    try:
+        f = builtin(name)
+    except ValueError:
+        return
+    # numpy's inf or nan away from 0 is refused where f meets eigenvalues
+    # (tau_f_rows, gaussian_limit_std); no exception may come after the build
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = {(j, x): f.deriv(j, x) for j in range(13) for x in (0.0, 0.5, 5.0, 20.0)}
+    assert all(np.isfinite(values[j, 0.0]) for j in range(13)), name
 
 
 def test_builtin_refuses_non_finite_parameters():

@@ -9,6 +9,7 @@ from spectrace.linalg import (
     CovarianceModel,
     EigenSolverError,
     SampleSet,
+    Stream,
     _symmetric_gram,
     derive_seed,
     gram_spectra,
@@ -402,6 +403,20 @@ def test_derive_seed_stability_and_separation():
     x = sample_gaussian(CovarianceModel.identity(2), 3, derive_seed(9, 4))
     y = sample_gaussian(CovarianceModel.identity(2), 3, derive_seed(9, 5))
     assert not np.array_equal(x.data, y.data)
+    # frozen streams across the 64-bit range, both ends included
+    pinned = {0: (7434755675892716031, 9331405124324880715),
+              1: (77803131892610477, 11448594332913718274),
+              2 ** 63: (1696002430330042732, 5921603202382683241),
+              2 ** 64 - 1: (17494216426383749799, 8401326873596539901)}
+    for seed, (plain, subset) in pinned.items():
+        assert (derive_seed(seed), derive_seed(seed, 3, Stream.SUBSET)) == (plain, subset)
+    # a part outside [0, 2**64) is refused, not wrapped onto an in-range seed
+    for bad in (-1, 2 ** 64):
+        for derive in (derive_seed, rng_from):
+            with pytest.raises(ValueError, match=rf"seed {bad} is outside \[0, 2\*\*64\)"):
+                derive(bad)
+            with pytest.raises(ValueError, match="outside"):
+                derive(1, bad, Stream.SUBSET)
 
 
 def test_sampleset_validation():

@@ -81,6 +81,9 @@ def test_config_validation():
                                 "n": 50, "mode": "plugin", name: 0})
     with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
         ExperimentConfig(model="identity:2", f="identity", seed=0, n=50, workers=0)
+    for seed in (-1, 2 ** 64):  # check_seed's range, so no seed wraps onto another
+        with pytest.raises(ValueError, match=f"seed {seed} is outside"):
+            ExperimentConfig(model="identity:2", f="identity", seed=seed, n=50)
     # a model or f that does not parse fails at construction, not in run
     with pytest.raises(ValueError, match="bad model profile 'nope'"):
         ExperimentConfig(model="nope", f="identity", seed=0, n=50)
