@@ -12,23 +12,25 @@ Options are validated by building, before ``config.resolved`` is written,
 what each handler runs, which gets it as keyword arguments: the
 ``ExperimentConfig`` of rates, normality and supnorm (which builds and
 keeps its model, f and plan), supnorm's function grid, coeffs' scheme,
-and estimate's test function, its model or the samples of its --data
-file, and its scheme (``level_plan``) at their n. Nothing is built twice,
+estimate's test function, its model or the samples of its --data file,
+and its scheme (``level_plan``) at their n, and mp-compare's ratio d/n.
+An integer past the float range fails while building, as an
+``ArithmeticError``, and is refused the same way. Nothing is built twice,
 not even per size of rates, and each key's floor is the built object's.
 Only the rules no library object knows stay here: estimate's choice of one
-data source and mp-compare's sizes (its law's ratio is d/n).
+data source and mp-compare's size floors.
 Normality's replicate floor (``NORMALITY_MIN_REPS``) is checked when the
 run starts, after ``config.resolved`` is written, and exits 3.
 
 Exit codes: 0 on success, 2 for configuration errors (bad flags, missing
 keys, conflicting sources, a missing config or data file, a config file that
 is not UTF-8, a data file that does not parse, an --out that cannot be a
-directory, a count below 1, a plan that cannot run at its n, such as a
-jackknife run over the compute budget or an n too small for m and q, a
-supnorm m above 11, whose grid would need derivatives past order 12), 3 for
-numerical failures (eigensolver non-convergence, a sample covariance that
-overflows, a test function that is not finite at the eigenvalues, a zero or
-overflowing limit scale).
+directory, a count below 1 or past the float range, a plan that cannot run
+at its n, such as a jackknife run over the compute budget or an n too small
+for m and q, a supnorm m above 11, whose grid would need derivatives past
+order 12), 3 for numerical failures (eigensolver non-convergence, a sample
+covariance that overflows, a test function that is not finite at the
+eigenvalues, a zero or overflowing limit scale).
 """
 
 from __future__ import annotations
@@ -45,9 +47,6 @@ import numpy as np
 from .estimators import (
     MODES,
     AggregationScheme,
-    ComputeBudgetError,
-    combine_levels,
-    full_spectrum,
     level_plan,
     level_spectra,
     make_scheme,
@@ -256,7 +255,9 @@ def _validate(command: str, cfg: dict) -> dict:
             built["scheme"] = level_plan(cfg["mode"], n, cfg["m"], cfg["q"], cfg["subsets"])
             built["model"] = None if cfg["model"] is None else parse_model(cfg["model"])
             built["f"] = builtin(cfg["f"])
-    except (ValueError, ComputeBudgetError) as exc:
+        elif command == "mp-compare":
+            built["gamma"] = cfg["d"] / cfg["n"]
+    except (ValueError, ArithmeticError) as exc:  # ArithmeticError: an int past the float range
         raise ConfigError(str(exc))
     return built
 
@@ -309,9 +310,9 @@ def _cmd_estimate(cfg: dict, f: TestFunction, model: CovarianceModel | None,
     if samples is None:
         samples = sample_gaussian(model, cfg["n"], cfg["seed"])
     mode = cfg["mode"]
-    levels = level_spectra(samples, scheme, cfg["seed"])
-    estimate = combine_levels(f, levels)
-    lam = full_spectrum(levels)
+    measure = level_spectra(samples, scheme, cfg["seed"])
+    estimate = measure.integrate(f)
+    lam = measure.full_spectrum
     # every line is computed before the first is printed, so a failure prints none
     lines = [f"estimate: {estimate!r}",
              f"f: {f.name}  mode: {mode}  n: {samples.n}  dim: {samples.dim}"]
@@ -413,9 +414,8 @@ def _cmd_supnorm(cfg: dict, config: ExperimentConfig, grid: FunctionClassGrid) -
     return 0
 
 
-def _cmd_mp_compare(cfg: dict) -> int:
+def _cmd_mp_compare(cfg: dict, gamma: float) -> int:
     d, n = cfg["d"], cfg["n"]
-    gamma = d / n
     samples = sample_gaussian(CovarianceModel.identity(d), n, cfg["seed"])
     # the law's atom at 0 needs the d - n null eigenvalues gram_spectra leaves out
     nulls = np.zeros(max(d - n, 0))
@@ -489,8 +489,7 @@ def main(argv=None) -> int:
     # scheme and LAPACK errors are ValueErrors, overflows ArithmeticErrors
     try:
         return _COMMANDS[args.command].run(cfg, **built)
-    except (EigenSolverError, ComputeBudgetError, ReplicateError, ValueError,
-            ArithmeticError) as exc:
+    except (EigenSolverError, ReplicateError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -12,15 +12,17 @@ sample at extra compute cost. The plug-in is the one-level scheme.
 the weights it derives from them and, for the jackknife, the subsets drawn
 per level. The scheme checks its rules and its compute budget when it is
 built, so the engine does not. The engine computes the covariance spectra
-of every level once, the full sample always last (``full_spectrum``).
-Scalar estimates are the weighted sum ``combine_levels`` of tau_f over its
-output, and the signed spectral measure is the same output as atoms.
+of every level once and returns them as the paper's signed spectral
+measure, mu = sum_j C_j mu_{Sigma_hat_{n_j}} (``SignedSpectralMeasure``),
+the full sample always last (its ``full_spectrum``). Every scalar estimate
+is that measure's integral, ``integrate(f)`` = int f dmu, so the scalar,
+measure and supnorm paths read one sum.
 
 The engine works a level at a time: a level's index sets all come from
 one generator seeded by (seed, level), and they are drawn, their rows
 gathered, their Grams formed and eigendecomposed in blocks of at most
-``_BLOCK_BYTES``, one solver call per block; ``combine_levels``
-evaluates f once per level.
+``_BLOCK_BYTES``, one solver call per block; ``integrate`` evaluates f
+once per level.
 
 Every spectrum, the plug-in's included, comes from ``linalg.gram_spectra``:
 a level of n_j < d rows solves the n_j x n_j dual X X'/n_j and keeps its
@@ -84,8 +86,8 @@ class SchemeError(ValueError):
     """Aggregation scheme cannot be built or is inconsistent."""
 
 
-class ComputeBudgetError(RuntimeError):
-    """Requested covariance eigendecompositions exceed the allowed budget."""
+class ComputeBudgetError(SchemeError):
+    """A scheme would request more covariance eigendecompositions than allowed."""
 
 
 @dataclass(frozen=True)
@@ -250,18 +252,68 @@ def level_plan(mode: str, n: int, m: int, q: float, subsets: int) -> Aggregation
     return make_scheme(m, n, q, subsets if mode == "jackknife" else None)
 
 
+@dataclass(frozen=True)
+class SignedSpectralMeasure:
+    """mu = sum_j C_j * mean_b (counting measure of spectrum_{j,b}).
+
+    ``levels`` holds one (C_j, spectra) pair per level, as ``level_spectra``
+    builds it: ``spectra`` has one row per subset's spectrum, and the last
+    level is the full sample's one spectrum. Each row is an atom set of
+    mass 1 per eigenvalue, so an integral of f with f(0) = 0 is tau_f.
+    """
+
+    levels: tuple[tuple[float, np.ndarray], ...]
+
+    @property
+    def full_spectrum(self) -> np.ndarray:
+        """The full-sample covariance spectrum, the last level's one row."""
+        return self.levels[-1][1][0]
+
+    @property
+    def locations(self) -> np.ndarray:
+        """Every atom's location, level by level and row by row."""
+        return np.concatenate([spectra.ravel() for _, spectra in self.levels])
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Every atom's signed weight C_j / B_j, aligned with ``locations``."""
+        return np.concatenate([
+            np.full(spectra.size, weight / len(spectra)) for weight, spectra in self.levels
+        ])
+
+    def integrate(self, f: TestFunction) -> float:
+        """int f dmu = sum_j C_j * mean_b tau_f(spectrum_{j,b}).
+
+        f is evaluated once per level; the per-subset values are summed in
+        subset order, so the result equals the same sum of ``tau_f`` calls,
+        and a negative atom is refused as ``tau_f`` refuses it. Raises
+        FloatingPointError when the sum overflows, which Python floats do
+        without a warning.
+        """
+        total = 0.0
+        for weight, spectra in self.levels:
+            acc = 0.0
+            for value in tau_f_rows(f, spectra).tolist():
+                acc += value
+            total += float(weight) * (acc / len(spectra))
+        if not isfinite(total):
+            raise FloatingPointError(f"the level sum of tau_f of {f.name} overflows")
+        return total
+
+
 def level_spectra(
     samples: SampleSet, scheme: AggregationScheme, seed: int
-) -> list[tuple[float, np.ndarray]]:
-    """Subsample covariance spectra, one (C_j, spectra) pair per level.
+) -> SignedSpectralMeasure:
+    """The signed spectral measure of ``scheme`` on ``samples``.
 
-    ``spectra`` has one row per spectrum. When ``scheme.subsets`` is None
-    level j holds the spectrum of the prefix of the first n_j observations.
-    Otherwise every level with n_j < n holds the spectra of ``subsets``
-    uniformly drawn size-n_j subsets; the full-sample level always holds
-    one spectrum. Subset b of a level is the first n_j entries of the
-    argsort of row b of a ``(subsets, n)`` block of uniforms drawn from
-    one generator seeded by (seed, level), so the result is a pure
+    Its ``levels`` hold one (C_j, spectra) pair per level, the full sample
+    last; ``spectra`` has one row per spectrum. When ``scheme.subsets`` is
+    None level j holds the spectrum of the prefix of the first n_j
+    observations. Otherwise every level with n_j < n holds the spectra of
+    ``subsets`` uniformly drawn size-n_j subsets; the full-sample level
+    always holds one spectrum. Subset b of a level is the first n_j entries
+    of the argsort of row b of a ``(subsets, n)`` block of uniforms drawn
+    from one generator seeded by (seed, level), so the result is a pure
     function of the inputs. The block is drawn in row order, a block of
     subsets at a time, and each block's spectra come from one solver call.
     Every spectrum comes from ``gram_spectra``, so a level's spectra are
@@ -290,7 +342,7 @@ def level_spectra(
                 # for 50 subsets of 200 rows in 20 dimensions (numpy 2.4)
                 spectra[start:stop] = gram_spectra(np.take(x, rows, axis=0))
         levels.append((weight, spectra))
-    return levels
+    return SignedSpectralMeasure(tuple(levels))
 
 
 def _subsets_per_block(n: int, size: int, d: int) -> int:
@@ -301,30 +353,6 @@ def _subsets_per_block(n: int, size: int, d: int) -> int:
     """
     width = min(size, d)
     return max(1, _BLOCK_BYTES // (8 * (2 * n + size * d + width * width + width)))
-
-
-def full_spectrum(levels) -> np.ndarray:
-    """The full-sample covariance spectrum, the last level of ``level_spectra``."""
-    return levels[-1][1][0]
-
-
-def combine_levels(f: TestFunction, levels) -> float:
-    """sum_j C_j * mean_b tau_f(spectrum_{j,b}) over ``level_spectra`` output.
-
-    f is evaluated once per level; the per-subset values are summed in
-    subset order, so the result equals the same sum of ``tau_f`` calls.
-    Raises FloatingPointError when the sum overflows, which Python floats
-    do without a warning.
-    """
-    total = 0.0
-    for weight, spectra in levels:
-        acc = 0.0
-        for value in tau_f_rows(f, spectra).tolist():
-            acc += value
-        total += float(weight) * (acc / len(spectra))
-    if not isfinite(total):
-        raise FloatingPointError(f"the level sum of tau_f of {f.name} overflows")
-    return total
 
 
 def plugin_estimate(f: TestFunction, samples: SampleSet) -> float:
@@ -340,7 +368,7 @@ def aggregate_estimate(
     Level j uses the first n_j observations, whatever ``scheme.subsets``
     says; the full sample is always the last level.
     """
-    return combine_levels(f, level_spectra(samples, replace(scheme, subsets=None), 0))
+    return level_spectra(samples, replace(scheme, subsets=None), 0).integrate(f)
 
 
 def jackknife_estimate(
@@ -361,31 +389,7 @@ def jackknife_estimate(
     10,000 covariance eigendecompositions; more raises
     :class:`ComputeBudgetError`.
     """
-    levels = level_spectra(samples, replace(scheme, subsets=subsets_per_level), seed)
-    return combine_levels(f, levels)
-
-
-@dataclass(frozen=True)
-class SignedSpectralMeasure:
-    """Atoms (location, signed weight); integration is the weighted sum."""
-
-    locations: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        loc = np.asarray(self.locations, dtype=float)
-        wgt = np.asarray(self.weights, dtype=float)
-        if loc.ndim != 1 or loc.shape != wgt.shape:
-            raise ValueError("locations and weights must be aligned 1-d arrays")
-        if not (np.all(np.isfinite(loc)) and np.all(np.isfinite(wgt))):
-            raise ValueError("atoms must be finite")
-        if loc.size and float(loc.min()) < 0.0:
-            raise ValueError(f"locations must be >= 0, min = {float(loc.min()):.3e}")
-        object.__setattr__(self, "locations", loc)
-        object.__setattr__(self, "weights", wgt)
-
-    def integrate(self, f: TestFunction) -> float:
-        return float(np.dot(self.weights, f.deriv(0, self.locations)))
+    return level_spectra(samples, replace(scheme, subsets=subsets_per_level), seed).integrate(f)
 
 
 def spectral_measure_estimate(
@@ -395,24 +399,18 @@ def spectral_measure_estimate(
     subsets_per_level: int = 50,
     seed: int = 0,
 ) -> SignedSpectralMeasure:
-    """Signed combination of subsample spectral measures.
+    """Signed combination of subsample spectral measures: the engine's measure.
 
     Uses the same prefixes (plugin mode, one-level scheme only, and
     aggregate mode) or seeded subsets (jackknife mode) as the scalar
-    estimators, so integrating a test function against the result
-    reproduces the scalar estimate up to summation round-off.
+    estimators, which integrate this measure, so ``integrate(f)`` is
+    exactly the scalar estimate.
     """
     if mode not in MODES or (mode == "plugin" and scheme.m != 1):
         raise ValueError(f"mode must be one of {MODES} (plugin needs m=1), "
                          f"got {mode!r} with m={scheme.m}")
     subsets = subsets_per_level if mode == "jackknife" else None
-    levels = level_spectra(samples, replace(scheme, subsets=subsets), seed)
-    return SignedSpectralMeasure(
-        np.concatenate([spectra.ravel() for _, spectra in levels]),
-        np.concatenate([
-            np.full(spectra.size, weight / len(spectra)) for weight, spectra in levels
-        ]),
-    )
+    return level_spectra(samples, replace(scheme, subsets=subsets), seed)
 
 
 def linear_term(f: TestFunction, model: CovarianceModel, sigma_hat: np.ndarray) -> float:

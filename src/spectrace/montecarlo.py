@@ -25,12 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .estimators import (
-    combine_levels,
-    full_spectrum,
-    level_plan,
-    level_spectra,
-)
+from .estimators import SignedSpectralMeasure, level_plan, level_spectra
 from .functions import FunctionClassGrid, builtin, tau_f
 from .linalg import CovarianceModel, Stream, check_seed, derive_seed, sample_gaussian, write_csv
 # unused; bench/bench_tests.py expects this module among its import sites
@@ -276,7 +271,9 @@ def _summarize(truth: float, estimates: np.ndarray, standardized: np.ndarray) ->
     }
 
 
-def _map_replicates(config: ExperimentConfig, one: Callable[[list], object]) -> list:
+def _map_replicates(
+    config: ExperimentConfig, one: Callable[[SignedSpectralMeasure], object]
+) -> list:
     """One result per replicate, in index order, on ``config.workers`` threads.
 
     The one replicate body of every experiment: replicate i samples the
@@ -338,11 +335,11 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     oracle = config.standardize == "oracle"
     oracle_std = _limit_scale(f, model) if oracle else None
 
-    def one(levels) -> tuple[float, float]:
-        est = combine_levels(f, levels)
+    def one(measure: SignedSpectralMeasure) -> tuple[float, float]:
+        est = measure.integrate(f)
         if oracle:
             return est, oracle_std
-        return est, _limit_scale(f, CovarianceModel(full_spectrum(levels)))
+        return est, _limit_scale(f, CovarianceModel(measure.full_spectrum))
 
     estimates, scales = np.array(_map_replicates(config, one), dtype=float).T
 
@@ -387,16 +384,16 @@ def supnorm_experiment(
 ) -> SupnormResult:
     """Worst-case estimation error over a function family, by replicate.
 
-    Computes the level spectra once per replicate and combines them for
-    every family member, so the per-function estimates within a replicate
-    share the same randomness, and member j's error is exactly that of
-    ``run`` with f = member j.
+    Computes the engine's measure once per replicate and integrates every
+    family member against it, so the per-function estimates within a
+    replicate share the same randomness, and member j's error is exactly
+    that of ``run`` with f = member j.
     """
     model = config.covariance
     truths = np.array([tau_f(f, model.eigenvalues) for f in grid.members])
 
-    def one(levels) -> np.ndarray:
-        ests = np.array([combine_levels(f, levels) for f in grid.members])
+    def one(measure: SignedSpectralMeasure) -> np.ndarray:
+        ests = np.array([measure.integrate(f) for f in grid.members])
         return np.abs(ests - truths)
 
     errors = np.array(_map_replicates(config, one))

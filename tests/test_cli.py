@@ -723,6 +723,7 @@ def test_bad_mode_and_standardize_exit_2_before_any_output(tmp_path, capsys):
     (tmp_path / "latin1.cfg").write_bytes(
         "# caf\xe9\nmodel=identity:3\nf=log1p\nn=40\nseed=1\n".encode("latin-1"))
     data = ("estimate", *no_model, "--data")
+    big = "1" + "0" * 400
     # every count a command takes, set to 0 on a run that otherwise passes the
     # gate (the last of a repeated flag wins); the plug-in ignores m and
     # subsets but refuses them below 1 all the same
@@ -773,6 +774,15 @@ def test_bad_mode_and_standardize_exit_2_before_any_output(tmp_path, capsys):
         (("coeffs", "--m", "1100", "--n", "100"), "n=100 is too small for m=1100"),
         (("estimate", *base, "--n", "100", "--mode", "aggregate", "--m", "1100"),
          "n=100 is too small for m=1100"),
+        # integers past the float range fail while what they size is built
+        (("normality", *base, "--n", "100", "--reps", big), "int too large to convert"),
+        (("normality", *base, "--n", "100", "--workers", big), "int too large to convert"),
+        (("estimate", *base, "--n", "100", "--mode", "aggregate", "--m", big),
+         "int too large to convert"),
+        (("coeffs", "--m", "2", "--n", big), "int too large to convert"),
+        (("estimate", *base, "--n", big), "int too large to convert"),
+        (("mp-compare", "--d", big, "--n", "100", "--seed", "1"),
+         "integer division result too large for a float"),
         # 1 + subsets * (m - 1) > 10,000 is known before any replicate runs
         (("normality", *base, "--n", "100", "--mode", "jackknife", "-B", "20000"),
          "budget is 10000"),

@@ -13,12 +13,11 @@ from spectrace.estimators import (
     AggregationScheme,
     ComputeBudgetError,
     SchemeError,
+    SignedSpectralMeasure,
     aggregate_estimate,
-    combine_levels,
     coeffs_closed_form,
     coeffs_linear_system,
     degenerate_scheme,
-    full_spectrum,
     jackknife_estimate,
     level_plan,
     level_spectra,
@@ -407,10 +406,10 @@ def test_level_spectra_do_not_depend_on_the_block_size(monkeypatch, level_draws)
     x = sample_gaussian(CovarianceModel.from_values([3.0, 2.0, 1.0, 1.0, 0.5, 0.1]),
                         400, 51)
     scheme = replace(make_scheme(3, 400, 2.0), subsets=50)
-    default = level_spectra(x, scheme, 9)
+    default = level_spectra(x, scheme, 9).levels
     for block_bytes in (1, 3 * 200 * 6 * 8):
         monkeypatch.setattr(estimators, "_BLOCK_BYTES", block_bytes)
-        levels = level_spectra(x, scheme, 9)
+        levels = level_spectra(x, scheme, 9).levels
         assert [w for w, _ in levels] == [w for w, _ in default]
         for (_, got), (_, expect) in zip(levels, default):
             assert got.shape == expect.shape and (got == expect).all()
@@ -423,12 +422,12 @@ def test_level_spectra_do_not_depend_on_the_block_size(monkeypatch, level_draws)
     x = sample_gaussian(CovarianceModel.from_values(np.linspace(2.0, 0.1, d)), n, 54)
     scheme = replace(make_scheme(3, n, 2.0), subsets=10)
     monkeypatch.setattr(estimators, "_BLOCK_BYTES", block_default)
-    default = level_spectra(x, scheme, 11)
+    default = level_spectra(x, scheme, 11).levels
     assert [s.shape for _, s in default] == [(10, 20), (10, 40), (1, d)]
     for block_bytes in (1, 91_440):
         level_draws.clear()
         monkeypatch.setattr(estimators, "_BLOCK_BYTES", block_bytes)
-        levels = level_spectra(x, scheme, 11)
+        levels = level_spectra(x, scheme, 11).levels
         for (_, got), (_, expect) in zip(levels, default):
             assert got.shape == expect.shape and (got == expect).all()
         for i, (level, (b, _)) in enumerate(level_draws):
@@ -453,11 +452,11 @@ def test_level_spectra_do_not_depend_on_the_block_size_when_the_draw_dominates(
     d, n = 2, 2000
     x = sample_gaussian(CovarianceModel.from_values([2.0, 0.5]), n, 53)
     scheme = replace(make_scheme(4, n, 2.0), subsets=7)
-    default = level_spectra(x, scheme, 10)
+    default = level_spectra(x, scheme, 10).levels
     for block_bytes in (1, 96_000):
         level_draws.clear()
         monkeypatch.setattr(estimators, "_BLOCK_BYTES", block_bytes)
-        levels = level_spectra(x, scheme, 10)
+        levels = level_spectra(x, scheme, 10).levels
         for (_, got), (_, expect) in zip(levels, default):
             assert got.shape == expect.shape and (got == expect).all()
         assert sorted({level for level, _ in level_draws}) == [0, 1, 2]
@@ -494,32 +493,32 @@ def test_identity_estimates_scale_with_the_square_of_the_data(mode, d, n, m, log
     f = builtin("identity")
     x = sample_gaussian(CovarianceModel.from_values(np.linspace(2.0, 0.1, d)), n, seed)
     scheme = level_plan(mode, n, m, 2.0, 5)
-    base = combine_levels(f, level_spectra(x, scheme, seed))
-    levels = level_spectra(SampleSet(c * x.data), scheme, seed)
-    scaled = combine_levels(f, levels)
-    tol = 1e-12 * scheme.coeff_l1() * float(full_spectrum(levels).sum())
+    base = level_spectra(x, scheme, seed).integrate(f)
+    measure = level_spectra(SampleSet(c * x.data), scheme, seed)
+    scaled = measure.integrate(f)
+    tol = 1e-12 * scheme.coeff_l1() * float(measure.full_spectrum.sum())
     assert abs(scaled - c * c * base) <= tol
 
 
-def test_combine_levels_raises_when_its_weighted_sum_overflows():
+def test_measure_integral_raises_when_its_weighted_sum_overflows():
     # every tau_f is finite; 2 * 1.5e308 and the mean of two 1e308 rows are not
     f = builtin("identity")
     for levels in ([(-1.0, np.array([[1e308]])), (2.0, np.array([[1.5e308]]))],
                    [(1.0, np.array([[1e308], [1e308]]))]):
         with pytest.raises(FloatingPointError, match="level sum of tau_f of identity"):
-            combine_levels(f, levels)
+            SignedSpectralMeasure(levels).integrate(f)
 
 
-def test_combine_levels_refuses_a_negative_spectrum_as_tau_f_does():
+def test_measure_integral_refuses_a_negative_spectrum_as_tau_f_does():
     f = builtin("log1p")
     bad = np.array([0.7, 0.2, -1e-3])
     levels = [(-1.0, np.array([[0.5, 0.1, 0.0], bad, [0.4, 0.3, 0.2]])),
               (2.0, np.array([[1.0, 0.5, 0.25]]))]
     with pytest.raises(ValueError) as from_tau_f:
         tau_f(f, bad)
-    with pytest.raises(ValueError) as from_combine:
-        combine_levels(f, levels)
-    assert str(from_combine.value) == str(from_tau_f.value)
+    with pytest.raises(ValueError) as from_measure:
+        SignedSpectralMeasure(levels).integrate(f)
+    assert str(from_measure.value) == str(from_tau_f.value)
     assert "nonnegative" in str(from_tau_f.value)
 
 
@@ -539,10 +538,10 @@ def test_rank_deficient_data_never_trips_the_negativity_check(d, n, log_scale, s
                   * rng.uniform(0.5, 2.0, size=d))
     for mode in MODES:
         scheme = level_plan(mode, n, 2, 2.0, 4)
-        levels = level_spectra(x, scheme, seed)
+        measure = level_spectra(x, scheme, seed)
         for f in (builtin("log1p"), builtin("rational")):
-            assert np.isfinite(combine_levels(f, levels))
-        for (_, spectra), size in zip(levels, scheme.sizes):
+            assert np.isfinite(measure.integrate(f))
+        for (_, spectra), size in zip(measure.levels, scheme.sizes):
             assert (spectra >= 0.0).all()
             # the d - n_j smallest are the null space, zero up to round-off
             assert (spectra[:, size:] <= 1e-10 * spectra[:, :1]).all()
@@ -561,9 +560,9 @@ def test_plugin_is_invariant_under_row_permutation(d, n, seed):
     x = rng.standard_normal((n, d)) * rng.uniform(0.1, 3.0, size=d)
     f = builtin("log1p")
     scheme = level_plan("plugin", n, 2, 2.0, 1)
-    base = combine_levels(f, level_spectra(SampleSet(x), scheme, 0))
+    base = level_spectra(SampleSet(x), scheme, 0).integrate(f)
     permuted = SampleSet(x[rng.permutation(n)])
-    got = combine_levels(f, level_spectra(permuted, scheme, 0))
+    got = level_spectra(permuted, scheme, 0).integrate(f)
     assert abs(got - base) <= 1e-10 * max(1.0, abs(base))
     assert got == plugin_estimate(f, permuted)
 
@@ -579,7 +578,7 @@ def test_measure_total_mass_and_identity_integral():
     assert abs(mu.weights.sum() - 4.0) < 1e-12
     assert mu.locations.size == 8
     f = builtin("identity")
-    assert abs(mu.integrate(f) - aggregate_estimate(f, x, scheme)) < 1e-12
+    assert mu.integrate(f) == aggregate_estimate(f, x, scheme)
 
 
 def test_measure_single_observation_atom():
@@ -610,7 +609,21 @@ def test_measure_consistency_across_random_configs():
         else:
             scalar = jackknife_estimate(f, x, scheme, 10, seed=seed + 1)
         mu = spectral_measure_estimate(x, scheme, mode, 10, seed=seed + 1)
-        assert abs(mu.integrate(f) - scalar) <= 1e-10 * (1.0 + abs(scalar))
+        assert mu.integrate(f) == scalar
+
+
+def test_measure_integral_raises_when_the_engine_measure_overflows():
+    # sizes 2 and 4 weigh C = (-1, 2); the full sample's tau_f of square is
+    # 1.27e308, finite, and twice it is not. A dot product over the
+    # flattened atoms returned inf here, with only a RuntimeWarning
+    x = SampleSet(np.array([[1.0], [1.0], [1.5e77], [1.5e77]]))
+    mu = spectral_measure_estimate(x, make_scheme(2, 4, 2.0), "aggregate")
+    f = builtin("square")
+    assert mu.weights.tolist() == [-1.0, 2.0]
+    with np.errstate(over="ignore"):
+        assert np.dot(mu.weights, f.deriv(0, mu.locations)) == np.inf
+    with pytest.raises(FloatingPointError, match="level sum of tau_f of square"):
+        mu.integrate(f)
 
 
 def test_measure_jackknife_atoms_and_weights():
@@ -638,8 +651,7 @@ def test_measure_plugin_mode_is_the_one_level_aggregate():
     agg = spectral_measure_estimate(x, degenerate_scheme(40), "aggregate")
     assert np.array_equal(plugin.locations, agg.locations)
     assert np.array_equal(plugin.weights, agg.weights)
-    assert plugin.integrate(builtin("log1p")) == pytest.approx(
-        plugin_estimate(builtin("log1p"), x), rel=1e-12)
+    assert plugin.integrate(builtin("log1p")) == plugin_estimate(builtin("log1p"), x)
 
 
 # --- expansion terms ------------------------------------------------------
