@@ -12,10 +12,11 @@ Options are validated by building, before ``config.resolved`` is written,
 what each handler runs, which gets it as keyword arguments: the
 ``ExperimentConfig`` of rates, normality and supnorm (which builds and
 keeps its model, f and plan), supnorm's function grid, coeffs' scheme,
-estimate's test function, its model or the samples of its --data file,
-and its scheme (``level_plan``) at their n, and mp-compare's ratio d/n.
-An integer past the float range fails while building, as an
-``ArithmeticError``, and is refused the same way. Nothing is built twice,
+estimate's scheme (``level_plan``) at its n, model, test function and
+sample (read from --data, or drawn from the model last), and mp-compare's
+ratio d/n and sample. An integer past the float range fails while
+building, as an ``ArithmeticError``, and a sample too large to allocate as
+a ``MemoryError``; both are refused the same way. Nothing is built twice,
 not even per size of rates, and each key's floor is the built object's.
 Only the rules no library object knows stay here: estimate's choice of one
 data source and mp-compare's size floors.
@@ -28,9 +29,10 @@ is not UTF-8, a data file that does not parse, an --out that cannot be a
 directory, a count below 1 or past the float range, a plan that cannot run
 at its n, such as a jackknife run over the compute budget or an n too small
 for m and q, a supnorm m above 11, whose grid would need derivatives past
-order 12), 3 for numerical failures (eigensolver non-convergence, a sample
-covariance that overflows, a test function that is not finite at the
-eigenvalues, a zero or overflowing limit scale).
+order 12, a sample whose size cannot be allocated), 3 for numerical
+failures (eigensolver non-convergence, a sample covariance that overflows,
+a test function that is not finite at the eigenvalues, a zero or
+overflowing limit scale).
 """
 
 from __future__ import annotations
@@ -249,16 +251,19 @@ def _validate(command: str, cfg: dict) -> dict:
         elif command == "coeffs":
             built["scheme"] = make_scheme(cfg["m"], cfg["n"], cfg["q"])
         elif command == "estimate":
-            samples = None if cfg["data"] is None else load_samples_csv(cfg["data"])
-            n = cfg["n"] if samples is None else samples.n
-            built["samples"] = samples
+            data = None if cfg["data"] is None else load_samples_csv(cfg["data"])
+            n = cfg["n"] if data is None else data.n
             built["scheme"] = level_plan(cfg["mode"], n, cfg["m"], cfg["q"], cfg["subsets"])
-            built["model"] = None if cfg["model"] is None else parse_model(cfg["model"])
+            built["model"] = model = None if cfg["model"] is None else parse_model(cfg["model"])
             built["f"] = builtin(cfg["f"])
+            built["samples"] = data if model is None else sample_gaussian(model, n, cfg["seed"])
         elif command == "mp-compare":
             built["gamma"] = cfg["d"] / cfg["n"]
-    except (ValueError, ArithmeticError) as exc:  # ArithmeticError: an int past the float range
-        raise ConfigError(str(exc))
+            identity = CovarianceModel.identity(cfg["d"])
+            built["samples"] = sample_gaussian(identity, cfg["n"], cfg["seed"])
+    # ArithmeticError: an int past the float range; MemoryError: a sample too large
+    except (ValueError, ArithmeticError, MemoryError) as exc:
+        raise ConfigError(str(exc) or type(exc).__name__)
     return built
 
 
@@ -306,9 +311,7 @@ def _scheme_report(scheme) -> dict[str, str]:
 
 
 def _cmd_estimate(cfg: dict, f: TestFunction, model: CovarianceModel | None,
-                  samples: SampleSet | None, scheme: AggregationScheme) -> int:
-    if samples is None:
-        samples = sample_gaussian(model, cfg["n"], cfg["seed"])
+                  samples: SampleSet, scheme: AggregationScheme) -> int:
     mode = cfg["mode"]
     measure = level_spectra(samples, scheme, cfg["seed"])
     estimate = measure.integrate(f)
@@ -414,9 +417,8 @@ def _cmd_supnorm(cfg: dict, config: ExperimentConfig, grid: FunctionClassGrid) -
     return 0
 
 
-def _cmd_mp_compare(cfg: dict, gamma: float) -> int:
+def _cmd_mp_compare(cfg: dict, gamma: float, samples: SampleSet) -> int:
     d, n = cfg["d"], cfg["n"]
-    samples = sample_gaussian(CovarianceModel.identity(d), n, cfg["seed"])
     # the law's atom at 0 needs the d - n null eigenvalues gram_spectra leaves out
     nulls = np.zeros(max(d - n, 0))
     lam_sorted = np.concatenate([nulls, np.sort(gram_spectra(samples.data))])

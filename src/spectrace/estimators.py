@@ -286,16 +286,26 @@ class SignedSpectralMeasure:
 
         f is evaluated once per level; the per-subset values are summed in
         subset order, so the result equals the same sum of ``tau_f`` calls,
-        and a negative atom is refused as ``tau_f`` refuses it. Raises
-        FloatingPointError when the sum overflows, which Python floats do
-        without a warning.
+        and a negative atom is refused as ``tau_f`` refuses it. A sum whose
+        terms overflow, which Python floats do without a warning, is redone
+        with every value divided by the largest |value| and scaled back;
+        FloatingPointError when that overflows too.
         """
-        total = 0.0
-        for weight, spectra in self.levels:
-            acc = 0.0
-            for value in tau_f_rows(f, spectra).tolist():
-                acc += value
-            total += float(weight) * (acc / len(spectra))
+        rows = [tau_f_rows(f, spectra).tolist() for _, spectra in self.levels]
+
+        def level_sum(scale: float) -> float:
+            total = 0.0
+            for (weight, _), values in zip(self.levels, rows):
+                acc = 0.0
+                for value in values:
+                    acc += value / scale
+                total += float(weight) * (acc / len(values))
+            return total
+
+        total = level_sum(1.0)
+        if not isfinite(total):
+            scale = max(abs(value) for values in rows for value in values)
+            total = scale * level_sum(scale)
         if not isfinite(total):
             raise FloatingPointError(f"the level sum of tau_f of {f.name} overflows")
         return total
@@ -357,7 +367,7 @@ def _subsets_per_block(n: int, size: int, d: int) -> int:
 
 def plugin_estimate(f: TestFunction, samples: SampleSet) -> float:
     """tau_f of the sample covariance of all observations."""
-    return tau_f(f, gram_spectra(samples.data))
+    return level_spectra(samples, degenerate_scheme(samples.n), 0).integrate(f)
 
 
 def aggregate_estimate(
@@ -439,5 +449,4 @@ def taylor_remainder(
     lin = linear_term(f, model, sigma_hat)
     lam_hat = sym_eigvalues(np.asarray(sigma_hat, dtype=float))
     value_hat = float(np.sum(f.deriv(0, lam_hat)))
-    value = float(np.sum(f.deriv(0, model.eigenvalues)))
-    return value_hat - value - lin
+    return value_hat - tau_f(f, model.eigenvalues) - lin

@@ -426,18 +426,6 @@ def normality_check(config: ExperimentConfig) -> ExperimentResult:
 
 # --- CSV output -------------------------------------------------------------
 
-_SUMMARY_ORDER = (
-    "mean",
-    "bias",
-    "std",
-    "rmse",
-    "l4_error",
-    "ks_normal",
-    "w1_normal",
-    "standardized_mean",
-    "standardized_var",
-)
-
 
 def config_hash(config: ExperimentConfig) -> str:
     """12-hex digest of the statistical fields (workers excluded)."""
@@ -459,8 +447,8 @@ def write_result_csvs(result: ExperimentResult, outdir) -> tuple[Path, Path]:
     sum_path = write_csv(
         Path(outdir) / f"experiment_{tag}_summary.csv",
         ["metric", "value", "se"],
-        ([key, summary[key], summary["bias_se"] if key in ("mean", "bias") else ""]
-         for key in _SUMMARY_ORDER),
+        ([key, value, summary["bias_se"] if key in ("mean", "bias") else ""]
+         for key, value in summary.items() if key != "bias_se"),
     )
     return rep_path, sum_path
 

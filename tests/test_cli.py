@@ -173,17 +173,28 @@ def test_a_test_function_overflowing_at_the_eigenvalues_exits_3_without_result(
 
 
 def test_estimate_whose_level_sum_overflows_exits_3_without_result(tmp_path, capsys):
-    # each subset's tau_f is finite, twice the full-sample one is not
+    # each level's tau_f is finite; the integral -1 + 2 * 1.27e308 is not
     data = tmp_path / "big.csv"
-    np.savetxt(data, 1.1e77 * np.random.default_rng(1).standard_normal((400, 1)),
-               fmt="%.17g")
+    np.savetxt(data, [[1.0], [1.0], [1.5e77], [1.5e77]], fmt="%.17g")
     code, out, err = run_cli(
-        capsys, "estimate", "--data", str(data), "--f", "square", "--mode", "jackknife",
-        "-B", "20", "--seed", "3", "--out", str(tmp_path),
+        capsys, "estimate", "--data", str(data), "--f", "square", "--mode", "aggregate",
+        "--m", "2", "--seed", "3", "--out", str(tmp_path),
     )
     assert code == 3
     assert "level sum of tau_f of square overflows" in err
     assert "RESULT" not in out and "estimate:" not in out
+
+
+def test_estimate_whose_level_terms_overflow_but_not_the_integral(tmp_path, capsys):
+    # -1e308 + 2 * 1e308 overflows as it is summed, but the estimate is 1e308
+    data = tmp_path / "e77.csv"
+    data.write_text("a\n" + "1e77\n" * 4)
+    code, out, err = run_cli(
+        capsys, "estimate", "--data", str(data), "--f", "square", "--mode", "aggregate",
+        "--m", "2", "--seed", "1", "--out", str(tmp_path),
+    )
+    assert code == 0, err
+    assert result_line(out)["estimate"] == "1e+308"
 
 
 def test_normality_with_a_zero_limit_scale_exits_3_and_plugin_scale_runs(
@@ -703,6 +714,25 @@ def test_seed_streams_of_jackknife_runs_are_pairwise_distinct(
         assert {e[3] for e in levels}.isdisjoint({e[3] for e in masters})
 
 
+def test_a_sample_that_cannot_be_allocated_exits_2_before_any_output(
+    tmp_path, capsys, monkeypatch
+):
+    def out_of_memory(model, n, seed):
+        raise MemoryError(*(() if model.dim == 100 else (f"no room for {n} rows",)))
+
+    monkeypatch.setattr(cli, "sample_gaussian", out_of_memory)
+    for argv, message in (
+        (("estimate", "--model", "identity:1000", "--f", "log1p", "--n", "10000000"),
+         "no room for 10000000 rows"),
+        # an empty MemoryError is named by its type
+        (("mp-compare", "--d", "100", "--n", "100"), "MemoryError"),
+    ):
+        out = tmp_path / argv[0]
+        code, stdout, err = run_cli(capsys, *argv, "--seed", "1", "--out", str(out))
+        assert (code, stdout, err) == (2, "", f"error: {message}\n")
+        assert not out.exists()
+
+
 def test_help_and_bad_subcommand_exit_codes(capsys):
     code, _, _ = run_cli(capsys, "--help")
     assert code == 0
@@ -783,6 +813,11 @@ def test_bad_mode_and_standardize_exit_2_before_any_output(tmp_path, capsys):
         (("estimate", *base, "--n", big), "int too large to convert"),
         (("mp-compare", "--d", big, "--n", "100", "--seed", "1"),
          "integer division result too large for a float"),
+        # sizes within the float range but past any array's are refused as the
+        # sample is drawn
+        (("estimate", *base, "--n", str(10 ** 30)), "Maximum allowed dimension exceeded"),
+        (("mp-compare", "--d", "100", "--n", str(10 ** 30), "--seed", "1"),
+         "Maximum allowed dimension exceeded"),
         # 1 + subsets * (m - 1) > 10,000 is known before any replicate runs
         (("normality", *base, "--n", "100", "--mode", "jackknife", "-B", "20000"),
          "budget is 10000"),
