@@ -149,10 +149,16 @@ class AggregationScheme:
         return self.sizes[-1]
 
     def cancellation(self) -> list[tuple[float, float]]:
-        """(sum_j C_j / n_j**l, max_j |C_j / n_j**l|) for l = 1..m-1: each
-        residual the weights cancel, next to its largest term."""
-        ns = np.asarray(self.sizes, dtype=float)
-        terms = [self.coeffs / ns ** ell for ell in range(1, self.m)]
+        """(sum_j C_j z_j**l, max_j |C_j z_j**l|) for l = 1..m-1: each
+        residual the weights cancel, next to its largest term.
+
+        The nodes are z_j = n_1 / n_j in (0, 1], as in
+        :func:`coeffs_linear_system`. sum_j C_j z_j**l is n_1**l times
+        sum_j C_j / n_j**l, so each relative check tests the defining
+        identity, and no power of a large n overflows.
+        """
+        z = self.sizes[0] / np.asarray(self.sizes, dtype=float)
+        terms = [self.coeffs * z ** ell for ell in range(1, self.m)]
         return [(float(t.sum()), float(np.max(np.abs(t)))) for t in terms]
 
     def coeff_l1(self) -> float:

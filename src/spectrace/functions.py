@@ -3,16 +3,17 @@
 A test function f vanishes at 0 and exposes derivatives up to a declared
 order, vectorized over numpy arrays and each checked finite at 0 when f is
 built. Trace functionals sum f over eigenvalues, so zero padding is harmless.
-Two rules give the built-ins' derivatives: the power rule for identity,
-square and cube (x**p, p = 1, 2, 3), and log1p's derivatives, which
-rational = 1 - 1/(1 + x) takes shifted up one order.
+Four rules give the built-ins' derivatives: the power rule for identity,
+square and cube (x**p, p = 1, 2, 3); log1p's derivatives, which
+rational = 1 - 1/(1 + x) takes shifted up one order; the sine's phase by
+j mod 4; and the bump's Hermite functions, by one recurrence.
 A derivative bound is a grid maximum, exact where the sup sits at an
 endpoint, as for every derivative of identity, square, cube, log1p, rational.
 """
 
 from __future__ import annotations
 
-from math import factorial, isfinite, pi
+from math import factorial, isfinite
 from typing import Callable, Sequence
 
 import numpy as np
@@ -166,7 +167,8 @@ def _rational() -> TestFunction:
 
 
 def _scaled_sine(omega: float = 1.0, power: float = 1.0) -> TestFunction:
-    # f(x) = sin(omega x) / omega**power; derivatives shift the phase.
+    # f(x) = sin(omega x) / omega**power, so
+    #   f^(j)(x) = omega**(j - power) * (sin, cos, -sin, -cos)[j mod 4](omega x)
     if omega <= 0:
         raise ValueError("omega must be > 0")
     name = f"scaled_sine:{repr(float(omega))}"
@@ -174,25 +176,18 @@ def _scaled_sine(omega: float = 1.0, power: float = 1.0) -> TestFunction:
         name += f":{repr(float(power))}"
 
     def evaluate(j: int, x: np.ndarray) -> np.ndarray:
-        return omega ** (j - power) * np.sin(omega * x + j * pi / 2.0)
+        wave = (np.sin, np.cos)[j % 2](omega * x)
+        return omega ** (j - power) * (wave if j % 4 < 2 else -wave)
 
     return TestFunction(name, _MAX_ORDER, evaluate)
 
 
-def _hermite_e(order: int, t: np.ndarray) -> np.ndarray:
-    """Probabilists' Hermite polynomial He_order(t), by recurrence."""
-    h_prev = np.ones_like(t)
-    if order == 0:
-        return h_prev
-    h = t.copy()
-    for k in range(1, order):
-        h, h_prev = t * h - k * h_prev, h
-    return h
-
-
 def _bump(center: float = 2.0, width: float = 0.5, scale: float = 1.0) -> TestFunction:
     # Gaussian bump shifted to vanish at 0:
-    #   f(x) = scale * (exp(-t^2/2) - exp(-(c/w)^2/2)),  t = (x - c)/w
+    #   f(x) = scale * (exp(-t^2/2) - exp(-(c/w)^2/2)),  t = (x - c)/w,
+    #   f^(j)(x) = scale * (-1/w)**j * phi_j(t) for j >= 1,
+    # phi_k = He_k(t) exp(-t^2/2) the Hermite functions. He's recurrence runs on
+    # phi itself, from exp(-t^2/2), so nothing overflows where that factor underflows.
     if width <= 0:
         raise ValueError("width must be > 0")
     c, w, s = float(center), float(width), float(scale)
@@ -203,11 +198,12 @@ def _bump(center: float = 2.0, width: float = 0.5, scale: float = 1.0) -> TestFu
 
     def evaluate(j: int, x: np.ndarray) -> np.ndarray:
         t = (x - c) / w
-        core = np.exp(-0.5 * t * t)
+        phi, phi_prev = np.exp(-0.5 * t * t), 0.0
         if j == 0:
-            return s * (core - offset)
-        sign = -1.0 if j % 2 == 1 else 1.0
-        return s * sign * w ** (-j) * _hermite_e(j, t) * core
+            return s * (phi - offset)
+        for k in range(j):
+            phi, phi_prev = t * phi - k * phi_prev, phi
+        return s * (-1.0) ** j * w ** (-j) * phi
 
     return TestFunction(name, _MAX_ORDER, evaluate)
 

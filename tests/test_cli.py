@@ -274,12 +274,14 @@ def test_coeffs_oracle(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ("coeffs", "--m", "9", "--n", "26600"),
+    ("coeffs", "--m", "12", "--n", str(10**30)),
     ("supnorm", "--model", "identity:3", "--m", "11", "--n", "2048", "--reps", "2",
      "--seed", "1"),
 ])
 def test_plans_up_to_the_largest_m_run(tmp_path, capsys, argv):
     # past m of about 6 a Vandermonde solve of the weights is off by more
-    # than 1e-8, so no check against it may refuse these valid plans
+    # than 1e-8, so no check against it may refuse these valid plans; nor
+    # may n_j**l, which overflows at n = 10**30
     code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
     assert code == 0 and err == ""
     assert result_line(out)["command"] == argv[0]
@@ -638,6 +640,18 @@ def test_estimate_on_an_all_zero_model_reports_without_a_rate_budget(tmp_path, c
     assert result_line(out)["estimate"] == "0.0"
     assert "model value: 0.0" in out
     assert "rate budget" not in out and "effective rank" not in out
+
+
+def test_estimate_rate_budget_reads_the_sine_derivative_at_a_high_frequency(tmp_path, capsys):
+    # f' = cos(1e16 x) at the identity's eigenvalue 1, so the main term is
+    # sqrt(3) |cos 1e16| / sqrt(50); a phase added to 1e16 x rounds away
+    code, out, err = run_cli(
+        capsys, "estimate", "--model", "identity:3", "--f", "scaled_sine:1e16",
+        "--n", "50", "--seed", "1", "--out", str(tmp_path),
+    )
+    assert code == 0 and err == ""
+    assert f"{np.sqrt(3.0) * abs(np.cos(1e16)) / np.sqrt(50.0):.6g}" == "0.153379"
+    assert "rate budget: main 0.153379 + " in out
 
 
 def test_supnorm_grid_seed_is_not_a_replicate_or_subset_seed(

@@ -1,5 +1,6 @@
 from math import factorial
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,6 +65,59 @@ def test_builtin_derivatives_at_known_points():
                 np.testing.assert_array_max_ulp(got, want, maxulp=2)
             else:
                 assert np.array_equal(got, want), (name, j)
+
+
+_ORACLE_X = (0.0, 0.3, 0.7, 1.3, 2.0, 5.5, 19.0)
+
+
+def _worst_oracle_ratio(f, exact, scale):
+    """max over orders j = 0..12 and x in _ORACLE_X of |f^(j)(x) - exact(j, x)|
+    in units of 2 eps scale(j), eps the double-precision machine epsilon."""
+    worst = 0.0
+    for j in range(13):
+        for x in _ORACLE_X:
+            err = abs(mpmath.mpf(f.deriv(j, x)) - exact(j, x))
+            worst = max(worst, float(err / (2 * np.finfo(float).eps * scale(j))))
+    return worst
+
+
+@pytest.mark.parametrize("omega, power", [(0.25, 1.0), (3.0, 3.0), (1e3, 1.0), (1e8, 1.0),
+                                          (1e16, 1.0), (1e20, 2.0)])
+def test_sine_derivatives_match_a_60_digit_oracle(omega, power):
+    # the oracle shifts the phase by j pi/2 at 60 digits, at theta = fl(omega x),
+    # the product the code forms, so this checks the phase rule, not that rounding
+    f = builtin(f"scaled_sine:{omega!r}:{power!r}")
+    with mpmath.workdps(60):
+        def exact(j, x):
+            theta = mpmath.mpf(omega * x)
+            return mpmath.mpf(omega) ** (j - power) * mpmath.sin(theta + j * mpmath.pi / 2)
+
+        ratio = _worst_oracle_ratio(f, exact, lambda j: omega ** (j - power))
+    assert ratio <= 1.0, ratio
+
+
+@pytest.mark.parametrize("c, w, s", [(2.0, 0.5, 1.0), (0.5, 1.2, 0.3), (3.5, 0.4, 1.0),
+                                     (0.0, 1e-25, 1.0), (1.0, 1e-3, 1.0), (1e30, 1.0, 1.0)])
+def test_bump_derivatives_match_a_60_digit_oracle(c, w, s):
+    # f^(j) = s (-1/w)**j He_j(t) exp(-t^2/2), t = (x - c)/w, from mpmath's
+    # physicists' Hermite polynomials: He_j(t) = H_j(t / sqrt 2) / sqrt(2)**j.
+    # |He_j(t)| exp(-t^2/4) <= 1.09 sqrt(j!) (Cramer), hence the scale. The
+    # narrow bumps and the far one have He_j(t) past the float range where
+    # exp(-t^2/2) is 0, yet every order is finite, and the far one builds.
+    f = builtin(f"bump:{c!r}:{w!r}:{s!r}")
+    with mpmath.workdps(60):
+        mc, mw, ms = mpmath.mpf(c), mpmath.mpf(w), mpmath.mpf(s)
+
+        def exact(j, x):
+            t = (x - mc) / mw
+            gauss = mpmath.exp(-t * t / 2)
+            if j == 0:
+                return ms * (gauss - mpmath.exp(-(mc / mw) ** 2 / 2))
+            he = mpmath.hermite(j, t / mpmath.sqrt(2)) / mpmath.sqrt(2) ** j
+            return ms * (-1 / mw) ** j * he * gauss
+
+        ratio = _worst_oracle_ratio(f, exact, lambda j: s * w ** (-j) * factorial(j) ** 0.5)
+    assert ratio <= 1.0, ratio
 
 
 def test_all_builtins_vanish_at_zero():
