@@ -8,8 +8,9 @@ the accepted format, so re-running with ``--config <out>/config.resolved``
 reproduces the outputs byte for byte at the same BLAS thread count
 (``OPENBLAS_NUM_THREADS``); another can move them at round-off level.
 
-Options are validated by building, before ``config.resolved`` is written,
-what each handler runs, which gets it as keyword arguments: the
+Each command is one row of ``_COMMANDS``: its options, its build and its
+run. Before ``config.resolved`` is written, the build turns the resolved
+options into what the run takes as keyword arguments: the
 ``ExperimentConfig`` of rates, normality and supnorm (which builds and
 keeps its model, f and plan), supnorm's function grid, coeffs' scheme,
 estimate's scheme (``level_plan``) at its n, model, test function and
@@ -17,9 +18,10 @@ sample (read from --data, or drawn from the model last), and mp-compare's
 ratio d/n and sample. An integer past the float range fails while
 building, as an ``ArithmeticError``, and a sample too large to allocate as
 a ``MemoryError``; both are refused the same way. Nothing is built twice,
-not even per size of rates, and each key's floor is the built object's.
-Only the rules no library object knows stay here: estimate's choice of one
-data source and mp-compare's size floors.
+not even per size of rates, and each key's floor is the built object's;
+the builds check only what no library object knows: estimate's choice of
+one data source and mp-compare's size floors. The run returns its RESULT
+fields, and ``main`` prints the one RESULT line.
 Normality's replicate floor (``NORMALITY_MIN_REPS``) is checked when the
 run starts, after ``config.resolved`` is written, and exits 3.
 
@@ -140,11 +142,13 @@ _EXPERIMENT = [_MODEL, _F, _MODE, _M, _Q, _SUBSETS, _REPS, _WORKERS,
 
 @dataclass(frozen=True)
 class _Command:
-    """One subcommand: its help line, its options and its handler."""
+    """One subcommand: its help line, its options, its build (from them, the
+    run's other keyword arguments) and its run (its RESULT fields)."""
 
     help: str
     keys: list[_Key]
-    run: Callable[..., int]
+    build: Callable[[dict], dict]
+    run: Callable[..., dict]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -222,49 +226,11 @@ def _resolve(command: str, args: argparse.Namespace) -> tuple[dict, dict]:
         if value is None and key.required:
             raise ConfigError(f"{key.name} is required for {command}")
         resolved[key.name] = value
-    return resolved, _validate(command, resolved)
-
-
-def _validate(command: str, cfg: dict) -> dict:
-    """Raise ConfigError unless the command can run; return what its handler
-    runs, as the keyword arguments it takes beyond cfg."""
-    built: dict = {}
-    if command == "estimate":
-        if (cfg["model"] is None) == (cfg["data"] is None):
-            raise ConfigError("exactly one of model or data must be given")
-        if cfg["model"] is not None and cfg["n"] is None:
-            raise ConfigError("n is required when simulating from a model")
-        if cfg["data"] is not None and cfg["n"] is not None:
-            raise ConfigError("n conflicts with data; the CSV fixes the sample size")
-        if cfg["data"] is not None and not Path(cfg["data"]).is_file():
-            raise ConfigError(f"data file not found: {cfg['data']}")
-    if command == "mp-compare" and (cfg["d"] < 50 or cfg["n"] < 50):
-        raise ConfigError("mp-compare needs d >= 50 and n >= 50")
-    # build what the command runs, so a bad value fails before any work
-    try:
-        if command == "supnorm":  # first: past m = 11 its error names the cause
-            # the grid's tag keeps it off every subset seed (master, i, SUBSET)
-            grid_seed = derive_seed(cfg["seed"], 0, Stream.GRID)
-            built["grid"] = default_grid(cfg["m"], cfg["grid_size"], grid_seed)
-        if command in ("rates", "normality", "supnorm"):
-            built["config"] = _experiment_config(cfg)
-        elif command == "coeffs":
-            built["scheme"] = make_scheme(cfg["m"], cfg["n"], cfg["q"])
-        elif command == "estimate":
-            data = None if cfg["data"] is None else load_samples_csv(cfg["data"])
-            n = cfg["n"] if data is None else data.n
-            built["scheme"] = level_plan(cfg["mode"], n, cfg["m"], cfg["q"], cfg["subsets"])
-            built["model"] = model = None if cfg["model"] is None else parse_model(cfg["model"])
-            built["f"] = builtin(cfg["f"])
-            built["samples"] = data if model is None else sample_gaussian(model, n, cfg["seed"])
-        elif command == "mp-compare":
-            built["gamma"] = cfg["d"] / cfg["n"]
-            identity = CovarianceModel.identity(cfg["d"])
-            built["samples"] = sample_gaussian(identity, cfg["n"], cfg["seed"])
     # ArithmeticError: an int past the float range; MemoryError: a sample too large
+    try:
+        return resolved, _COMMANDS[command].build(resolved)
     except (ValueError, ArithmeticError, MemoryError) as exc:
         raise ConfigError(str(exc) or type(exc).__name__)
-    return built
 
 
 def _format_value(value) -> str:
@@ -293,11 +259,6 @@ def _write_resolved(command: str, cfg: dict) -> None:
     (outdir / "config.resolved").write_text(_resolved_text(command, cfg))
 
 
-def _result_line(**kv) -> None:
-    parts = " ".join(f"{k}={_format_value(v)}" for k, v in kv.items())
-    print(f"RESULT {parts}")
-
-
 # --- commands ---------------------------------------------------------------
 
 
@@ -310,8 +271,27 @@ def _scheme_report(scheme) -> dict[str, str]:
     }
 
 
+def _build_estimate(cfg: dict) -> dict:
+    model, data, n = cfg["model"], cfg["data"], cfg["n"]
+    if (model is None) == (data is None):
+        raise ConfigError("exactly one of model or data must be given")
+    if model is not None and n is None:
+        raise ConfigError("n is required when simulating from a model")
+    if data is not None and n is not None:
+        raise ConfigError("n conflicts with data; the CSV fixes the sample size")
+    if data is not None and not Path(data).is_file():
+        raise ConfigError(f"data file not found: {data}")
+    data = None if data is None else load_samples_csv(data)
+    n = n if data is None else data.n
+    scheme = level_plan(cfg["mode"], n, cfg["m"], cfg["q"], cfg["subsets"])
+    model = None if model is None else parse_model(model)
+    f = builtin(cfg["f"])
+    samples = data if model is None else sample_gaussian(model, n, cfg["seed"])
+    return {"scheme": scheme, "model": model, "f": f, "samples": samples}
+
+
 def _cmd_estimate(cfg: dict, f: TestFunction, model: CovarianceModel | None,
-                  samples: SampleSet, scheme: AggregationScheme) -> int:
+                  samples: SampleSet, scheme: AggregationScheme) -> dict:
     mode = cfg["mode"]
     measure = level_spectra(samples, scheme, cfg["seed"])
     estimate = measure.integrate(f)
@@ -334,31 +314,29 @@ def _cmd_estimate(cfg: dict, f: TestFunction, model: CovarianceModel | None,
                 f"+ bias {budget.bias_term:.6g} = {budget.total:.6g}"
             )
     print("\n".join(lines))
-    _result_line(
-        command="estimate", estimate=float(estimate), f=f.name, mode=mode,
-        n=samples.n, dim=samples.dim, seed=cfg["seed"],
-    )
-    return 0
+    return {"estimate": float(estimate), "f": f.name, "mode": mode,
+            "n": samples.n, "dim": samples.dim}
 
 
-def _cmd_coeffs(cfg: dict, scheme: AggregationScheme) -> int:
+def _cmd_coeffs(cfg: dict, scheme: AggregationScheme) -> dict:
     report = _scheme_report(scheme)
     sizes, coeffs, coeff_l1 = (f"{k}: {v}" for k, v in report.items())
     print(sizes, coeffs, f"sum: {float(scheme.coeffs.sum())!r}", coeff_l1, sep="\n")
     for ell, (resid, top) in enumerate(scheme.cancellation(), start=1):
         print(f"cancellation l={ell}: {resid:.3e} (largest term {top:.3e})")
-    _result_line(command="coeffs", **report)
-    return 0
+    return report
 
 
 def _experiment_config(cfg: dict) -> ExperimentConfig:
-    # supnorm runs a family of functions, not f; its config names identity
-    kwargs = {"f": "identity"}
-    kwargs.update((_FIELD.get(k, k), v) for k, v in cfg.items())
+    kwargs = {_FIELD.get(k, k): v for k, v in cfg.items()}
     return ExperimentConfig(**{k: v for k, v in kwargs.items() if k in _DEFAULT})
 
 
-def _cmd_rates(cfg: dict, config: ExperimentConfig) -> int:
+def _build_experiment(cfg: dict) -> dict:
+    return {"config": _experiment_config(cfg)}
+
+
+def _cmd_rates(cfg: dict, config: ExperimentConfig) -> dict:
     sweep = rate_sweep(config)
     outdir = Path(cfg["out"])
     for res in sweep.runs:
@@ -369,14 +347,10 @@ def _cmd_rates(cfg: dict, config: ExperimentConfig) -> int:
     print(f"rmse: {','.join(repr(float(v)) for v in sweep.rmse)}")
     print(f"slope: {sweep.slope!r} +- {sweep.slope_se!r}")
     print(f"wrote {path}")
-    _result_line(
-        command="rates", slope=sweep.slope, slope_se=sweep.slope_se,
-        n_list=sweep.n_values, seed=cfg["seed"],
-    )
-    return 0
+    return {"slope": sweep.slope, "slope_se": sweep.slope_se, "n_list": sweep.n_values}
 
 
-def _cmd_normality(cfg: dict, config: ExperimentConfig) -> int:
+def _cmd_normality(cfg: dict, config: ExperimentConfig) -> dict:
     result = normality_check(config)
     outdir = Path(cfg["out"])
     write_result_csvs(result, outdir)
@@ -387,14 +361,18 @@ def _cmd_normality(cfg: dict, config: ExperimentConfig) -> int:
     print(f"w1: {w1!r}")
     print(f"standardized variance: {var!r}")
     print(f"wrote {qq_path}")
-    _result_line(
-        command="normality", ks=ks, w1=w1,
-        standardized_var=var, reps=cfg["reps"], seed=cfg["seed"],
-    )
-    return 0
+    return {"ks": ks, "w1": w1, "standardized_var": var, "reps": cfg["reps"]}
 
 
-def _cmd_supnorm(cfg: dict, config: ExperimentConfig, grid: FunctionClassGrid) -> int:
+def _build_supnorm(cfg: dict) -> dict:
+    # the grid first: past m = 11 its error names the cause; its tag keeps
+    # its seed off every subset seed (master, i, SUBSET)
+    grid = default_grid(cfg["m"], cfg["grid_size"], derive_seed(cfg["seed"], 0, Stream.GRID))
+    # supnorm runs a family of functions, not f; its config names identity
+    return {"grid": grid, "config": _experiment_config({**cfg, "f": "identity"})}
+
+
+def _cmd_supnorm(cfg: dict, config: ExperimentConfig, grid: FunctionClassGrid) -> dict:
     result = supnorm_experiment(grid, config)
     outdir = Path(cfg["out"])
     tag = _output_tag("supnorm", cfg)
@@ -410,14 +388,18 @@ def _cmd_supnorm(cfg: dict, config: ExperimentConfig, grid: FunctionClassGrid) -
     print(f"hardest member: {result.names[worst]} "
           f"(mean abs error {float(result.per_function_mean[worst])!r})")
     print(f"wrote {grid_path} and {table_path}")
-    _result_line(
-        command="supnorm", max_error_mean=result.max_error_mean,
-        grid_size=cfg["grid_size"], seed=cfg["seed"],
-    )
-    return 0
+    return {"max_error_mean": result.max_error_mean, "grid_size": cfg["grid_size"]}
 
 
-def _cmd_mp_compare(cfg: dict, gamma: float, samples: SampleSet) -> int:
+def _build_mp_compare(cfg: dict) -> dict:
+    d, n = cfg["d"], cfg["n"]
+    if d < 50 or n < 50:
+        raise ConfigError("mp-compare needs d >= 50 and n >= 50")
+    gamma, identity = d / n, CovarianceModel.identity(d)
+    return {"gamma": gamma, "samples": sample_gaussian(identity, n, cfg["seed"])}
+
+
+def _cmd_mp_compare(cfg: dict, gamma: float, samples: SampleSet) -> dict:
     d, n = cfg["d"], cfg["n"]
     # the law's atom at 0 needs the d - n null eigenvalues gram_spectra leaves out
     nulls = np.zeros(max(d - n, 0))
@@ -430,8 +412,7 @@ def _cmd_mp_compare(cfg: dict, gamma: float, samples: SampleSet) -> int:
     )
     print(f"ks distance: {ks!r}  (d={d}, n={n}, gamma={gamma:g})")
     print(f"wrote {path}")
-    _result_line(command="mp-compare", ks=ks, gamma=gamma, d=d, n=n, seed=cfg["seed"])
-    return 0
+    return {"ks": ks, "gamma": gamma, "d": d, "n": n}
 
 
 _COMMANDS: dict[str, _Command] = {
@@ -441,24 +422,24 @@ _COMMANDS: dict[str, _Command] = {
          _Key("data", help="CSV of observations, one row each"),
          _F, _MODE, _M, _Q, _SUBSETS,
          replace(_N, required=False, help="sample size (with --model)"), *_COMMON],
-        _cmd_estimate,
+        _build_estimate, _cmd_estimate,
     ),
     "coeffs": _Command(
         "print an aggregation scheme's sizes and weights",
         [replace(_M, default=None, required=True), _N, _Q, _OUT],
-        _cmd_coeffs,
+        lambda cfg: {"scheme": make_scheme(cfg["m"], cfg["n"], cfg["q"])}, _cmd_coeffs,
     ),
     "rates": _Command(
         "RMSE vs n sweep with a fitted log-log slope",
         [*_EXPERIMENT,
          _Key("n_list", _conv_n_list, required=True, help="comma-separated sizes"),
          *_COMMON],
-        _cmd_rates,
+        _build_experiment, _cmd_rates,
     ),
     "normality": _Command(
         "KS/W1 distance of standardized replicates to normal",
         [*_EXPERIMENT, _N, *_COMMON],
-        _cmd_normality,
+        _build_experiment, _cmd_normality,
     ),
     "supnorm": _Command(
         "worst-case error over a derivative-bounded family",
@@ -466,12 +447,12 @@ _COMMANDS: dict[str, _Command] = {
          replace(_REPS, default=200), _WORKERS,
          _Key("grid_size", int, default=5, help="number of functions in the test family"),
          _N, *_COMMON],
-        _cmd_supnorm,
+        _build_supnorm, _cmd_supnorm,
     ),
     "mp-compare": _Command(
         "empirical spectral law vs the limiting bulk law",
         [_Key("d", int, required=True, help="dimension"), _N, *_COMMON],
-        _cmd_mp_compare,
+        _build_mp_compare, _cmd_mp_compare,
     ),
 }
 
@@ -490,10 +471,14 @@ def main(argv=None) -> int:
         return 2
     # scheme and LAPACK errors are ValueErrors, overflows ArithmeticErrors
     try:
-        return _COMMANDS[args.command].run(cfg, **built)
+        result = _COMMANDS[args.command].run(cfg, **built)
     except (EigenSolverError, ReplicateError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    seed = {"seed": cfg["seed"]} if "seed" in cfg else {}  # coeffs takes no seed
+    fields = {"command": args.command, **result, **seed}
+    print("RESULT " + " ".join(f"{k}={_format_value(v)}" for k, v in fields.items()))
+    return 0
 
 
 def entrypoint() -> None:

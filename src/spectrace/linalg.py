@@ -334,12 +334,14 @@ def sym_eigvalues(a: np.ndarray) -> np.ndarray:
 def load_samples_csv(path) -> SampleSet:
     """Read observations from CSV, one row per observation.
 
-    A first row that does not parse as numbers is treated as a header and
-    skipped. Text that is not UTF-8, and ragged rows, non-numeric cells or
-    non-finite values elsewhere, are errors that name the file.
+    Blank rows are skipped, and so is a first non-blank row that does not
+    parse as numbers, as a header. Text that is not UTF-8, and ragged rows,
+    non-numeric cells or non-finite values elsewhere, are errors that name
+    the file.
     """
     path = Path(path)
     rows: list[list[float]] = []
+    nonblank = 0  # rows read that are not blank
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:  # drops a leading BOM
             reader = csv.reader(fh)
@@ -347,10 +349,11 @@ def load_samples_csv(path) -> SampleSet:
                 lineno = reader.line_num  # the physical line the row ends on
                 if not row or all(cell.strip() == "" for cell in row):
                     continue
+                nonblank += 1
                 try:
                     values = [float(cell) for cell in row]
                 except ValueError:
-                    if lineno == 1 and not rows:
+                    if nonblank == 1:
                         continue  # header
                     raise ValueError(f"{path}:{lineno}: non-numeric cell in {row!r}")
                 if rows and len(values) != len(rows[0]):

@@ -1,11 +1,14 @@
 import csv
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spectrace
 from spectrace import cli, estimators, functions, linalg, montecarlo, theory
 from spectrace.cli import main
 from spectrace.estimators import jackknife_estimate, make_scheme, plugin_estimate
@@ -270,6 +273,46 @@ def test_coeffs_oracle(tmp_path, capsys):
     coeffs = [float(v) for v in fields["coeffs"].split(",")]
     assert np.allclose(coeffs, [1 / 3, -2.0, 8 / 3])
     assert "cancellation l=1" in out
+
+
+_MODEL_ARGS = ("--model", "identity:3", "--seed", "5")
+
+
+@pytest.mark.parametrize("argv, fields", [
+    (("estimate", *_MODEL_ARGS, "--f", "log1p", "--n", "40"),
+     ["estimate", "f", "mode", "n", "dim", "seed"]),
+    (("coeffs", "--m", "3", "--n", "400"), ["sizes", "coeffs", "coeff_l1"]),
+    (("rates", *_MODEL_ARGS, "--f", "square", "--n-list", "20,40,80", "--reps", "3"),
+     ["slope", "slope_se", "n_list", "seed"]),
+    (("normality", *_MODEL_ARGS, "--f", "log1p", "--n", "40", "--reps", "200"),
+     ["ks", "w1", "standardized_var", "reps", "seed"]),
+    (("supnorm", *_MODEL_ARGS, "--n", "40", "--reps", "2", "--grid-size", "2"),
+     ["max_error_mean", "grid_size", "seed"]),
+    (("mp-compare", "--d", "50", "--n", "50", "--seed", "5"), ["ks", "gamma", "d", "n", "seed"]),
+])
+def test_each_command_ends_with_its_one_result_line(tmp_path, capsys, argv, fields):
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("RESULT")] == lines[-1:]
+    assert lines[-1].startswith(f"RESULT command={argv[0]} ")
+    assert [part.partition("=")[0] for part in lines[-1].split()[1:]] == ["command", *fields]
+    # every command that takes a seed reports it last; coeffs takes none
+    assert lines[-1].endswith(" seed=5") == ("--seed" in argv)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "spectrace", *argv, "--out", str(tmp_path)],
+                              cwd=Path(spectrace.__file__).parent.parent,
+                              capture_output=True, text=True)
+
+    ok = run("coeffs", "--m", "3", "--n", "400")
+    assert ok.returncode == 0, ok.stderr
+    assert "RESULT command=coeffs " in ok.stdout
+    refused = run("coeffs", "--m", "1", "--n", "400")
+    assert refused.returncode == 2
+    assert "error: m must be >= 2" in refused.stderr
 
 
 @pytest.mark.parametrize("argv", [

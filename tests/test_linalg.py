@@ -437,8 +437,12 @@ def test_csv_roundtrip_with_and_without_header(tmp_path):
     bare = tmp_path / "bare.csv"
     np.savetxt(bare, s.data, delimiter=",", fmt="%.17g")
     assert np.array_equal(load_samples_csv(bare).data, s.data)
+    # the header is the first non-blank row, not only physical line 1
+    blank_first = tmp_path / "blank_first.csv"
+    blank_first.write_text("\n" + with_header.read_text())
+    assert np.array_equal(load_samples_csv(blank_first).data, s.data)
     # a UTF-8 byte-order mark is not part of the first cell
-    for plain in (with_header, bare):
+    for plain in (with_header, bare, blank_first):
         bom = tmp_path / f"bom_{plain.name}"
         bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
         assert np.array_equal(load_samples_csv(bom).data, s.data)
@@ -453,3 +457,8 @@ def test_csv_rejects_ragged_and_empty(tmp_path):
     empty.write_text("x0,x1\n")
     with pytest.raises(ValueError, match="no data"):
         load_samples_csv(empty)
+    # only one header: a second non-numeric row is refused at its own line
+    two_headers = tmp_path / "two_headers.csv"
+    two_headers.write_text("\nx0,x1\ny0,y1\n1.0,2.0\n")
+    with pytest.raises(ValueError, match=r"two_headers\.csv:3: non-numeric cell in \['y0'"):
+        load_samples_csv(two_headers)
