@@ -13,7 +13,6 @@ from .estimators import (
     aggregate_estimate,
     coeffs_closed_form,
     coeffs_linear_system,
-    degenerate_scheme,
     jackknife_estimate,
     linear_term,
     make_scheme,

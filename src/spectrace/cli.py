@@ -3,9 +3,10 @@
 Subcommands: estimate, coeffs, rates, normality, supnorm, mp-compare.
 Options resolve in three layers: built-in defaults, then a flat
 ``key=value`` config file given with --config, then explicit flags. The
-effective configuration is echoed to ``<out>/config.resolved`` in exactly
-the accepted format, so re-running with ``--config <out>/config.resolved``
-reproduces the outputs byte for byte at the same BLAS thread count
+resolved configuration holds its command too, and is echoed to
+``<out>/config.resolved`` in exactly the accepted format, ``command=``
+first, so re-running with ``--config <out>/config.resolved`` reproduces
+the outputs byte for byte at the same BLAS thread count
 (``OPENBLAS_NUM_THREADS``); another can move them at round-off level.
 
 Each command is one row of ``_COMMANDS``: its options, its build and its
@@ -193,7 +194,8 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _resolve(command: str, args: argparse.Namespace) -> tuple[dict, dict]:
+def _resolve(args: argparse.Namespace) -> tuple[dict, dict]:
+    command = args.command
     keys = _COMMANDS[command].keys
     known = {k.name for k in keys}
     file_cfg: dict[str, str] = {}
@@ -211,7 +213,7 @@ def _resolve(command: str, args: argparse.Namespace) -> tuple[dict, dict]:
             raise ConfigError(
                 f"unknown config keys for {command}: {', '.join(unknown)}"
             )
-    resolved: dict = {}
+    resolved: dict = {"command": command}
     for key in keys:
         value = getattr(args, key.name, None)
         if value is None and key.name in file_cfg:
@@ -239,24 +241,23 @@ def _format_value(value) -> str:
     return format_cell(value)
 
 
-def _resolved_text(command: str, cfg: dict) -> str:
-    lines = [f"command={command}"]
-    for key in sorted(cfg):
-        if cfg[key] is not None:
-            lines.append(f"{key}={_format_value(cfg[key])}")
-    return "\n".join(lines) + "\n"
+def _resolved_text(cfg: dict) -> str:
+    """The text of ``config.resolved``: the command the resolved config
+    holds first, then every set key by name."""
+    rest = sorted(k for k in cfg if k != "command" and cfg[k] is not None)
+    return "".join(f"{k}={_format_value(cfg[k])}\n" for k in ["command", *rest])
 
 
-def _output_tag(command: str, cfg: dict) -> str:
+def _output_tag(cfg: dict) -> str:
     # names output files; workers and out do not change the outputs
     kept = {k: v for k, v in cfg.items() if k not in ("workers", "out")}
-    return hashlib.sha256(_resolved_text(command, kept).encode()).hexdigest()[:12]
+    return hashlib.sha256(_resolved_text(kept).encode()).hexdigest()[:12]
 
 
-def _write_resolved(command: str, cfg: dict) -> None:
-    outdir = Path(cfg.get("out") or ".")
+def _write_resolved(cfg: dict) -> None:
+    outdir = Path(cfg["out"])  # Path("") is the working directory
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "config.resolved").write_text(_resolved_text(command, cfg))
+    (outdir / "config.resolved").write_text(_resolved_text(cfg))
 
 
 # --- commands ---------------------------------------------------------------
@@ -375,7 +376,7 @@ def _build_supnorm(cfg: dict) -> dict:
 def _cmd_supnorm(cfg: dict, config: ExperimentConfig, grid: FunctionClassGrid) -> dict:
     result = supnorm_experiment(grid, config)
     outdir = Path(cfg["out"])
-    tag = _output_tag("supnorm", cfg)
+    tag = _output_tag(cfg)
     grid_path = outdir / f"supnorm_{tag}_grid.csv"
     grid_to_csv(grid, grid_path)
     table_path = write_csv(
@@ -405,7 +406,7 @@ def _cmd_mp_compare(cfg: dict, gamma: float, samples: SampleSet) -> dict:
     nulls = np.zeros(max(d - n, 0))
     lam_sorted = np.concatenate([nulls, np.sort(gram_spectra(samples.data))])
     ks = esd_mp_ks(lam_sorted, gamma)
-    tag = _output_tag("mp-compare", cfg)
+    tag = _output_tag(cfg)
     path = write_csv(
         Path(cfg["out"]) / f"mp_compare_{tag}.csv", ["eigenvalue", "esd_cdf", "mp_cdf"],
         zip(lam_sorted, np.arange(1, d + 1) / d, mp_cdf(gamma, lam_sorted)),
@@ -464,19 +465,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg, built = _resolve(args.command, args)
-        _write_resolved(args.command, cfg)
+        cfg, built = _resolve(args)
+        _write_resolved(cfg)
     except (ConfigError, OSError) as exc:  # OSError: an --out that cannot be a directory
         print(f"error: {exc}", file=sys.stderr)
         return 2
     # scheme and LAPACK errors are ValueErrors, overflows ArithmeticErrors
     try:
-        result = _COMMANDS[args.command].run(cfg, **built)
+        result = _COMMANDS[cfg["command"]].run(cfg, **built)
     except (EigenSolverError, ReplicateError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     seed = {"seed": cfg["seed"]} if "seed" in cfg else {}  # coeffs takes no seed
-    fields = {"command": args.command, **result, **seed}
+    fields = {"command": cfg["command"], **result, **seed}
     print("RESULT " + " ".join(f"{k}={_format_value(v)}" for k, v in fields.items()))
     return 0
 

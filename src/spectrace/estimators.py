@@ -57,7 +57,6 @@ __all__ = [
     "coeffs_closed_form",
     "coeffs_linear_system",
     "make_scheme",
-    "degenerate_scheme",
     "plugin_estimate",
     "aggregate_estimate",
     "jackknife_estimate",
@@ -233,11 +232,6 @@ def make_scheme(m: int, n: int, q: float = 2.0, subsets: int | None = None) -> A
     return AggregationScheme(tuple(sizes), subsets=subsets)
 
 
-def degenerate_scheme(n: int) -> AggregationScheme:
-    """Single-level scheme; aggregation with it is exactly the plug-in."""
-    return AggregationScheme((int(n),))
-
-
 def level_plan(mode: str, n: int, m: int, q: float, subsets: int) -> AggregationScheme:
     """The scheme that ``level_spectra`` runs for ``mode`` at sample size n.
 
@@ -254,7 +248,7 @@ def level_plan(mode: str, n: int, m: int, q: float, subsets: int) -> Aggregation
             raise SchemeError(f"{name} must be >= 1, got {value}")
     if mode == "plugin":
         _check_q(q)
-        return degenerate_scheme(n)
+        return AggregationScheme((int(n),))
     return make_scheme(m, n, q, subsets if mode == "jackknife" else None)
 
 
@@ -373,7 +367,7 @@ def _subsets_per_block(n: int, size: int, d: int) -> int:
 
 def plugin_estimate(f: TestFunction, samples: SampleSet) -> float:
     """tau_f of the sample covariance of all observations."""
-    return level_spectra(samples, degenerate_scheme(samples.n), 0).integrate(f)
+    return level_spectra(samples, AggregationScheme((samples.n,)), 0).integrate(f)
 
 
 def aggregate_estimate(

@@ -1,4 +1,6 @@
 import csv
+import hashlib
+import re
 import shlex
 import subprocess
 import sys
@@ -299,6 +301,43 @@ def test_each_command_ends_with_its_one_result_line(tmp_path, capsys, argv, fiel
     assert [part.partition("=")[0] for part in lines[-1].split()[1:]] == ["command", *fields]
     # every command that takes a seed reports it last; coeffs takes none
     assert lines[-1].endswith(" seed=5") == ("--seed" in argv)
+    # the resolved config holds its command, and config.resolved writes it first
+    assert (tmp_path / "config.resolved").read_text().splitlines()[0] == f"command={argv[0]}"
+
+
+@pytest.mark.parametrize("argv, pattern", [
+    (("supnorm", *_MODEL_ARGS, "--n", "40", "--reps", "2", "--grid-size", "2", "--workers", "2"),
+     r"supnorm_([0-9a-f]{12})_(grid|errors)\.csv"),
+    (("mp-compare", "--d", "50", "--n", "50", "--seed", "5"), r"mp_compare_([0-9a-f]{12})\.csv"),
+], ids=["supnorm", "mp-compare"])
+def test_output_tags_hash_the_config_resolved_beside_them(tmp_path, capsys, argv, pattern):
+    # the tag is the sha256 of config.resolved without its out and workers lines
+    assert run_cli(capsys, *argv, "--out", str(tmp_path))[0] == 0
+    lines = (tmp_path / "config.resolved").read_text().splitlines(keepends=True)
+    kept = "".join(line for line in lines if not line.startswith(("out=", "workers=")))
+    assert len(kept) < len("".join(lines)) and kept.startswith(f"command={argv[0]}\n")
+    tag = hashlib.sha256(kept.encode()).hexdigest()[:12]
+    matches = [re.fullmatch(pattern, p.name) for p in tmp_path.glob("*.csv")]
+    assert matches and all(m is not None and m.group(1) == tag for m in matches)
+
+
+def test_an_empty_out_is_the_working_directory(tmp_path, capsys, monkeypatch):
+    argv = ("mp-compare", "--d", "50", "--n", "60", "--seed", "1", "--out")
+    runs = {}
+    for out in ("", "."):
+        cwd = tmp_path / f"out{out!r}"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        code, stdout, err = run_cli(capsys, *argv, out)
+        assert code == 0 and err == ""
+        runs[out] = stdout, {p.name: p.read_bytes() for p in cwd.iterdir()}
+    (stdout, files), (dot_stdout, dot_files) = runs[""], runs["."]
+    assert stdout == dot_stdout
+    (csv_name,) = [name for name in files if re.fullmatch(r"mp_compare_[0-9a-f]{12}\.csv", name)]
+    assert sorted(files) == sorted(dot_files) == sorted(["config.resolved", csv_name])
+    assert files[csv_name] == dot_files[csv_name]
+    # config.resolved records out as given, and differs in that line only
+    assert files["config.resolved"] == dot_files["config.resolved"].replace(b"\nout=.\n", b"\nout=\n")
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
@@ -1009,5 +1048,5 @@ def test_readme_commands_resolve_through_the_gate(tmp_path, monkeypatch):
             args = parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: spectrace {shlex.join(argv)}")
-        cfg, _ = cli._resolve(args.command, args)
-        cli._write_resolved(args.command, cfg)
+        cfg, _ = cli._resolve(args)
+        cli._write_resolved(cfg)

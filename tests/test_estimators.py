@@ -17,7 +17,6 @@ from spectrace.estimators import (
     aggregate_estimate,
     coeffs_closed_form,
     coeffs_linear_system,
-    degenerate_scheme,
     jackknife_estimate,
     level_plan,
     level_spectra,
@@ -140,7 +139,7 @@ def test_scheme_checks_its_subsets_and_budget_at_construction():
         with pytest.raises(SchemeError, match="subsets must be >= 1"):
             build(0)
     # the full-sample level is never subsampled, so one level draws nothing
-    assert replace(degenerate_scheme(40), subsets=20_000).subsets == 20_000
+    assert replace(AggregationScheme((40,)), subsets=20_000).subsets == 20_000
 
 
 def test_level_plan_gives_only_the_jackknife_subsets():
@@ -235,10 +234,10 @@ def test_plugin_consistent_at_large_n():
     assert abs(est - 10 * np.log(2.0)) < 0.2
 
 
-def test_aggregate_with_degenerate_scheme_equals_plugin():
+def test_aggregate_with_one_level_scheme_equals_plugin():
     x = sample_gaussian(CovarianceModel.from_values([2.0, 1.0, 0.5]), 40, 9)
     f = builtin("log1p")
-    assert aggregate_estimate(f, x, degenerate_scheme(40)) == plugin_estimate(f, x)
+    assert aggregate_estimate(f, x, AggregationScheme((40,))) == plugin_estimate(f, x)
 
 
 def test_aggregate_rejects_wrong_sample_size():
@@ -594,7 +593,7 @@ def test_measure_total_mass_and_identity_integral():
 
 def test_measure_single_observation_atom():
     s = SampleSet(np.array([[3.0, 4.0]]))
-    mu = spectral_measure_estimate(s, degenerate_scheme(1), "aggregate")
+    mu = spectral_measure_estimate(s, AggregationScheme((1,)), "aggregate")
     # covariance is rank one with eigenvalue |x|^2 = 25, its one atom: the
     # null eigenvalue adds nothing to an integral of f with f(0) = 0
     assert mu.locations.tolist() == [25.0]
@@ -658,8 +657,8 @@ def test_measure_rejects_bad_mode_and_budget():
 
 def test_measure_plugin_mode_is_the_one_level_aggregate():
     x = sample_gaussian(CovarianceModel.identity(3), 40, 2)
-    plugin = spectral_measure_estimate(x, degenerate_scheme(40), "plugin", seed=9)
-    agg = spectral_measure_estimate(x, degenerate_scheme(40), "aggregate")
+    plugin = spectral_measure_estimate(x, AggregationScheme((40,)), "plugin", seed=9)
+    agg = spectral_measure_estimate(x, AggregationScheme((40,)), "aggregate")
     assert np.array_equal(plugin.locations, agg.locations)
     assert np.array_equal(plugin.weights, agg.weights)
     assert plugin.integrate(builtin("log1p")) == plugin_estimate(builtin("log1p"), x)
