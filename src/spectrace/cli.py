@@ -28,14 +28,15 @@ run starts, after ``config.resolved`` is written, and exits 3.
 
 Exit codes: 0 on success, 2 for configuration errors (bad flags, missing
 keys, conflicting sources, a missing config or data file, a config file that
-is not UTF-8, a data file that does not parse, an --out that cannot be a
-directory, a count below 1 or past the float range, a plan that cannot run
-at its n, such as a jackknife run over the compute budget or an n too small
-for m and q, a supnorm m above 11, whose grid would need derivatives past
-order 12, a sample whose size cannot be allocated), 3 for numerical
-failures (eigensolver non-convergence, a sample covariance that overflows,
-a test function that is not finite at the eigenvalues, a zero or
-overflowing limit scale).
+is not UTF-8, a data file that does not parse or has a cell past the csv
+field limit, an --out that cannot be a directory, a count below 1 or past
+the float range, a plan that cannot run at its n, such as a jackknife run
+over the compute budget, an n too small for m and q or weights whose sum
+|C_j| reaches 2**52, a supnorm m above 11, whose grid would need derivatives
+past order 12, a sample whose size cannot be allocated), 3 for numerical
+failures (eigensolver non-convergence, a sample covariance that overflows, a
+test function that is not finite at the eigenvalues, a zero or overflowing
+limit scale).
 """
 
 from __future__ import annotations

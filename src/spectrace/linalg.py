@@ -335,9 +335,9 @@ def load_samples_csv(path) -> SampleSet:
     """Read observations from CSV, one row per observation.
 
     Blank rows are skipped, and so is a first non-blank row that does not
-    parse as numbers, as a header. Text that is not UTF-8, and ragged rows,
-    non-numeric cells or non-finite values elsewhere, are errors that name
-    the file.
+    parse as numbers, as a header. Text that is not UTF-8, a cell past the
+    csv module's field limit, and ragged rows, non-numeric cells or
+    non-finite values elsewhere, are errors that name the file.
     """
     path = Path(path)
     rows: list[list[float]] = []
@@ -366,6 +366,8 @@ def load_samples_csv(path) -> SampleSet:
                 rows.append(values)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc})") from exc
+    except csv.Error as exc:  # a cell past the field limit; a NUL byte before Python 3.11
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return SampleSet(np.asarray(rows, dtype=float))

@@ -359,11 +359,13 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     ("coeffs", "--m", "12", "--n", str(10**30)),
     ("supnorm", "--model", "identity:3", "--m", "11", "--n", "2048", "--reps", "2",
      "--seed", "1"),
+    ("coeffs", "--m", "100", "--n", str(10**12), "--q", "1.2"),
 ])
 def test_plans_up_to_the_largest_m_run(tmp_path, capsys, argv):
     # past m of about 6 a Vandermonde solve of the weights is off by more
     # than 1e-8, so no check against it may refuse these valid plans; nor
-    # may n_j**l, which overflows at n = 10**30
+    # may n_j**l, which overflows at n = 10**30, nor (n_1/n_j)**l, which
+    # underflows to subnormals at m = 100
     code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
     assert code == 0 and err == ""
     assert result_line(out)["command"] == argv[0]
@@ -842,7 +844,8 @@ def test_bad_mode_and_standardize_exit_2_before_any_output(tmp_path, capsys):
     no_model = ("--f", "log1p", "--seed", "1")
     bad_data = {"empty": "", "header_only": "a,b\n", "non_numeric": "1,2\n3,x\n",
                 "ragged": "1,2\n3\n", "ragged_header": "a,b\n1,2\n3\n",
-                "nan_cell": "1,2\nnan,4\n", "e400": "1,2\n1e400,4\n"}
+                "nan_cell": "1,2\nnan,4\n", "e400": "1,2\n1e400,4\n",
+                "long": "1," + "2" * (csv.field_size_limit() + 1) + "\n3,4\n5,6\n"}
     for name, text in bad_data.items():
         (tmp_path / f"{name}.csv").write_text(text)
     (tmp_path / "latin1.csv").write_bytes("1,2\n3,caf\xe9\n".encode("latin-1"))
@@ -896,6 +899,10 @@ def test_bad_mode_and_standardize_exit_2_before_any_output(tmp_path, capsys):
           "--reps", "200"), "n=5 is too small"),
         (("rates", *base, "--n-list", "5,10,40", "--mode", "aggregate", "--m", "3",
           "--reps", "5"), "n=5 is too small"),
+        # sum |C_j| = 9.95e55: no bit of the estimate would be significant
+        (("estimate", "--model", "identity:2", "--f", "identity", "--mode", "aggregate",
+          "--m", "60", "--q", "1.01", "--n", "2000", "--seed", "1"),
+         "sum |C_j| is 9.95e+55 for sizes 1112..2000 (m=60), past 2**52"),
         # 2.0 ** 1099 overflows a float: refused by the same rule, not a traceback
         (("coeffs", "--m", "1100", "--n", "100"), "n=100 is too small for m=1100"),
         (("estimate", *base, "--n", "100", "--mode", "aggregate", "--m", "1100"),
@@ -953,6 +960,7 @@ def test_bad_mode_and_standardize_exit_2_before_any_output(tmp_path, capsys):
          "data file not found"),
         (("estimate", *no_model, "--data", str(tmp_path)), "data file not found"),
         (("estimate", *no_model, "--data", ""), "data file not found"),
+        (("estimate", *base), "n is required when simulating from a model"),
         # data files that do not parse
         ((*data, str(tmp_path / "empty.csv")), "no data rows"),
         ((*data, str(tmp_path / "header_only.csv")), "no data rows"),
@@ -962,6 +970,7 @@ def test_bad_mode_and_standardize_exit_2_before_any_output(tmp_path, capsys):
         ((*data, str(tmp_path / "nan_cell.csv")), "non-finite entries"),
         ((*data, str(tmp_path / "e400.csv")), "e400.csv:2: non-finite entries in ['1e400'"),
         ((*data, str(tmp_path / "latin1.csv")), "latin1.csv: not UTF-8 text"),
+        ((*data, str(tmp_path / "long.csv")), "long.csv:1: field larger than field limit"),
         # the grid's members would need derivatives past the families' order 12
         (("supnorm", "--model", "identity:3", "--m", "12", "--n", "40000", "--reps", "2",
           "--seed", "1"), "m must be <= 11"),

@@ -1,4 +1,5 @@
 import re
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -108,6 +109,8 @@ def test_scheme_direct_construction_validates():
         AggregationScheme((50, 100), np.array([-1.0, 2.0]))
     with pytest.raises(TypeError):
         AggregationScheme((50, 100), coeffs=np.array([-1.0, 2.0]))
+    with pytest.raises(SchemeError, match="distinct"):
+        coeffs_closed_form((3, 3))
 
 
 def test_scheme_refuses_an_m_whose_size_rule_overflows_a_float():
@@ -126,6 +129,25 @@ def test_scheme_checks_its_identities_at_nodes_in_0_1():
         assert abs(Fraction(c) - exact) <= 1e-13 * abs(exact)
     # at z = (1, 1/2, 1/4), C z is (1/3, -1, 2/3) and C z**2 (1/3, -1/2, 1/6)
     assert [top for _, top in make_scheme(3, 400).cancellation()] == [1.0, 0.5]
+
+
+def test_scheme_refuses_weights_whose_sum_reaches_2_52():
+    # weights past the float range (whose sum C_j reads nan), and sum |C_j|
+    # = 9.95e55, where each level's round-off swamps the estimate
+    for args, l1 in (((800, 10**8, 1.001), "inf"), ((60, 2000, 1.01), "9.95e+55")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SchemeError, match=re.escape(f"sum |C_j| is {l1} for sizes ")
+                               + r".* past 2\*\*52"):
+                make_scheme(*args)
+    # valid plans whose z_j**l underflows to subnormals: a weight that is tiny
+    # against sum |C_j| may round to 0, so the bound is relative to that sum
+    for args in ((100, 10**12, 1.2), (200, 10**12, 1.1)):
+        s = make_scheme(*args)
+        l1 = s.coeff_l1()
+        assert l1 < 2.0 ** 52
+        for c, exact in zip(s.coeffs.tolist(), exact_weights(s.sizes)):
+            assert abs(Fraction(c) - exact) <= 1e-13 * l1
 
 
 def test_scheme_checks_its_subsets_and_budget_at_construction():
@@ -210,6 +232,29 @@ def test_scheme_invariants_random(m, q, n):
         assert abs(float(terms.sum())) <= 1e-10 * float(np.max(np.abs(terms)))
     for c, exact in zip(s.coeffs.tolist(), exact_weights(s.sizes)):
         assert abs(Fraction(c) - exact) <= 1e-13 * abs(exact)
+
+
+# m sizes on an arithmetic grid base + step * k, k < 1000: close sizes give
+# large weights, so both sides of the bound are drawn
+_CLUSTERED_SIZES = hst.builds(
+    lambda base, step, ks: sorted({base + step * k for k in ks}),
+    hst.integers(1, 10**15), hst.integers(1, 10**6),
+    hst.integers(1, 40).flatmap(
+        lambda m: hst.lists(hst.integers(0, 999), min_size=m, max_size=m)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sizes=_CLUSTERED_SIZES)
+@example(sizes=list(range(1000, 1040)))  # exact sum |C_j| 5.8e82
+@example(sizes=[50, 100])
+def test_scheme_builds_exactly_the_sizes_whose_weights_sum_below_2_52(sizes):
+    l1 = sum(abs(w) for w in exact_weights(sizes))
+    if l1 < 2 ** 51:
+        assert AggregationScheme(tuple(sizes)).coeff_l1() < 2.0 ** 52
+    elif l1 > 2 ** 53:  # between the two, round-off decides
+        with pytest.raises(SchemeError, match=r"past 2\*\*52"):
+            AggregationScheme(tuple(sizes))
 
 
 # --- scalar estimators --------------------------------------------------
@@ -670,6 +715,8 @@ def test_measure_plugin_mode_is_the_one_level_aggregate():
 def test_linear_term_vanishes_at_truth():
     model = CovarianceModel.from_values([2.0, 1.0]).with_random_basis(5)
     assert linear_term(builtin("log1p"), model, model.matrix()) == 0.0
+    with pytest.raises(ValueError, match=re.escape("sigma_hat must be 2x2, got (3, 3)")):
+        linear_term(builtin("log1p"), model, np.eye(3))
 
 
 def test_linear_term_identity_is_trace_gap():

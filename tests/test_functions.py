@@ -15,6 +15,7 @@ from spectrace.functions import (
     default_grid,
     grid_to_csv,
     tau_f,
+    tau_f_rows,
 )
 from spectrace.linalg import CovarianceModel, sym_eigvalues
 
@@ -31,6 +32,7 @@ def test_builtin_values_at_known_points():
     assert np.allclose(builtin("rational")(x), [0.0, 0.5, 0.75])
     f = builtin("scaled_sine:2.0")
     assert np.allclose(f(x), np.sin(2 * x) / 2)
+    assert repr(builtin("log1p")) == "TestFunction('log1p', max_order=12)"
 
 
 def test_builtin_derivatives_at_known_points():
@@ -132,6 +134,8 @@ def test_unknown_function_and_bad_params_rejected():
         builtin("scaled_sine:abc")
     with pytest.raises(ValueError):
         builtin("bump:2.0:0.0")  # zero width
+    with pytest.raises(ValueError, match="omega must be > 0"):
+        builtin("scaled_sine:0")
     with pytest.raises(ValueError, match="'log1p' takes no parameters, got 1"):
         builtin("log1p:2")
     with pytest.raises(ValueError, match="'scaled_sine' takes at most 2 parameters, got 3"):
@@ -145,6 +149,8 @@ def test_unknown_function_and_bad_params_rejected():
 
 
 def test_nonvanishing_function_rejected_at_construction():
+    with pytest.raises(ValueError, match="max_order must be >= 1"):
+        SmoothFunction("flat", 0, lambda j, x: np.zeros_like(x))
     with pytest.raises(ValueError, match="vanish"):
         SmoothFunction("shifted", 1, lambda j, x: x + 1.0 if j == 0 else np.ones_like(x))
     # a NaN f(0), from a constructor or from non-finite parameters, fails too
@@ -234,6 +240,10 @@ def test_tau_f_known_values():
     assert abs(tau_f(builtin("log1p"), np.ones(3)) - 3 * np.log(2.0)) < 1e-15
     with pytest.raises(ValueError, match="nonnegative"):
         tau_f(builtin("identity"), [1.0, -0.1])
+    with pytest.raises(ValueError, match="nonempty 1-d vector"):
+        tau_f(builtin("identity"), [])
+    with pytest.raises(ValueError, match="nonempty 2-d array"):
+        tau_f_rows(builtin("identity"), [1.0])
 
 
 def test_tau_f_raises_naming_f_where_it_overflows():
@@ -325,6 +335,18 @@ def test_grid_rejects_overscaled_member():
 def test_grid_rejects_duplicate_names():
     with pytest.raises(ValueError, match="distinct"):
         FunctionClassGrid(2, [builtin("scaled_sine:1.0"), builtin("scaled_sine:1.0")])
+
+
+def test_grid_rejects_a_bad_order_or_member_list():
+    sine = builtin("scaled_sine:1.0")
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        FunctionClassGrid(0, [sine])
+    with pytest.raises(ValueError, match="members must be nonempty"):
+        FunctionClassGrid(2, [])
+    # order 2 bounds f', f'' and f''', so a member must have derivatives to 3
+    short = SmoothFunction("short", 2, lambda j, x: np.sin(x) if j % 2 == 0 else np.cos(x))
+    with pytest.raises(ValueError, match="short: needs derivatives up to 3, has 2"):
+        FunctionClassGrid(2, [sine, short])
 
 
 def test_grid_csv_roundtrip(tmp_path):

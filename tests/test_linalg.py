@@ -1,3 +1,6 @@
+import csv
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +31,8 @@ def test_model_validation():
         CovarianceModel(np.array([1.0, -0.5]))
     with pytest.raises(ValueError):
         CovarianceModel(np.array([]))
+    with pytest.raises(ValueError, match="eigenvalues must be finite"):
+        CovarianceModel.from_values([1.0, np.nan])
     m = CovarianceModel(np.array([2.0, 1.0]))
     assert m.dim == 2 and m.operator_norm() == 2.0
 
@@ -38,6 +43,8 @@ def test_model_constructors():
     assert np.allclose(decay.eigenvalues, [1, 1 / 2, 1 / 3, 1 / 4])
     unsorted = CovarianceModel.from_values([1.0, 3.0, 2.0])
     assert np.array_equal(unsorted.eigenvalues, [3.0, 2.0, 1.0])
+    with pytest.raises(ValueError, match="dim must be >= 1"):
+        CovarianceModel.poly_decay(0, 1.0)
 
 
 def test_random_basis_is_orthonormal_and_preserves_matrix_spectrum():
@@ -56,6 +63,8 @@ def test_random_basis_is_orthonormal_and_preserves_matrix_spectrum():
 def test_non_orthonormal_basis_rejected():
     with pytest.raises(ValueError, match="orthonormal"):
         CovarianceModel(np.array([2.0, 1.0]), basis=np.array([[1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match=re.escape("basis must be 2x2, got (3, 3)")):
+        CovarianceModel(np.array([2.0, 1.0]), basis=np.eye(3))
 
 
 def test_sampling_is_deterministic_and_seed_sensitive():
@@ -65,6 +74,8 @@ def test_sampling_is_deterministic_and_seed_sensitive():
     c = sample_gaussian(model, 50, 124)
     assert np.array_equal(a.data, b.data)
     assert not np.array_equal(a.data, c.data)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        sample_gaussian(model, 0, 123)
 
 
 def test_sampling_from_zero_spectrum_is_zero():
@@ -462,3 +473,8 @@ def test_csv_rejects_ragged_and_empty(tmp_path):
     two_headers.write_text("\nx0,x1\ny0,y1\n1.0,2.0\n")
     with pytest.raises(ValueError, match=r"two_headers\.csv:3: non-numeric cell in \['y0'"):
         load_samples_csv(two_headers)
+    # a cell past the csv module's field limit is refused at its line
+    long_cell = tmp_path / "long.csv"
+    long_cell.write_text("1," + "2" * (csv.field_size_limit() + 1) + "\n3,4\n")
+    with pytest.raises(ValueError, match=r"long\.csv:1: field larger than field limit"):
+        load_samples_csv(long_cell)

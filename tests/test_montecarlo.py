@@ -244,6 +244,10 @@ def test_ks_and_w1_on_perfect_quantile_sample():
     z = normal_quantiles(r)
     assert ks_to_normal(z) <= 0.5 / r + 1e-12
     assert wasserstein1_to_normal(z) == 0.0
+    # a sample that is not finite has no distance; an empty one is refused
+    assert np.isnan(ks_to_normal([np.nan])) and np.isnan(wasserstein1_to_normal([np.inf]))
+    with pytest.raises(ValueError, match="sample must be nonempty"):
+        wasserstein1_to_normal([])
 
 
 def test_normal_cdf_matches_scipy_ndtr():
@@ -335,6 +339,8 @@ def test_rate_sweep_rejects_degenerate_designs():
                 replications=10)
     with pytest.raises(ValueError, match="n_list"):
         rate_sweep(ExperimentConfig(**base, n=100))
+    with pytest.raises(ValueError, match="config.n is required; n_list is for rate_sweep"):
+        run(ExperimentConfig(**base, n_list=(100, 200, 400)))
     # a degenerate design fails at construction, before any size runs
     for n_list, match in (((100, 400, 100), "3 distinct"),
                           ((100, 200, 300), "factor of 4"),
