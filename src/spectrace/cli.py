@@ -26,17 +26,8 @@ fields, and ``main`` prints the one RESULT line.
 Normality's replicate floor (``NORMALITY_MIN_REPS``) is checked when the
 run starts, after ``config.resolved`` is written, and exits 3.
 
-Exit codes: 0 on success, 2 for configuration errors (bad flags, missing
-keys, conflicting sources, a missing config or data file, a config file that
-is not UTF-8, a data file that does not parse or has a cell past the csv
-field limit, an --out that cannot be a directory, a count below 1 or past
-the float range, a plan that cannot run at its n, such as a jackknife run
-over the compute budget, an n too small for m and q or weights whose sum
-|C_j| reaches 2**52, a supnorm m above 11, whose grid would need derivatives
-past order 12, a sample whose size cannot be allocated), 3 for numerical
-failures (eigensolver non-convergence, a sample covariance that overflows, a
-test function that is not finite at the eigenvalues, a zero or overflowing
-limit scale).
+Exit codes: 0 on success, 2 for a configuration error, 3 for a numerical
+failure or a refused run; README.md's "Exit codes" paragraph lists every case.
 """
 
 from __future__ import annotations
@@ -324,8 +315,6 @@ def _cmd_coeffs(cfg: dict, scheme: AggregationScheme) -> dict:
     report = _scheme_report(scheme)
     sizes, coeffs, coeff_l1 = (f"{k}: {v}" for k, v in report.items())
     print(sizes, coeffs, f"sum: {float(scheme.coeffs.sum())!r}", coeff_l1, sep="\n")
-    for ell, (resid, top) in enumerate(scheme.cancellation(), start=1):
-        print(f"cancellation l={ell}: {resid:.3e} (largest term {top:.3e})")
     return report
 
 

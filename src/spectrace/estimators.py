@@ -146,20 +146,6 @@ class AggregationScheme:
     def n(self) -> int:
         return self.sizes[-1]
 
-    def cancellation(self) -> list[tuple[float, float]]:
-        """(sum_j C_j z_j**l, max_j |C_j z_j**l|) for l = 1..m-1: each
-        residual the weights cancel, next to its largest term, for reports only.
-
-        The nodes are z_j = n_1 / n_j in (0, 1], as in
-        :func:`coeffs_linear_system`. sum_j C_j z_j**l is n_1**l times
-        sum_j C_j / n_j**l, so each ratio measures the defining identity,
-        and no power of a large n overflows; a power that underflows to a
-        subnormal or 0 measures the underflow, not the weights.
-        """
-        z = self.sizes[0] / np.asarray(self.sizes, dtype=float)
-        terms = [self.coeffs * z ** ell for ell in range(1, self.m)]
-        return [(float(t.sum()), float(np.max(np.abs(t)))) for t in terms]
-
     def coeff_l1(self) -> float:
         """sum |C_j|, how far the weights can amplify a level's error; at q = 2 it
         is 3 (m = 2) and 5 (m = 3), not the first-order variance inflation 2 and 4."""

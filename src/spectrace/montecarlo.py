@@ -62,7 +62,7 @@ NORMALITY_MIN_REPS = 200
 
 
 class ReplicateError(RuntimeError):
-    """A replicate failed; the message carries its index and derived seeds."""
+    """A replicate failed; the message carries its index, its n and derived seeds."""
 
 
 def parse_model(profile: str) -> CovarianceModel:
@@ -284,7 +284,7 @@ def _map_replicates(
     of its samples into one (n, d) buffer of its own, so the replicate loop
     allocates no sample array; nothing outlives the replicate that draws
     into it, as ``level_spectra`` returns fresh spectra. A failing
-    replicate raises :class:`ReplicateError` naming its index and those
+    replicate raises :class:`ReplicateError` naming its index, n and those
     seeds, so it can be re-run alone.
     """
     if config.n is None:
@@ -305,7 +305,7 @@ def _map_replicates(
             seeds = f"sampling seed {sampling}"
             if draws:
                 seeds += f", subset seed {subset}"
-            raise ReplicateError(f"replicate {i} ({seeds}): {exc}") from exc
+            raise ReplicateError(f"replicate {i} at n={n} ({seeds}): {exc}") from exc
 
     indices = range(config.replications)
     if config.workers == 1:

@@ -218,6 +218,18 @@ def test_normality_with_a_zero_limit_scale_exits_3_and_plugin_scale_runs(
                for k in ("ks", "w1", "standardized_var"))
 
 
+def test_a_failing_rates_replicate_names_its_n(tmp_path, capsys):
+    # a zero covariance has zero plug-in scale at every size; the first size fails
+    code, out, err = run_cli(
+        capsys, "rates", "--model", "custom:0,0", "--f", "log1p", "--n-list", "10,20,40",
+        "--reps", "2", "--standardize", "plugin", "--seed", "1", "--out", str(tmp_path),
+    )
+    assert code == 3
+    assert err.startswith("error: replicate 0 at n=10 (sampling seed ")
+    assert "limit scale of log1p is 0.0" in err
+    assert "RESULT" not in out
+
+
 def test_normality_below_its_replicate_floor_exits_3(tmp_path, capsys):
     # the floor is the run's own check, so it fails after config.resolved
     code, out, err = run_cli(
@@ -274,7 +286,8 @@ def test_coeffs_oracle(tmp_path, capsys):
     assert fields["sizes"] == "100,200,400"
     coeffs = [float(v) for v in fields["coeffs"].split(",")]
     assert np.allclose(coeffs, [1 / 3, -2.0, 8 / 3])
-    assert "cancellation l=1" in out
+    heads = [line.split(" ", 1)[0] for line in out.splitlines()]
+    assert heads == ["sizes:", "coeffs:", "sum:", "coeff_l1:", "RESULT"]
 
 
 _MODEL_ARGS = ("--model", "identity:3", "--seed", "5")
@@ -369,6 +382,8 @@ def test_plans_up_to_the_largest_m_run(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
     assert code == 0 and err == ""
     assert result_line(out)["command"] == argv[0]
+    if argv[0] == "coeffs":  # the plan, its sum, its sum |C_j| and RESULT
+        assert len(out.splitlines()) == 5
 
 
 def test_config_file_layering_and_override(tmp_path, capsys):

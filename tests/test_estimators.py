@@ -121,14 +121,12 @@ def test_scheme_refuses_an_m_whose_size_rule_overflows_a_float():
             make_scheme(1100, 100, q)
 
 
-def test_scheme_checks_its_identities_at_nodes_in_0_1():
-    # the nodes z_j = n_1 / n_j: n_j**11 would overflow past n of about 1e28
+def test_scheme_weights_match_the_exact_rationals_at_n_1e30():
+    # n_j**11 would overflow past n of about 1e28; the closed form does not
     s = make_scheme(12, 10**30)
     assert s.n == 10**30
     for c, exact in zip(s.coeffs.tolist(), exact_weights(s.sizes)):
         assert abs(Fraction(c) - exact) <= 1e-13 * abs(exact)
-    # at z = (1, 1/2, 1/4), C z is (1/3, -1, 2/3) and C z**2 (1/3, -1/2, 1/6)
-    assert [top for _, top in make_scheme(3, 400).cancellation()] == [1.0, 0.5]
 
 
 def test_scheme_refuses_weights_whose_sum_reaches_2_52():

@@ -303,7 +303,7 @@ def test_zero_plugin_scale_fails_naming_the_replicate_seeds(monkeypatch):
                            replications=3, standardize="plugin")
     with pytest.raises(ReplicateError, match="limit scale of log1p is 0.0") as info:
         run(cfg)
-    assert str(info.value).startswith(f"replicate 0 (sampling seed {derive_seed(2, 0)}):")
+    assert str(info.value).startswith(f"replicate 0 at n=20 (sampling seed {derive_seed(2, 0)}):")
 
 
 def test_ks_on_constant_sample_is_large():
@@ -582,7 +582,7 @@ def test_replicate_failure_without_subsets_names_sampling_seed_only(monkeypatch)
     )
     with pytest.raises(ReplicateError) as info:
         run(cfg)
-    assert str(info.value) == f"replicate 0 (sampling seed {derive_seed(5, 0)}): boom"
+    assert str(info.value) == f"replicate 0 at n=40 (sampling seed {derive_seed(5, 0)}): boom"
 
 
 def test_plugin_standardization_matches_reference_in_every_mode():
