@@ -16,7 +16,6 @@ from .estimators import (
     jackknife_estimate,
     linear_term,
     make_scheme,
-    plugin_estimate,
     spectral_measure_estimate,
     taylor_remainder,
 )

@@ -5,7 +5,8 @@ sample at geometrically spaced sizes and combines them with signed
 coefficients chosen so that all inverse-power bias terms up to order m-1
 cancel. The jackknife variant replaces each prefix by an average over
 random subsets of the same size, which symmetrizes the estimate over the
-sample at extra compute cost. The plug-in is the one-level scheme.
+sample at extra compute cost. The plug-in is the one-level scheme
+``AggregationScheme((n,))`` in aggregate mode; it has no function of its own.
 
 ``level_plan`` owns a plan's ranges and turns a mode into the one
 ``AggregationScheme`` that the engine, ``level_spectra``, runs: its sizes,
@@ -14,9 +15,10 @@ per level. The scheme checks its rules and its compute budget when it is
 built, so the engine does not. The engine computes the covariance spectra
 of every level once and returns them as the paper's signed spectral
 measure, mu = sum_j C_j mu_{Sigma_hat_{n_j}} (``SignedSpectralMeasure``),
-the full sample always last (its ``full_spectrum``). Every scalar estimate
-is that measure's integral, ``integrate(f)`` = int f dmu, so the scalar,
-measure and supnorm paths read one sum.
+the full sample always last (its ``full_spectrum``).
+``spectral_measure_estimate`` is the library's one path to it, and each
+scalar estimator is that measure's integral, ``integrate(f)`` = int f dmu,
+so the scalar, measure and supnorm paths read one sum.
 
 The engine works a level at a time: a level's index sets all come from
 one generator seeded by (seed, level), and they are drawn, their rows
@@ -57,7 +59,6 @@ __all__ = [
     "coeffs_closed_form",
     "coeffs_linear_system",
     "make_scheme",
-    "plugin_estimate",
     "aggregate_estimate",
     "jackknife_estimate",
     "SignedSpectralMeasure",
@@ -345,20 +346,12 @@ def _subsets_per_block(n: int, size: int, d: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * (2 * n + size * d + width * width + width)))
 
 
-def plugin_estimate(f: TestFunction, samples: SampleSet) -> float:
-    """tau_f of the sample covariance of all observations."""
-    return level_spectra(samples, AggregationScheme((samples.n,)), 0).integrate(f)
-
-
 def aggregate_estimate(
     f: TestFunction, samples: SampleSet, scheme: AggregationScheme
 ) -> float:
-    """Signed combination of plug-ins on nested prefixes of the sample.
-
-    Level j uses the first n_j observations, whatever ``scheme.subsets``
-    says; the full sample is always the last level.
-    """
-    return level_spectra(samples, replace(scheme, subsets=None), 0).integrate(f)
+    """int f dmu of the aggregate measure, a signed combination of plug-ins
+    on nested prefixes; the plug-in is the one-level ``AggregationScheme((n,))``."""
+    return spectral_measure_estimate(samples, scheme).integrate(f)
 
 
 def jackknife_estimate(
@@ -368,18 +361,10 @@ def jackknife_estimate(
     subsets_per_level: int = 50,
     seed: int = 0,
 ) -> float:
-    """Aggregation with each prefix replaced by an average over subsets.
-
-    For every level with n_j < n, the plug-in is averaged over
-    ``subsets_per_level`` uniformly drawn size-n_j subsets, which replaces
-    ``scheme.subsets``; the full-sample
-    level needs no averaging. A level's subsets come from one generator
-    seeded by (seed, level), so the result is a pure function of the
-    inputs regardless of evaluation order. One estimate may request at most
-    10,000 covariance eigendecompositions; more raises
-    :class:`ComputeBudgetError`.
-    """
-    return level_spectra(samples, replace(scheme, subsets=subsets_per_level), seed).integrate(f)
+    """int f dmu of the jackknife measure: the aggregate with each prefix
+    replaced by an average over ``subsets_per_level`` seeded subsets."""
+    return spectral_measure_estimate(
+        samples, scheme, "jackknife", subsets_per_level, seed).integrate(f)
 
 
 def spectral_measure_estimate(
@@ -389,16 +374,20 @@ def spectral_measure_estimate(
     subsets_per_level: int = 50,
     seed: int = 0,
 ) -> SignedSpectralMeasure:
-    """Signed combination of subsample spectral measures: the engine's measure.
+    """The signed spectral measure of ``scheme`` on ``samples``; every scalar
+    estimate is its integral.
 
-    Uses the same prefixes (plugin mode, one-level scheme only, and
-    aggregate mode) or seeded subsets (jackknife mode) as the scalar
-    estimators, which integrate this measure, so ``integrate(f)`` is
-    exactly the scalar estimate.
+    ``"aggregate"`` runs level j on the first n_j observations, whatever
+    ``scheme.subsets`` says; the plug-in is the one-level scheme
+    ``AggregationScheme((n,))``. ``"jackknife"`` averages every level with
+    n_j < n over ``subsets_per_level`` uniformly drawn size-n_j subsets, which
+    replaces ``scheme.subsets``; a level's subsets come from one generator
+    seeded by (seed, level), so the result is a pure function of the inputs.
+    One estimate may request at most 10,000 covariance eigendecompositions;
+    more raises :class:`ComputeBudgetError`.
     """
-    if mode not in MODES or (mode == "plugin" and scheme.m != 1):
-        raise ValueError(f"mode must be one of {MODES} (plugin needs m=1), "
-                         f"got {mode!r} with m={scheme.m}")
+    if mode not in ("aggregate", "jackknife"):
+        raise ValueError(f"mode must be 'aggregate' or 'jackknife', got {mode!r}")
     subsets = subsets_per_level if mode == "jackknife" else None
     return level_spectra(samples, replace(scheme, subsets=subsets), seed)
 

@@ -84,9 +84,6 @@ class TestFunction:
             return float(out[0])
         return out.reshape(arr.shape)
 
-    def __call__(self, x):
-        return self.deriv(0, x)
-
     def derivative_bound(self, order: int, upper: float) -> float:
         """sup of |f^(order)| over [0, upper], as the max over
         ``_GRID_POINTS`` equally spaced points, both ends included."""

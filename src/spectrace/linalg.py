@@ -231,9 +231,9 @@ def sample_gaussian(
 def sample_covariance(samples: SampleSet) -> np.ndarray:
     """Gram-based covariance X'X / n (no centering), exactly symmetric.
 
-    The product is formed once and divided by n; numpy forms X'X exactly
-    symmetric. Raises :class:`FloatingPointError` when an entry of X'X / n
-    is not finite.
+    The product is formed once and divided by n (in power-of-two units when
+    X'X alone overflows); numpy forms X'X exactly symmetric. Raises
+    :class:`FloatingPointError` when an entry of X'X / n is not finite.
     Spectra of samples come from :func:`gram_spectra`, which forms this
     d x d matrix only when n >= d.
     """
@@ -250,11 +250,22 @@ def _symmetric_gram(y: np.ndarray, k: int) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         a = np.swapaxes(y, -1, -2) @ y
         a /= float(k)
-    if not np.isfinite(a).all():
-        raise FloatingPointError(
-            f"sample covariance overflows: the Gram of {k} rows with "
-            f"entries up to {float(np.abs(y).max()):.3e} is not finite"
-        )
+        if not np.isfinite(a).all():
+            # Y'Y may overflow where Y'Y / k does not: redo each matrix in units
+            # s of a power of two at or below its largest |entry| (never 2**1024),
+            # exact scalings, so a matrix that did not overflow keeps its bits
+            top = np.abs(y).max(axis=(-2, -1), keepdims=True)
+            s = np.ldexp(1.0, np.frexp(top)[1] - 1)
+            u = y / s
+            a = np.swapaxes(u, -1, -2) @ u
+            a /= float(k)
+            a *= s
+            a *= s
+            if not np.isfinite(a).all():
+                raise FloatingPointError(
+                    f"sample covariance overflows: the Gram of {k} rows with "
+                    f"entries up to {float(top.max()):.3e} is not finite"
+                )
     return a
 
 

@@ -13,7 +13,12 @@ import pytest
 import spectrace
 from spectrace import cli, estimators, functions, linalg, montecarlo, theory
 from spectrace.cli import main
-from spectrace.estimators import jackknife_estimate, make_scheme, plugin_estimate
+from spectrace.estimators import (
+    AggregationScheme,
+    aggregate_estimate,
+    jackknife_estimate,
+    make_scheme,
+)
 from spectrace.functions import builtin
 from spectrace.linalg import (
     CovarianceModel,
@@ -46,7 +51,7 @@ def test_estimate_plugin_matches_library(tmp_path, capsys):
     assert code == 0
     fields = result_line(out)
     x = sample_gaussian(CovarianceModel.identity(4), 50, 77)
-    expect = plugin_estimate(builtin("square"), x)
+    expect = aggregate_estimate(builtin("square"), x, AggregationScheme((x.n,)))
     assert float(fields["estimate"]) == expect
     assert fields["mode"] == "plugin"
     assert (tmp_path / "config.resolved").is_file()
@@ -79,7 +84,8 @@ def test_estimate_from_data_csv(tmp_path, capsys):
     )
     assert code == 0
     loaded = load_samples_csv(path)
-    assert float(result_line(out)["estimate"]) == plugin_estimate(builtin("log1p"), loaded)
+    expect = aggregate_estimate(builtin("log1p"), loaded, AggregationScheme((loaded.n,)))
+    assert float(result_line(out)["estimate"]) == expect
 
 
 def test_estimate_scheme_collision_exits_2_before_any_output(tmp_path, capsys):
@@ -126,6 +132,19 @@ def test_estimate_on_data_whose_gram_is_finite_near_the_top_of_the_range(
     )
     assert code == 0, err
     assert np.isfinite(float(result_line(out)["estimate"]))
+
+
+@pytest.mark.parametrize("argv", [
+    # X'X of 4000 rows near 1.2e153 overflows, X'X / 4000 near 1e305 does not
+    ("rates", "--model", "custom:1e305", "--f", "log1p", "--n-list", "50,100,4000",
+     "--reps", "3"),
+    ("estimate", "--model", "custom:1.7e308", "--f", "identity", "--n", "3"),
+])
+def test_a_gram_that_overflows_only_before_its_division_by_n_runs(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--seed", "1", "--out", str(tmp_path))
+    assert code == 0, err
+    fields = result_line(out)
+    assert np.isfinite(float(fields["slope" if argv[0] == "rates" else "estimate"]))
 
 
 @pytest.mark.parametrize("mode", ["plugin", "jackknife"])

@@ -23,7 +23,6 @@ from spectrace.estimators import (
     level_spectra,
     linear_term,
     make_scheme,
-    plugin_estimate,
     spectral_measure_estimate,
     taylor_remainder,
 )
@@ -260,27 +259,22 @@ def test_scheme_builds_exactly_the_sizes_whose_weights_sum_below_2_52(sizes):
 
 def test_plugin_identity_equals_mean_squared_norm():
     x = sample_gaussian(CovarianceModel.identity(4), 25, 3)
-    est = plugin_estimate(builtin("identity"), x)
+    est = aggregate_estimate(builtin("identity"), x, AggregationScheme((x.n,)))
     assert abs(est - float(np.mean(np.sum(x.data ** 2, axis=1)))) < 1e-12
 
 
 def test_plugin_square_single_observation():
     # one observation v: the covariance is vv', tau_square = |v|^4
     s = SampleSet(np.array([[1.0, 2.0, 2.0]]))
-    assert abs(plugin_estimate(builtin("square"), s) - 81.0) < 1e-12
+    est = aggregate_estimate(builtin("square"), s, AggregationScheme((s.n,)))
+    assert abs(est - 81.0) < 1e-12
 
 
 def test_plugin_consistent_at_large_n():
     model = CovarianceModel.identity(10)
     x = sample_gaussian(model, 5000, 17)
-    est = plugin_estimate(builtin("log1p"), x)
+    est = aggregate_estimate(builtin("log1p"), x, AggregationScheme((x.n,)))
     assert abs(est - 10 * np.log(2.0)) < 0.2
-
-
-def test_aggregate_with_one_level_scheme_equals_plugin():
-    x = sample_gaussian(CovarianceModel.from_values([2.0, 1.0, 0.5]), 40, 9)
-    f = builtin("log1p")
-    assert aggregate_estimate(f, x, AggregationScheme((40,))) == plugin_estimate(f, x)
 
 
 def test_aggregate_rejects_wrong_sample_size():
@@ -317,7 +311,8 @@ def test_square_first_order_bias_identity_matches_moments():
     f = builtin("square")
     reps = 20000
     ests = np.array([
-        plugin_estimate(f, sample_gaussian(model, 10, derive_seed(41, i)))
+        aggregate_estimate(f, sample_gaussian(model, 10, derive_seed(41, i)),
+                           AggregationScheme((10,)))
         for i in range(reps)
     ])
     bias = ests.mean() - tau_f(f, model.eigenvalues)
@@ -617,7 +612,7 @@ def test_plugin_is_invariant_under_row_permutation(d, n, seed):
     permuted = SampleSet(x[rng.permutation(n)])
     got = level_spectra(permuted, scheme, 0).integrate(f)
     assert abs(got - base) <= 1e-10 * max(1.0, abs(base))
-    assert got == plugin_estimate(f, permuted)
+    assert got == aggregate_estimate(f, permuted, AggregationScheme((permuted.n,)))
 
 
 # --- spectral measures ----------------------------------------------------
@@ -692,19 +687,11 @@ def test_measure_jackknife_atoms_and_weights():
 def test_measure_rejects_bad_mode_and_budget():
     x = sample_gaussian(CovarianceModel.identity(3), 40, 0)
     scheme = make_scheme(2, 40, 2.0)
-    with pytest.raises(ValueError, match="mode"):
-        spectral_measure_estimate(x, scheme, "plugin")
+    for plan in (scheme, AggregationScheme((40,))):
+        with pytest.raises(ValueError, match="mode"):
+            spectral_measure_estimate(x, plan, "plugin")
     with pytest.raises(ComputeBudgetError):
         spectral_measure_estimate(x, scheme, "jackknife", 10_000)
-
-
-def test_measure_plugin_mode_is_the_one_level_aggregate():
-    x = sample_gaussian(CovarianceModel.identity(3), 40, 2)
-    plugin = spectral_measure_estimate(x, AggregationScheme((40,)), "plugin", seed=9)
-    agg = spectral_measure_estimate(x, AggregationScheme((40,)), "aggregate")
-    assert np.array_equal(plugin.locations, agg.locations)
-    assert np.array_equal(plugin.weights, agg.weights)
-    assert plugin.integrate(builtin("log1p")) == plugin_estimate(builtin("log1p"), x)
 
 
 # --- expansion terms ------------------------------------------------------

@@ -1,8 +1,8 @@
 """Every name a library module imports at module level is used there, no
 module imports another's private names, every ``__all__`` lists only names
 that exist, the package re-exports only listed names, only linalg imports
-csv (no script in scripts/ does), and the package imports nothing from
-scipy, anywhere."""
+csv (no script in scripts/ does), the package imports nothing from
+scipy, anywhere, and every name the benchmark's tracer wraps exists."""
 
 import ast
 import importlib
@@ -14,6 +14,7 @@ import spectrace
 
 SRC = Path(spectrace.__file__).parent
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
 # Imported but unused on purpose, each pinned by a benchmark test.
 ALLOWED = {
@@ -131,3 +132,20 @@ def test_importing_the_package_and_cli_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], cwd=SRC.parent,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_name_the_bench_tracer_wraps_resolves():
+    # bench/tracer.py's TARGETS, read as a literal: no bench code is imported
+    tree = ast.parse(TRACER.read_text(), filename=str(TRACER))
+    targets = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"])
+    assert ("functions", "TestFunction.deriv") in targets
+    missing = []
+    for module, attr in targets:
+        obj = importlib.import_module(f"spectrace.{module}")
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"{module}.{attr}")
+    assert missing == []

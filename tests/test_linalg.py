@@ -350,6 +350,26 @@ def test_gram_near_the_top_of_the_range_does_not_overflow():
         sample_covariance(SampleSet(np.array([[1e155, 1e155], [1e155, 1e155]])))
 
 
+def test_gram_is_refused_only_when_x_x_over_n_leaves_the_range():
+    # X'X = 4000 * 1.44e306 overflows, X'X / 4000 = 1.44e306 does not
+    big = np.full((4000, 1), 1.2e153)
+    a = sample_covariance(SampleSet(big))
+    assert np.isfinite(a).all() and abs(a[0, 0] / 1.44e306 - 1.0) < 1e-12
+    # in a stack the retry scales each matrix by its own power of two, so
+    # each result is the Gram of its slice alone, the unit one exactly 1
+    unit = np.ones((4000, 1))
+    lam = gram_spectra(np.stack([big, unit]))
+    assert np.array_equal(lam, [a[0], [1.0]])
+    # rescaled Grams equal the unscaled ones bit for bit
+    x = rng_from(8).standard_normal((2, 30, 5))
+    x[0] *= 5e153
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.swapaxes(x, -1, -2) @ x).all()
+    assert np.array_equal(_symmetric_gram(x, 30)[1], _symmetric_gram(x[1], 30))
+    assert np.array_equal(_symmetric_gram(x, 30)[0],
+                          _symmetric_gram(x[0] / 2.0 ** 508, 30) * 2.0 ** 1016)
+
+
 def test_gram_spectra_dual_keeps_the_overflow_check_and_the_clip_band():
     # 3 rows in 5 dimensions whose dual Gram overflows
     big = 1e200 * rng_from(4).standard_normal((2, 3, 5))

@@ -8,12 +8,12 @@ from scipy.special import ndtr, ndtri
 
 from spectrace import estimators, functions, linalg, montecarlo
 from spectrace.estimators import (
+    AggregationScheme,
     ComputeBudgetError,
     aggregate_estimate,
     jackknife_estimate,
     level_plan,
     make_scheme,
-    plugin_estimate,
 )
 from spectrace.functions import builtin, default_grid, tau_f
 from spectrace.linalg import (
@@ -116,7 +116,8 @@ def test_single_replicate_matches_direct_computation():
     )
     res = run(cfg)
     x = sample_gaussian(CovarianceModel.identity(2), 3, derive_seed(13, 0))
-    assert res.estimates[0] == plugin_estimate(builtin("square"), x)
+    expect = aggregate_estimate(builtin("square"), x, AggregationScheme((x.n,)))
+    assert res.estimates[0] == expect
     assert res.truth == 2.0
 
 
@@ -599,7 +600,7 @@ def test_plugin_standardization_matches_reference_in_every_mode():
         for i in range(cfg.replications):
             s = sample_gaussian(model, n, derive_seed(seed, i))
             if mode == "plugin":
-                est = plugin_estimate(f, s)
+                est = aggregate_estimate(f, s, AggregationScheme((s.n,)))
             elif mode == "aggregate":
                 est = aggregate_estimate(f, s, make_scheme(2, n))
             else:
