@@ -12,7 +12,6 @@ from .estimators import (
     SignedSpectralMeasure,
     aggregate_estimate,
     coeffs_closed_form,
-    coeffs_linear_system,
     jackknife_estimate,
     linear_term,
     make_scheme,

@@ -57,7 +57,6 @@ __all__ = [
     "ComputeBudgetError",
     "AggregationScheme",
     "coeffs_closed_form",
-    "coeffs_linear_system",
     "make_scheme",
     "aggregate_estimate",
     "jackknife_estimate",
@@ -171,21 +170,6 @@ def coeffs_closed_form(sizes) -> np.ndarray:
     return out
 
 
-def coeffs_linear_system(sizes) -> np.ndarray:
-    """Same weights via the defining linear system, solved independently.
-
-    Uses nodes z_j = n_1 / n_j in (0, 1]. The Vandermonde system is well
-    conditioned only up to about m = 6, so schemes use the closed form.
-    """
-    ns = np.asarray(sizes, dtype=float)
-    m = ns.size
-    z = ns[0] / ns
-    mat = np.vander(z, m, increasing=True).T  # row l is z**l
-    rhs = np.zeros(m)
-    rhs[0] = 1.0
-    return np.linalg.solve(mat, rhs)
-
-
 def _check_q(q: float) -> None:
     if not (q > 1.0 and isfinite(q)):
         raise SchemeError("q must be finite and > 1")
@@ -243,10 +227,12 @@ def level_plan(mode: str, n: int, m: int, q: float, subsets: int) -> Aggregation
 class SignedSpectralMeasure:
     """mu = sum_j C_j * mean_b (counting measure of spectrum_{j,b}).
 
+    It is read through ``levels``, ``full_spectrum`` and ``integrate``.
     ``levels`` holds one (C_j, spectra) pair per level, as ``level_spectra``
     builds it: ``spectra`` has one row per subset's spectrum, and the last
-    level is the full sample's one spectrum. Each row is an atom set of
-    mass 1 per eigenvalue, so an integral of f with f(0) = 0 is tau_f.
+    level is the full sample's one spectrum, its ``full_spectrum``. Each row
+    is an atom set of mass 1 per eigenvalue, so a row's integral of f with
+    f(0) = 0 is tau_f, and ``integrate(f)`` weighs those by C_j / B_j.
     """
 
     levels: tuple[tuple[float, np.ndarray], ...]
@@ -255,18 +241,6 @@ class SignedSpectralMeasure:
     def full_spectrum(self) -> np.ndarray:
         """The full-sample covariance spectrum, the last level's one row."""
         return self.levels[-1][1][0]
-
-    @property
-    def locations(self) -> np.ndarray:
-        """Every atom's location, level by level and row by row."""
-        return np.concatenate([spectra.ravel() for _, spectra in self.levels])
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Every atom's signed weight C_j / B_j, aligned with ``locations``."""
-        return np.concatenate([
-            np.full(spectra.size, weight / len(spectra)) for weight, spectra in self.levels
-        ])
 
     def integrate(self, f: TestFunction) -> float:
         """int f dmu = sum_j C_j * mean_b tau_f(spectrum_{j,b}).

@@ -18,7 +18,6 @@ import numpy as np
 from spectrace.estimators import (
     aggregate_estimate,
     coeffs_closed_form,
-    coeffs_linear_system,
     jackknife_estimate,
     make_scheme,
     spectral_measure_estimate,
@@ -34,6 +33,7 @@ from spectrace.linalg import (
 )
 from spectrace.montecarlo import ExperimentConfig, rate_sweep, run, write_result_csvs
 from spectrace.theory import esd_mp_ks, mp_cdf, mp_support
+from oracles import coeffs_linear_system
 
 
 def _report(capsys, label, ok, detail):

@@ -17,7 +17,6 @@ from spectrace.estimators import (
     SignedSpectralMeasure,
     aggregate_estimate,
     coeffs_closed_form,
-    coeffs_linear_system,
     jackknife_estimate,
     level_plan,
     level_spectra,
@@ -37,6 +36,7 @@ from spectrace.linalg import (
     sample_gaussian,
     sym_eigvalues,
 )
+from oracles import coeffs_linear_system
 
 # --- schemes ----------------------------------------------------------------
 
@@ -427,12 +427,10 @@ def test_estimators_match_naive_per_subset_reference():
         for mode, b in (("aggregate", None), ("jackknife", subsets)):
             levels = _reference_levels(x, scheme, b, seed + 1)
             expect = 0.0
-            atoms = []
             for weight, spectra in levels:
                 acc = 0.0
                 for lam in spectra:
                     acc += tau_f(f, lam)
-                    atoms += [(v, weight / len(spectra)) for v in lam.tolist()]
                 expect += weight * (acc / len(spectra))
             if mode == "aggregate":
                 got = aggregate_estimate(f, x, scheme)
@@ -440,9 +438,8 @@ def test_estimators_match_naive_per_subset_reference():
                 got = jackknife_estimate(f, x, scheme, subsets, seed=seed + 1)
             assert got == expect
             mu = spectral_measure_estimate(x, scheme, mode, subsets, seed=seed + 1)
-            order = np.lexsort((mu.weights, mu.locations))
-            got_atoms = list(zip(mu.locations[order].tolist(), mu.weights[order].tolist()))
-            assert got_atoms == sorted(atoms)
+            assert [(w, s.tolist()) for w, s in mu.levels] == [
+                (w, [lam.tolist() for lam in spectra]) for w, spectra in levels]
 
 
 def test_level_spectra_do_not_depend_on_the_block_size(monkeypatch, level_draws):
@@ -623,8 +620,8 @@ def test_measure_total_mass_and_identity_integral():
     scheme = make_scheme(2, 100, 2.0)
     mu = spectral_measure_estimate(x, scheme, "aggregate")
     # each level carries dim atoms of weight C_j; masses sum to dim * 1
-    assert abs(mu.weights.sum() - 4.0) < 1e-12
-    assert mu.locations.size == 8
+    assert abs(sum(w * s.shape[1] for w, s in mu.levels) - 4.0) < 1e-12
+    assert [s.shape for _, s in mu.levels] == [(1, 4), (1, 4)]
     f = builtin("identity")
     assert mu.integrate(f) == aggregate_estimate(f, x, scheme)
 
@@ -634,8 +631,7 @@ def test_measure_single_observation_atom():
     mu = spectral_measure_estimate(s, AggregationScheme((1,)), "aggregate")
     # covariance is rank one with eigenvalue |x|^2 = 25, its one atom: the
     # null eigenvalue adds nothing to an integral of f with f(0) = 0
-    assert mu.locations.tolist() == [25.0]
-    assert np.array_equal(mu.weights, [1.0])
+    assert [(w, s.tolist()) for w, s in mu.levels] == [(1.0, [[25.0]])]
 
 
 def test_measure_consistency_across_random_configs():
@@ -667,9 +663,11 @@ def test_measure_integral_raises_when_the_engine_measure_overflows():
     x = SampleSet(np.array([[1.0], [1.0], [1.5e77], [1.5e77]]))
     mu = spectral_measure_estimate(x, make_scheme(2, 4, 2.0), "aggregate")
     f = builtin("square")
-    assert mu.weights.tolist() == [-1.0, 2.0]
+    assert [w for w, _ in mu.levels] == [-1.0, 2.0]
+    locations = np.concatenate([s.ravel() for _, s in mu.levels])
+    weights = np.concatenate([np.full(s.size, w / len(s)) for w, s in mu.levels])
     with np.errstate(over="ignore"):
-        assert np.dot(mu.weights, f.deriv(0, mu.locations)) == np.inf
+        assert np.dot(weights, f.deriv(0, locations)) == np.inf
     with pytest.raises(FloatingPointError, match="level sum of tau_f of square"):
         mu.integrate(f)
 
@@ -679,9 +677,9 @@ def test_measure_jackknife_atoms_and_weights():
     scheme = make_scheme(2, 60, 2.0)
     mu = spectral_measure_estimate(x, scheme, "jackknife", subsets_per_level=4, seed=5)
     # 4 subsets x 3 atoms at level 1 plus 3 full-sample atoms
-    assert mu.locations.size == 15
-    assert np.allclose(np.sort(np.unique(mu.weights)), [-0.25, 2.0])
-    assert abs(mu.weights.sum() - 3.0) < 1e-12
+    assert [s.shape for _, s in mu.levels] == [(4, 3), (1, 3)]
+    assert np.allclose([w / len(s) for w, s in mu.levels], [-0.25, 2.0])
+    assert abs(sum(w * s.shape[1] for w, s in mu.levels) - 3.0) < 1e-12
 
 
 def test_measure_rejects_bad_mode_and_budget():

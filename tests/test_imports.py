@@ -2,7 +2,8 @@
 module imports another's private names, every ``__all__`` lists only names
 that exist, the package re-exports only listed names, only linalg imports
 csv (no script in scripts/ does), the package imports nothing from
-scipy, anywhere, and every name the benchmark's tracer wraps exists."""
+scipy, anywhere, every name the benchmark's tracer wraps exists, and no
+test oracle in ``tests/oracles.py`` is also a library name."""
 
 import ast
 import importlib
@@ -15,6 +16,7 @@ import spectrace
 SRC = Path(spectrace.__file__).parent
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
 # Imported but unused on purpose, each pinned by a benchmark test.
 ALLOWED = {
@@ -149,3 +151,16 @@ def test_every_name_the_bench_tracer_wraps_resolves():
         if not callable(obj):
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+def test_oracles_are_not_library_names():
+    # an oracle that drifts back into the library, or is re-exported as an
+    # alias, would check the code against itself
+    tree = ast.parse(ORACLES.read_text(), filename=str(ORACLES))
+    oracles = [node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    assert oracles
+    found = [f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
+             for name in oracles
+             if hasattr(importlib.import_module(f"spectrace.{path.stem}"), name)]
+    assert found == []
