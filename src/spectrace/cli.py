@@ -22,7 +22,10 @@ a ``MemoryError``; both are refused the same way. Nothing is built twice,
 not even per size of rates, and each key's floor is the built object's;
 the builds check only what no library object knows: estimate's choice of
 one data source and mp-compare's size floors. The run returns its RESULT
-fields, and ``main`` prints the one RESULT line.
+fields, and ``main`` prints the one RESULT line, last on stdout. Before it
+a run prints only what that line lacks: the paths it wrote, rates' RMSE
+per size, coeffs' weight sum, supnorm's family size, replications and
+hardest member, and estimate's plan (when m > 1) and diagnostics.
 Normality's replicate floor (``NORMALITY_MIN_REPS``) is checked when the
 run starts, after ``config.resolved`` is written, and exits 3.
 
@@ -285,15 +288,11 @@ def _build_estimate(cfg: dict) -> dict:
 
 def _cmd_estimate(cfg: dict, f: TestFunction, model: CovarianceModel | None,
                   samples: SampleSet, scheme: AggregationScheme) -> dict:
-    mode = cfg["mode"]
     measure = level_spectra(samples, scheme, cfg["seed"])
     estimate = measure.integrate(f)
     lam = measure.full_spectrum
     # every line is computed before the first is printed, so a failure prints none
-    lines = [f"estimate: {estimate!r}",
-             f"f: {f.name}  mode: {mode}  n: {samples.n}  dim: {samples.dim}"]
-    if scheme.m > 1:
-        lines += [f"{k}: {v}" for k, v in _scheme_report(scheme).items()]
+    lines = [f"{k}: {v}" for k, v in _scheme_report(scheme).items()] if scheme.m > 1 else []
     if lam[0] > 0:
         lines.append(f"sample effective rank: {effective_rank(CovarianceModel(lam)):.6g}")
     if model is not None:
@@ -306,16 +305,14 @@ def _cmd_estimate(cfg: dict, f: TestFunction, model: CovarianceModel | None,
                 f"+ linear {budget.linear_residual:.6g} "
                 f"+ bias {budget.bias_term:.6g} = {budget.total:.6g}"
             )
-    print("\n".join(lines))
-    return {"estimate": float(estimate), "f": f.name, "mode": mode,
+    print("".join(f"{line}\n" for line in lines), end="")
+    return {"estimate": float(estimate), "f": f.name, "mode": cfg["mode"],
             "n": samples.n, "dim": samples.dim}
 
 
 def _cmd_coeffs(cfg: dict, scheme: AggregationScheme) -> dict:
-    report = _scheme_report(scheme)
-    sizes, coeffs, coeff_l1 = (f"{k}: {v}" for k, v in report.items())
-    print(sizes, coeffs, f"sum: {float(scheme.coeffs.sum())!r}", coeff_l1, sep="\n")
-    return report
+    print(f"sum: {float(scheme.coeffs.sum())!r}")
+    return _scheme_report(scheme)
 
 
 def _experiment_config(cfg: dict) -> ExperimentConfig:
@@ -334,9 +331,7 @@ def _cmd_rates(cfg: dict, config: ExperimentConfig) -> dict:
         write_result_csvs(res, outdir)
     path = write_csv(outdir / f"rates_{config_hash(config)}.csv", ["n", "rmse"],
                      zip(sweep.n_values, sweep.rmse))
-    print(f"n values: {','.join(str(n) for n in sweep.n_values)}")
     print(f"rmse: {','.join(repr(float(v)) for v in sweep.rmse)}")
-    print(f"slope: {sweep.slope!r} +- {sweep.slope_se!r}")
     print(f"wrote {path}")
     return {"slope": sweep.slope, "slope_se": sweep.slope_se, "n_list": sweep.n_values}
 
@@ -346,13 +341,9 @@ def _cmd_normality(cfg: dict, config: ExperimentConfig) -> dict:
     outdir = Path(cfg["out"])
     write_result_csvs(result, outdir)
     qq_path = write_qq_csv(result, outdir)
-    ks, w1 = result.summary["ks_normal"], result.summary["w1_normal"]
-    var = result.summary["standardized_var"]
-    print(f"ks: {ks!r}")
-    print(f"w1: {w1!r}")
-    print(f"standardized variance: {var!r}")
     print(f"wrote {qq_path}")
-    return {"ks": ks, "w1": w1, "standardized_var": var, "reps": cfg["reps"]}
+    return {"ks": result.summary["ks_normal"], "w1": result.summary["w1_normal"],
+            "standardized_var": result.summary["standardized_var"], "reps": cfg["reps"]}
 
 
 def _build_supnorm(cfg: dict) -> dict:
@@ -374,7 +365,6 @@ def _cmd_supnorm(cfg: dict, config: ExperimentConfig, grid: FunctionClassGrid) -
         zip(result.names, result.truths, result.per_function_mean),
     )
     print(f"family size: {len(result.names)}  replications: {cfg['reps']}")
-    print(f"mean worst-case error: {result.max_error_mean!r}")
     worst = int(np.argmax(result.per_function_mean))
     print(f"hardest member: {result.names[worst]} "
           f"(mean abs error {float(result.per_function_mean[worst])!r})")
@@ -401,7 +391,6 @@ def _cmd_mp_compare(cfg: dict, gamma: float, samples: SampleSet) -> dict:
         Path(cfg["out"]) / f"mp_compare_{tag}.csv", ["eigenvalue", "esd_cdf", "mp_cdf"],
         zip(lam_sorted, np.arange(1, d + 1) / d, mp_cdf(gamma, lam_sorted)),
     )
-    print(f"ks distance: {ks!r}  (d={d}, n={n}, gamma={gamma:g})")
     print(f"wrote {path}")
     return {"ks": ks, "gamma": gamma, "d": d, "n": n}
 

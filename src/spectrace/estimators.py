@@ -332,11 +332,12 @@ def jackknife_estimate(
     f: TestFunction,
     samples: SampleSet,
     scheme: AggregationScheme,
-    subsets_per_level: int = 50,
+    subsets_per_level: int | None = None,
     seed: int = 0,
 ) -> float:
     """int f dmu of the jackknife measure: the aggregate with each prefix
-    replaced by an average over ``subsets_per_level`` seeded subsets."""
+    replaced by an average over ``subsets_per_level`` seeded subsets; None
+    reads B from the plan, ``scheme.subsets``, or 50 when the plan has none."""
     return spectral_measure_estimate(
         samples, scheme, "jackknife", subsets_per_level, seed).integrate(f)
 
@@ -345,7 +346,7 @@ def spectral_measure_estimate(
     samples: SampleSet,
     scheme: AggregationScheme,
     mode: str = "aggregate",
-    subsets_per_level: int = 50,
+    subsets_per_level: int | None = None,
     seed: int = 0,
 ) -> SignedSpectralMeasure:
     """The signed spectral measure of ``scheme`` on ``samples``; every scalar
@@ -354,14 +355,17 @@ def spectral_measure_estimate(
     ``"aggregate"`` runs level j on the first n_j observations, whatever
     ``scheme.subsets`` says; the plug-in is the one-level scheme
     ``AggregationScheme((n,))``. ``"jackknife"`` averages every level with
-    n_j < n over ``subsets_per_level`` uniformly drawn size-n_j subsets, which
-    replaces ``scheme.subsets``; a level's subsets come from one generator
-    seeded by (seed, level), so the result is a pure function of the inputs.
+    n_j < n over B uniformly drawn size-n_j subsets: ``subsets_per_level``
+    when given, else the plan's ``scheme.subsets``, else 50. A level's
+    subsets come from one generator seeded by (seed, level), so the result
+    is a pure function of the inputs.
     One estimate may request at most 10,000 covariance eigendecompositions;
     more raises :class:`ComputeBudgetError`.
     """
     if mode not in ("aggregate", "jackknife"):
         raise ValueError(f"mode must be 'aggregate' or 'jackknife', got {mode!r}")
+    if subsets_per_level is None:
+        subsets_per_level = scheme.subsets or 50
     subsets = subsets_per_level if mode == "jackknife" else None
     return level_spectra(samples, replace(scheme, subsets=subsets), seed)
 

@@ -115,7 +115,7 @@ def test_estimate_on_overflowing_data_exits_3_without_result(tmp_path, capsys, m
     )
     assert code == 3
     assert "sample covariance overflows" in err
-    assert "RESULT" not in out and "estimate:" not in out
+    assert out == ""
 
 
 @pytest.mark.parametrize("mode", ["plugin", "aggregate", "jackknife"])
@@ -159,7 +159,7 @@ def test_estimate_on_overflowing_data_below_d_exits_3_without_result(tmp_path, c
     )
     assert code == 3
     assert "sample covariance overflows" in err
-    assert "RESULT" not in out and "estimate:" not in out
+    assert out == ""
 
 
 def test_normality_with_an_overflowing_error_moment_exits_3_without_result(tmp_path, capsys):
@@ -206,7 +206,7 @@ def test_estimate_whose_level_sum_overflows_exits_3_without_result(tmp_path, cap
     )
     assert code == 3
     assert "level sum of tau_f of square overflows" in err
-    assert "RESULT" not in out and "estimate:" not in out
+    assert out == ""
 
 
 def test_estimate_whose_level_terms_overflow_but_not_the_integral(tmp_path, capsys):
@@ -306,10 +306,21 @@ def test_coeffs_oracle(tmp_path, capsys):
     coeffs = [float(v) for v in fields["coeffs"].split(",")]
     assert np.allclose(coeffs, [1 / 3, -2.0, 8 / 3])
     heads = [line.split(" ", 1)[0] for line in out.splitlines()]
-    assert heads == ["sizes:", "coeffs:", "sum:", "coeff_l1:", "RESULT"]
+    assert heads == ["sum:", "RESULT"]
 
 
 _MODEL_ARGS = ("--model", "identity:3", "--seed", "5")
+
+
+# each command's stdout lines before RESULT, by head: only what RESULT lacks
+_HEADS = {
+    "estimate": ["sample effective rank:", "model value:", "rate budget:"],
+    "coeffs": ["sum:"],
+    "rates": ["rmse:", "wrote"],
+    "normality": ["wrote"],
+    "supnorm": ["family size:", "hardest member:", "wrote"],
+    "mp-compare": ["wrote"],
+}
 
 
 @pytest.mark.parametrize("argv, fields", [
@@ -323,6 +334,8 @@ _MODEL_ARGS = ("--model", "identity:3", "--seed", "5")
     (("supnorm", *_MODEL_ARGS, "--n", "40", "--reps", "2", "--grid-size", "2"),
      ["max_error_mean", "grid_size", "seed"]),
     (("mp-compare", "--d", "50", "--n", "50", "--seed", "5"), ["ks", "gamma", "d", "n", "seed"]),
+    (("estimate", *_MODEL_ARGS, "--f", "log1p", "--n", "40", "--mode", "aggregate", "--m", "2"),
+     ["estimate", "f", "mode", "n", "dim", "seed"]),
 ])
 def test_each_command_ends_with_its_one_result_line(tmp_path, capsys, argv, fields):
     code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
@@ -330,6 +343,10 @@ def test_each_command_ends_with_its_one_result_line(tmp_path, capsys, argv, fiel
     lines = out.splitlines()
     assert [line for line in lines if line.startswith("RESULT")] == lines[-1:]
     assert lines[-1].startswith(f"RESULT command={argv[0]} ")
+    heads = _HEADS[argv[0]]
+    if "--m" in argv and argv[0] == "estimate":  # estimate prints a plan of m > 1 levels
+        heads = ["sizes:", "coeffs:", "coeff_l1:", *heads]
+    assert [re.match(r"wrote|[^:]*:", line)[0] for line in lines[:-1]] == heads
     assert [part.partition("=")[0] for part in lines[-1].split()[1:]] == ["command", *fields]
     # every command that takes a seed reports it last; coeffs takes none
     assert lines[-1].endswith(" seed=5") == ("--seed" in argv)
@@ -401,8 +418,8 @@ def test_plans_up_to_the_largest_m_run(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
     assert code == 0 and err == ""
     assert result_line(out)["command"] == argv[0]
-    if argv[0] == "coeffs":  # the plan, its sum, its sum |C_j| and RESULT
-        assert len(out.splitlines()) == 5
+    if argv[0] == "coeffs":  # the weights' sum and RESULT
+        assert len(out.splitlines()) == 2
 
 
 def test_config_file_layering_and_override(tmp_path, capsys):

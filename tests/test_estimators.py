@@ -341,6 +341,23 @@ def test_jackknife_deterministic_given_seed():
     assert a != c
 
 
+def test_jackknife_reads_b_from_its_plan():
+    # a plan is one value, its subsets per level included: with no B given
+    # the library's jackknife runs the plan as the engine (and the CLI) does
+    x = sample_gaussian(CovarianceModel.identity(3), 40, 1)
+    f = builtin("log1p")
+    plan = make_scheme(2, 40, 2.0, subsets=7)
+    engine = level_spectra(x, plan, 1)
+    assert jackknife_estimate(f, x, plan, seed=1) == engine.integrate(f)
+    (_, spectra), _ = spectral_measure_estimate(x, plan, "jackknife", seed=1).levels
+    assert spectra.shape[0] == 7
+    # an explicit B still wins, and a plan without subsets still runs 50
+    assert jackknife_estimate(f, x, plan, 3, seed=1) == level_spectra(
+        x, replace(plan, subsets=3), 1).integrate(f)
+    bare = make_scheme(2, 40, 2.0)
+    assert jackknife_estimate(f, x, bare, seed=1) == jackknife_estimate(f, x, bare, 50, seed=1)
+
+
 def test_jackknife_identity_unbiased():
     model = CovarianceModel.from_values([2.0, 1.0, 1.0, 0.5, 0.5])
     scheme = make_scheme(2, 80, 2.0)

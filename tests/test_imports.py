@@ -2,11 +2,14 @@
 module imports another's private names, every ``__all__`` lists only names
 that exist, the package re-exports only listed names, only linalg imports
 csv (no script in scripts/ does), the package imports nothing from
-scipy, anywhere, every name the benchmark's tracer wraps exists, and no
-test oracle in ``tests/oracles.py`` is also a library name."""
+scipy, anywhere, every name the benchmark's tracer wraps exists, no
+test oracle in ``tests/oracles.py`` is also a library name, and every
+public name has a caller outside the tests, or is on a table of those
+that only an acceptance check calls."""
 
 import ast
 import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,8 +18,10 @@ import spectrace
 
 SRC = Path(spectrace.__file__).parent
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACER = BENCH / "tracer.py"
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
+ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 
 # Imported but unused on purpose, each pinned by a benchmark test.
 ALLOWED = {
@@ -28,6 +33,13 @@ ALLOWED = {
     ("estimators", "derive_seed"),
     # bench/bench_tests.py::test_wrappers_reach_every_import_site_and_are_removed
     ("estimators", "sample_gaussian"),
+}
+
+# Public names whose only caller is an acceptance check, with the check whose
+# body calls it; no check body may change, so they stay in the library.
+ACCEPTANCE_ONLY = {
+    ("estimators", "taylor_remainder"): "c04",
+    ("linalg", "sample_covariance"): "c04's _pair, c10",
 }
 
 
@@ -164,3 +176,43 @@ def test_oracles_are_not_library_names():
              for name in oracles
              if hasattr(importlib.import_module(f"spectrace.{path.stem}"), name)]
     assert found == []
+
+
+def _references_by_top_level_def(path):
+    """{name of each top-level def or class, None for the rest of the module:
+    the names it loads or reads as attributes}. Import lines and ``__all__``'s
+    strings load no name, so they do not count."""
+    refs = {}
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        refs.setdefault(own, set()).update(
+            node.attr if isinstance(node, ast.Attribute) else node.id
+            for node in ast.walk(top)
+            if isinstance(node, ast.Attribute)
+            or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)))
+    return refs
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # a name's caller is library code outside its own def or class (the
+    # package's re-exports are not callers), a script or the benchmark, whose
+    # text is searched as is, since the tracer names its targets in strings
+    library = {path.stem: _references_by_top_level_def(path)
+               for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    outside = "\n".join(path.read_text()
+                         for path in sorted(SCRIPTS.rglob("*.py")) + sorted(BENCH.rglob("*.py")))
+    uncalled = set()
+    for stem, module in _modules_with_all():
+        for name in module.__all__:
+            called = any(name in names for caller, refs in library.items()
+                         for own, names in refs.items() if (caller, own) != (stem, name))
+            if not called and re.search(rf"\b{re.escape(name)}\b", outside) is None:
+                uncalled.add((stem, name))
+    assert uncalled == set(ACCEPTANCE_ONLY)
+    # each listed name is one the acceptance battery imports, so the table
+    # cannot outlive the check that calls it
+    imported = {(node.module.rpartition(".")[2], alias.name)
+                for node in ast.parse(ACCEPTANCE.read_text()).body
+                if isinstance(node, ast.ImportFrom) and node.module
+                for alias in node.names}
+    assert set(ACCEPTANCE_ONLY) <= imported
