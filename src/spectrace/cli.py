@@ -131,7 +131,7 @@ _WORKERS = _experiment_key("workers", int,
                            help="replicate worker threads; outputs do not depend on it")
 _OUT = _Key("out", default=".", help="output directory")
 
-_COMMON = [_Key("seed", check_seed, required=True, help="master seed"), _OUT]
+_COMMON = [_Key("seed", lambda s: check_seed(int(s)), required=True, help="master seed"), _OUT]
 _EXPERIMENT = [_MODEL, _F, _MODE, _M, _Q, _SUBSETS, _REPS, _WORKERS,
                _experiment_key("standardize", help=" | ".join(STANDARDIZE))]
 

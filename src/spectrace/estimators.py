@@ -45,6 +45,7 @@ from .linalg import (
     CovarianceModel,
     SampleSet,
     Stream,
+    check_int,
     gram_spectra,
     rng_from,
     sym_eigvalues,
@@ -98,10 +99,10 @@ class AggregationScheme:
     they satisfy sum_j C_j = 1 and sum_j C_j / n_j**l = 0 for l = 1..m-1,
     which is what cancels the low-order bias terms. This is Richardson
     extrapolation in 1/n, C_j being the Lagrange weights at 0 for the
-    nodes 1/n_1, ..., 1/n_m, exact to round-off. Strictly increasing sizes
-    >= 1 define a scheme; it holds no q. Weights that are not finite, or whose
-    sum |C_j| (:meth:`coeff_l1`) reaches 2**52, are refused: past that, no bit
-    of an estimate is significant.
+    nodes 1/n_1, ..., 1/n_m, exact to round-off. Strictly increasing integer
+    sizes >= 1 define a scheme; it holds no q. Weights that are not finite,
+    or whose sum |C_j| (:meth:`coeff_l1`) reaches 2**52, are refused: past
+    that, no bit of an estimate is significant.
 
     ``subsets`` is how many random size-n_j subsets the jackknife averages
     at each level with n_j < n; None runs every level on its prefix. One
@@ -116,8 +117,8 @@ class AggregationScheme:
     subsets: int | None = None
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(s) for s in self.sizes)
-        if not sizes or sizes[0] < 1 or any(a >= b for a, b in zip(sizes, sizes[1:])):
+        sizes = tuple(_plan_int("sizes", s, 1) for s in self.sizes)
+        if not sizes or any(a >= b for a, b in zip(sizes, sizes[1:])):
             raise SchemeError(f"sizes must be strictly increasing and >= 1: {sizes}")
         m = len(sizes)
         object.__setattr__(self, "sizes", sizes)
@@ -129,8 +130,8 @@ class AggregationScheme:
             raise SchemeError(
                 f"sum |C_j| is {l1:.3g} for sizes {sizes[0]}..{sizes[-1]} (m={m}), past "
                 "2**52, so no bit of an estimate is significant: increase q or decrease m")
-        if self.subsets is not None and self.subsets < 1:
-            raise SchemeError("subsets must be >= 1")
+        if self.subsets is not None:
+            object.__setattr__(self, "subsets", _plan_int("subsets", self.subsets, 1))
         evals = m if self.subsets is None else 1 + self.subsets * (m - 1)
         if evals > _MAX_EVALS:
             raise ComputeBudgetError(
@@ -170,22 +171,28 @@ def coeffs_closed_form(sizes) -> np.ndarray:
     return out
 
 
-def _check_q(q: float) -> None:
-    if not (q > 1.0 and isfinite(q)):
+def _plan_int(name: str, value, low: int | None = None) -> int:
+    try:  # check_int, refusing as every plan value is refused, with a SchemeError
+        return check_int(name, value, low)
+    except ValueError as exc:
+        raise SchemeError(str(exc)) from None
+
+
+def _check_q(q: float) -> float:
+    if isinstance(q, (str, bytes)) or not (q > 1.0 and isfinite(q)):
         raise SchemeError("q must be finite and > 1")
+    return float(q)
 
 
 def make_scheme(m: int, n: int, q: float = 2.0, subsets: int | None = None) -> AggregationScheme:
     """Geometric scheme: sizes round(q**(j-m) * n), largest pinned to n.
 
-    Requires q finite and > 1, m >= 2 and n >= 2 * q**(m-1) so the
+    Requires q finite and > 1, integers m >= 2 and n >= 2 * q**(m-1) so the
     smallest subsample has at least two observations; rounding collisions
     (two levels landing on the same size) are errors rather than silent
     merges. The scheme derives its weights from the sizes and checks them.
     """
-    _check_q(q)
-    if m < 2:
-        raise SchemeError("m must be >= 2 to build an aggregation scheme")
+    q, m, n = _check_q(q), _plan_int("m", m, 2), _plan_int("n", n)
     # q**(m-1) overflows a float long before it could be below any n
     need = 2.0 * q ** (m - 1) if (m - 1) * log(q) < 700.0 else float("inf")
     if n < need:
@@ -194,7 +201,7 @@ def make_scheme(m: int, n: int, q: float = 2.0, subsets: int | None = None) -> A
             "increase n or decrease q"
         )
     sizes = [int(floor(q ** float(j - m) * n + 0.5)) for j in range(1, m + 1)]
-    sizes[-1] = int(n)
+    sizes[-1] = n
     if len(set(sizes)) != m:
         raise SchemeError(
             f"subsample sizes collide after rounding: {sizes}; "
@@ -206,20 +213,18 @@ def make_scheme(m: int, n: int, q: float = 2.0, subsets: int | None = None) -> A
 def level_plan(mode: str, n: int, m: int, q: float, subsets: int) -> AggregationScheme:
     """The scheme that ``level_spectra`` runs for ``mode`` at sample size n.
 
-    It refuses n, m and subsets below 1 and a q that is not finite and > 1
-    in every mode, though the plug-in, the one-level scheme, ignores m, q
-    and subsets; aggregate and jackknife use the geometric m-level scheme
-    of :func:`make_scheme`, and only the jackknife's carries ``subsets``,
-    so only it is held to the compute budget.
+    It refuses n, m and subsets that are not integers >= 1 and a q that is
+    not finite and > 1 in every mode, though the plug-in, the one-level
+    scheme, ignores m, q and subsets; aggregate and jackknife use the
+    geometric m-level scheme of :func:`make_scheme`, and only the
+    jackknife's carries ``subsets``, so only it is held to the compute budget.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    for name, value in (("n", n), ("m", m), ("subsets", subsets)):
-        if value < 1:
-            raise SchemeError(f"{name} must be >= 1, got {value}")
+    n, m, subsets = _plan_int("n", n, 1), _plan_int("m", m, 1), _plan_int("subsets", subsets, 1)
     if mode == "plugin":
         _check_q(q)
-        return AggregationScheme((int(n),))
+        return AggregationScheme((n,))
     return make_scheme(m, n, q, subsets if mode == "jackknife" else None)
 
 

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import rng_from, write_csv
+from .linalg import check_int, rng_from, write_csv
 
 __all__ = [
     "TestFunction",
@@ -56,10 +56,8 @@ class TestFunction:
         max_order: int,
         evaluate: Callable[[int, np.ndarray], np.ndarray],
     ) -> None:
-        if max_order < 1:
-            raise ValueError("max_order must be >= 1")
+        self.max_order = check_int("max_order", max_order, 1)
         self.name = str(name)
-        self.max_order = int(max_order)
         self._evaluate = evaluate
         with np.errstate(all="ignore"):  # non-finite values are refused below, not warned of
             at_zero = [float(evaluate(j, np.zeros(1))[0]) for j in range(self.max_order + 1)]
@@ -261,25 +259,23 @@ class FunctionClassGrid:
     """
 
     def __init__(self, order: int, members: Sequence[TestFunction]) -> None:
-        if order < 1:
-            raise ValueError("order must be >= 1")
+        self.order = check_int("order", order, 1)
         if not members:
             raise ValueError("members must be nonempty")
         names = [f.name for f in members]
         if len(set(names)) != len(names):
             raise ValueError("grid members must have distinct names")
         for f in members:
-            if f.max_order < order + 1:
+            if f.max_order < self.order + 1:
                 raise ValueError(
-                    f"{f.name}: needs derivatives up to {order + 1}, has {f.max_order}"
+                    f"{f.name}: needs derivatives up to {self.order + 1}, has {f.max_order}"
                 )
-            for j in range(1, order + 2):
+            for j in range(1, self.order + 2):
                 top = f.derivative_bound(j, _CHECK_UPPER)
                 if top > 1.0 + 1e-9:
                     raise ValueError(
                         f"{f.name}: |f^({j})| reaches {top:.6g} > 1 on [0, {_CHECK_UPPER}]"
                     )
-        self.order = int(order)
         self.members = tuple(members)
 
     @property
@@ -296,10 +292,7 @@ def default_grid(order: int, count: int, seed: int) -> FunctionClassGrid:
     derivative. Deterministic given (order, count, seed). ``order`` is a
     run's m (members need derivatives up to m + 1 <= 12), ``count`` its grid_size.
     """
-    if count < 1:
-        raise ValueError(f"grid_size must be >= 1, got {count}")
-    if order < 1:  # FunctionClassGrid checks it too, but the bumps below read order first
-        raise ValueError(f"m must be >= 1, got {order}")
+    count, order = check_int("grid_size", count, 1), check_int("m", order, 1)
     if order + 1 > _MAX_ORDER:
         raise ValueError(
             f"m = {order} needs derivatives up to order {order + 1}, but the grid's "

@@ -1,11 +1,11 @@
 """Covariance models, seeded Gaussian sampling, and symmetric eigendecompositions.
 
 Everything downstream (estimators, Monte Carlo) funnels through the
-primitives here, so determinism and eigenvalue hygiene (sorting, clipping
-of negative round-off) are enforced once, in this module. Every spectrum
-of a sample or subsample comes from :func:`gram_spectra`, the one place
-that picks the d x d Gram or its k x k dual. CSV is read and written
-here too: :func:`write_csv` writes every table the package outputs.
+primitives here, so determinism, eigenvalue hygiene (sorting, clipping of
+negative round-off) and the integer rule (:func:`check_int` reads every
+count, size and seed) are enforced once, in this module. Every spectrum of
+a sample or subsample comes from :func:`gram_spectra`, which picks the d x d
+Gram or its k x k dual. :func:`write_csv` writes every table the package outputs.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ __all__ = [
     "Stream",
     "CovarianceModel",
     "SampleSet",
+    "check_int",
     "check_seed",
     "derive_seed",
     "rng_from",
@@ -65,11 +66,24 @@ class Stream(IntEnum):
     RATE = 4  # (master, n, RATE): the master seed of a rate sweep's size n
 
 
+def check_int(name: str, value, low: int | None = None) -> int:
+    """``value`` as a Python int; a ValueError naming ``name`` unless it is integral
+    (``7``, ``7.0``, ``np.int64(7)``, ``True``; not ``2.5``, nan, inf or a str) and,
+    when ``low`` is given, >= ``low``. Any value but an int is read, and a count (one
+    with a floor) compared, through ``float``, which may raise TypeError or OverflowError."""
+    if not isinstance(value, int):  # an int is read exactly, whatever its size
+        if isinstance(value, (str, bytes)) or not float(value).is_integer():
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and float(value) < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
 def check_seed(seed) -> int:
-    """``seed`` as an int, refused unless it lies in [0, 2**64), as every seed part must."""
-    if not 0 <= int(seed) < 1 << 64:
+    """``seed`` as :func:`check_int` reads it, refused outside [0, 2**64) like every seed part."""
+    if not 0 <= (value := check_int("seed", seed)) < 1 << 64:
         raise ValueError(f"seed {seed} is outside [0, 2**64)")
-    return int(seed)
+    return value
 
 
 def _entropy(parts: tuple[int, ...]) -> list[int]:
@@ -150,15 +164,12 @@ class CovarianceModel:
 
     @staticmethod
     def identity(dim: int) -> "CovarianceModel":
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        return CovarianceModel(np.ones(dim))
+        return CovarianceModel(np.ones(check_int("dim", dim, 1)))
 
     @staticmethod
     def poly_decay(dim: int, beta: float) -> "CovarianceModel":
         """Spectrum lam_k = k**(-beta), k = 1..dim."""
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
+        dim = check_int("dim", dim, 1)
         if not (beta >= 0 and isfinite(beta)):
             raise ValueError("beta must be finite and >= 0")
         k = np.arange(1, dim + 1, dtype=float)
@@ -187,7 +198,7 @@ class SampleSet:
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.data, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+        if arr.ndim != 2 or arr.size == 0:
             raise ValueError(f"data must be a nonempty 2-d array, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("data contains non-finite entries")
@@ -215,8 +226,7 @@ def sample_gaussian(
     until the next draw into the same buffer; a rotated model's sample is
     a new array either way.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = check_int("n", n, 1)
     if out is not None and not out.flags.c_contiguous:
         # numpy fills an F-ordered buffer too, with other bits
         raise ValueError("out must be C-contiguous")

@@ -27,7 +27,8 @@ import numpy as np
 
 from .estimators import SignedSpectralMeasure, level_plan, level_spectra
 from .functions import FunctionClassGrid, builtin, tau_f
-from .linalg import CovarianceModel, Stream, check_seed, derive_seed, sample_gaussian, write_csv
+from .linalg import (
+    CovarianceModel, Stream, check_int, check_seed, derive_seed, sample_gaussian, write_csv)
 # unused; bench/bench_tests.py expects this module among its import sites
 from .linalg import sym_eigvalues  # noqa: F401
 from .theory import gaussian_limit_std, ks_distance
@@ -91,26 +92,20 @@ def parse_model(profile: str) -> CovarianceModel:
     )
 
 
-def _integral(name: str, value) -> int:
-    """``value`` as a Python int; a ValueError unless it is integral."""
-    if isinstance(value, str) or not float(value).is_integer():
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything that determines an experiment's outputs.
 
     ``workers`` is a scheduling hint and is excluded from the config hash;
-    all other fields are statistical. Construction stores q as a float and
-    the integer fields as Python ints, refusing a value that is not
-    integral, so equal configs hash equally (q=2 and q=2.0, n=np.int64(100)
-    and n=100). A config with ``replications`` or ``workers`` below 1, a
-    seed ``check_seed`` refuses, an ``n_list`` that is no rate-sweep design
-    (fewer than three distinct sizes, or a span under a factor of four), a
-    plan (``level_plan``, which owns n, m and subsets) that cannot run at
-    its n or at each n_list size, or a model or f that does not parse is not built.
+    all other fields are statistical. Construction reads the seed with
+    ``check_seed`` and the other integer fields with ``check_int``, storing
+    Python ints, and stores q, refused as a str, as a float, so equal configs
+    hash equally (q=2 and q=2.0, n=np.int64(100) and n=100). A config with
+    ``replications`` or ``workers`` below 1, a seed ``check_seed`` refuses,
+    an ``n_list`` that is no rate-sweep design (fewer than three distinct
+    sizes, or a span under a factor of four), a plan (``level_plan``, which
+    owns n, m, q and subsets) that cannot run at its n or at each n_list
+    size, or a model or f that does not parse is not built.
 
     Construction keeps what it built, as attributes outside the fields (so
     ``asdict`` and ``config_hash`` do not see them): ``covariance``, the
@@ -136,18 +131,16 @@ class ExperimentConfig:
             raise ValueError(
                 f"standardize must be one of {STANDARDIZE}, got {self.standardize!r}"
             )
-        object.__setattr__(self, "q", float(self.q))
-        for name in ("seed", "m", "replications", "subsets", "workers", "n"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, _integral(name, value))
-                if value < 1 and name in ("replications", "workers"):  # plans own the rest
-                    raise ValueError(f"{name} must be >= 1, got {value}")
-        check_seed(self.seed)
+        object.__setattr__(self, "seed", check_seed(self.seed))
+        # level_plan floors n, m and subsets, at n and at each n_list size, and checks q
+        for name, low in (("m", None), ("replications", 1), ("subsets", None), ("workers", 1),
+                          ("n", None)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, check_int(name, getattr(self, name), low))
         if self.n is None and self.n_list is None:
             raise ValueError("one of n or n_list must be set")
         if self.n_list is not None:
-            object.__setattr__(self, "n_list", tuple(_integral("n_list", v) for v in self.n_list))
+            object.__setattr__(self, "n_list", tuple(check_int("n_list", v) for v in self.n_list))
             ns = sorted(set(self.n_list))
             if len(ns) < 3:
                 raise ValueError(f"need at least 3 distinct n values, got {ns}")
@@ -158,6 +151,7 @@ class ExperimentConfig:
         plans = {n: level_plan(self.mode, n, self.m, self.q, self.subsets)
                  for n in (self.n, *(self.n_list or ())) if n is not None}
         object.__setattr__(self, "plans", plans)
+        object.__setattr__(self, "q", float(self.q))
         object.__setattr__(self, "covariance", parse_model(self.model))
         object.__setattr__(self, "test_function", builtin(self.f))
 
@@ -289,7 +283,7 @@ def _map_replicates(
     """
     if config.n is None:
         raise ValueError("config.n is required; n_list is for rate_sweep")
-    n, model, scheme = int(config.n), config.covariance, config.plans[config.n]
+    n, model, scheme = config.n, config.covariance, config.plans[config.n]
     draws = scheme.subsets is not None
     local = threading.local()
 

@@ -18,7 +18,7 @@ from math import pi, sqrt
 import numpy as np
 
 from .functions import TestFunction
-from .linalg import CLIP_REL, CovarianceModel
+from .linalg import CLIP_REL, CovarianceModel, check_int
 
 __all__ = [
     "RateBudget",
@@ -85,10 +85,7 @@ class RateBudget:
 def rate_budget(
     f: TestFunction, model: CovarianceModel, n: int, m: int
 ) -> RateBudget:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    n, m = check_int("n", n, 1), check_int("m", m, 1)
     r = effective_rank(model)
     ratio = r / n
     return RateBudget(

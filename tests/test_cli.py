@@ -929,6 +929,9 @@ def test_bad_mode_and_standardize_exit_2_before_any_output(tmp_path, capsys):
     for argv, word in [
         *floors,
         *seeds,
+        # a seed or count that is no integer fails its conversion
+        (("estimate", *base, "--n", "50", "--seed", "2.5"), "bad value for seed: '2.5'"),
+        (("coeffs", "--m", "2.5", "--n", "100"), "bad value for m: '2.5'"),
         (("normality", "--config", str(tmp_path / "floor.cfg")),
          "replications must be >= 1, got 0"),
         (("coeffs", "--m", "0", "--n", "100"), "m must be >= 2"),

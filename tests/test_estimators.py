@@ -182,6 +182,10 @@ def test_level_plan_gives_only_the_jackknife_subsets():
             n, m, subsets = args
             with pytest.raises(SchemeError, match=f"^{name} must be >= 1, got 0$"):
                 level_plan(mode, n, m, 2.0, subsets)
+    # q is a number: "2" is refused as a SchemeError, not read or failed on as a TypeError
+    for build in (lambda q: make_scheme(2, 100, q), lambda q: level_plan("plugin", 40, 1, q, 7)):
+        with pytest.raises(SchemeError, match="^q must be finite and > 1$"):
+            build("2")
 
 
 def exact_weights(sizes) -> list[Fraction]:

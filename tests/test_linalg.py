@@ -6,6 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from spectrace.estimators import (
+    AggregationScheme,
+    SchemeError,
+    jackknife_estimate,
+    level_plan,
+    make_scheme,
+)
+from spectrace.functions import FunctionClassGrid, builtin, default_grid
+from spectrace.functions import TestFunction as SmoothFunction
 from spectrace.linalg import (
     CLIP_REL,
     SYM_TOL,
@@ -14,6 +23,7 @@ from spectrace.linalg import (
     SampleSet,
     Stream,
     _symmetric_gram,
+    check_int,
     derive_seed,
     gram_spectra,
     load_samples_csv,
@@ -22,6 +32,8 @@ from spectrace.linalg import (
     sample_gaussian,
     sym_eigvalues,
 )
+from spectrace.montecarlo import ExperimentConfig
+from spectrace.theory import rate_budget
 
 
 def test_model_validation():
@@ -448,6 +460,130 @@ def test_derive_seed_stability_and_separation():
                 derive(bad)
             with pytest.raises(ValueError, match="outside"):
                 derive(1, bad, Stream.SUBSET)
+    # so is a part that is no integer: 2.5 is not truncated, nor "7" parsed
+    for bad in (2.5, "7"):
+        for derive in (derive_seed, rng_from):
+            for parts in ((bad,), (1, bad, Stream.SUBSET)):
+                with pytest.raises(ValueError, match=f"^seed must be an integer, got {bad!r}$"):
+                    derive(*parts)
+
+
+def test_check_int_reads_integral_spellings_and_refuses_the_rest():
+    for value in (7, 7.0, np.int64(7), np.uint8(7), np.float32(7.0)):
+        assert type(check_int("k", value)) is int and check_int("k", value) == 7
+    assert type(check_int("k", True)) is int and check_int("k", True) == 1
+    assert check_int("k", -3) == -3
+    for bad in (2.5, "7", b"7", float("nan"), float("inf"), np.float64(-0.5)):
+        with pytest.raises(ValueError, match=f"^k must be an integer, got {re.escape(repr(bad))}$"):
+            check_int("k", bad)
+    with pytest.raises(ValueError, match="^k must be >= 1, got 0.0$"):
+        check_int("k", 0.0, 1)
+    # a count is compared as a float, so one past the float range overflows;
+    # a value with no floor, such as a seed, is read whatever its size
+    assert check_int("k", 10 ** 400) == 10 ** 400
+    with pytest.raises(OverflowError):
+        check_int("k", 10 ** 400, 1)
+
+
+_MODEL3 = CovarianceModel.identity(3)
+_SAMPLE = sample_gaussian(_MODEL3, 40, 1)
+_CONFIG = {"model": "identity:2", "f": "log1p", "seed": 1, "n": 50, "replications": 5}
+
+
+def _linear(j, x):
+    return x if j == 0 else np.ones_like(x) if j == 1 else np.zeros_like(x)
+
+
+def _scheme(s):
+    return s.sizes, s.subsets, s.coeffs.tolist()
+
+
+def _exact(x):
+    return repr(x.tolist() if isinstance(x, np.ndarray) else x)
+
+
+def _grid(g):
+    return g.order, g.names
+
+
+def _config(key):
+    def build(v):
+        value = (v, 100, 400) if key == "n_list" else v
+        extra = {"n": None} if key == "n_list" else {}
+        return ExperimentConfig(**{**_CONFIG, **extra, key: value})
+    return build
+
+
+# Every entry point that takes a count, a size or a seed: (label, call, the
+# name its messages give, its floor or None, its refusal class). Each reads
+# 7 as an int, so 7.0 and np.int64(7) give what 7 gives, and refuses 2.5,
+# "7", nan and inf as no integer and its floor - 1 as below the floor.
+INTEGER_ENTRIES = [
+    ("derive_seed", lambda v: derive_seed(1, v, Stream.SUBSET), "seed", None, ValueError),
+    ("rng_from", lambda v: rng_from(v).random(3), "seed", None, ValueError),
+    ("sample_gaussian.seed", lambda v: sample_gaussian(_MODEL3, 4, v).data, "seed", None,
+     ValueError),
+    ("sample_gaussian.n", lambda v: sample_gaussian(_MODEL3, v, 1).data, "n", 1, ValueError),
+    ("with_random_basis", lambda v: _MODEL3.with_random_basis(v).basis, "seed", None,
+     ValueError),
+    ("identity", lambda v: CovarianceModel.identity(v).eigenvalues, "dim", 1, ValueError),
+    ("poly_decay", lambda v: CovarianceModel.poly_decay(v, 1.0).eigenvalues, "dim", 1,
+     ValueError),
+    ("AggregationScheme.sizes", lambda v: _scheme(AggregationScheme((v, 10))), "sizes", 1,
+     SchemeError),
+    ("AggregationScheme.subsets", lambda v: _scheme(AggregationScheme((5, 10), subsets=v)),
+     "subsets", 1, SchemeError),
+    ("make_scheme.m", lambda v: _scheme(make_scheme(v, 1000, 2.0)), "m", 2, SchemeError),
+    ("make_scheme.n", lambda v: _scheme(make_scheme(2, v, 2.0)), "n", None, SchemeError),
+    ("level_plan.n", lambda v: _scheme(level_plan("jackknife", v, 2, 2.0, 3)), "n", 1,
+     SchemeError),
+    ("level_plan.plugin_n", lambda v: _scheme(level_plan("plugin", v, 2, 2.0, 3)), "n", 1,
+     SchemeError),
+    ("level_plan.m", lambda v: _scheme(level_plan("jackknife", 1000, v, 2.0, 3)), "m", 1,
+     SchemeError),
+    ("level_plan.subsets", lambda v: _scheme(level_plan("jackknife", 100, 2, 2.0, v)),
+     "subsets", 1, SchemeError),
+    ("jackknife_estimate", lambda v: jackknife_estimate(
+        builtin("log1p"), _SAMPLE, make_scheme(2, 40, 2.0), v, 1), "subsets", 1, SchemeError),
+    ("rate_budget.n", lambda v: rate_budget(builtin("log1p"), _MODEL3, v, 2), "n", 1,
+     ValueError),
+    ("rate_budget.m", lambda v: rate_budget(builtin("log1p"), _MODEL3, 100, v), "m", 1,
+     ValueError),
+    ("TestFunction", lambda v: repr(SmoothFunction("linear", v, _linear)), "max_order", 1,
+     ValueError),
+    ("FunctionClassGrid", lambda v: _grid(FunctionClassGrid(v, [builtin("scaled_sine")])),
+     "order", 1, ValueError),
+    ("default_grid.order", lambda v: _grid(default_grid(v, 3, 1)), "m", 1, ValueError),
+    ("default_grid.count", lambda v: _grid(default_grid(2, v, 1)), "grid_size", 1,
+     ValueError),
+    ("ExperimentConfig.seed", _config("seed"), "seed", None, ValueError),
+    ("ExperimentConfig.n_list", _config("n_list"), "n_list", None, ValueError),
+    # level_plan floors n, m and subsets, as SchemeError
+    *((f"ExperimentConfig.{key}", _config(key), key, 1, ValueError)
+      for key in ("n", "m", "subsets", "replications", "workers")),
+]
+
+INTEGER_CASES = [
+    pytest.param(entry, kind, id=f"{entry[0]}-{kind}")
+    for entry in INTEGER_ENTRIES
+    for kind in ("7.0", "int64", "2.5", "'7'", "nan", "inf", "floor")
+    if kind != "floor" or entry[3] is not None
+]
+
+
+@pytest.mark.parametrize("entry, kind", INTEGER_CASES)
+def test_every_count_size_and_seed_follows_the_integer_rule(entry, kind):
+    _, call, name, low, error = entry
+    spellings = {"7.0": 7.0, "int64": np.int64(7)}
+    if kind in spellings:  # equal objects, or bit-equal draws
+        assert _exact(call(spellings[kind])) == _exact(call(7))
+    elif kind == "floor":
+        with pytest.raises(error, match=f"^{name} must be >= {low}, got {low - 1}$"):
+            call(low - 1)
+    else:
+        bad = {"2.5": 2.5, "'7'": "7", "nan": float("nan"), "inf": float("inf")}[kind]
+        with pytest.raises(error, match=f"^{name} must be an integer, got {re.escape(repr(bad))}$"):
+            call(bad)
 
 
 def test_sampleset_validation():

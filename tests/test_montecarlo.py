@@ -68,7 +68,7 @@ def test_config_validation():
     with pytest.raises(ComputeBudgetError, match="budget is 10000"):
         ExperimentConfig(model="identity:2", f="identity", seed=0, n=50,
                          mode="jackknife", subsets=20_000)
-    for q in (float("inf"), 1.0):
+    for q in (float("inf"), 1.0, "2"):  # "2" too, not read as 2.0
         with pytest.raises(ValueError, match="q must be finite and > 1"):
             ExperimentConfig(model="identity:2", f="identity", seed=0, n=50, q=q)
     with pytest.raises(ValueError, match="m must be >= 2"):

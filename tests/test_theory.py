@@ -108,7 +108,7 @@ def test_rate_budget_identity_model_terms():
     assert abs(b.bias_term - 20 * 0.05 ** 2) < 1e-12
     assert abs(b.total - (b.main_term + b.linear_residual + b.bias_term)) < 1e-15
     for n, m, name in ((0, 3, "n"), (400, 0, "m")):
-        with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got 0$"):
             rate_budget(f, CovarianceModel.identity(20), n=n, m=m)
 
 
