@@ -46,6 +46,7 @@ from .linalg import (
     SampleSet,
     Stream,
     check_int,
+    check_real,
     gram_spectra,
     rng_from,
     sym_eigvalues,
@@ -117,7 +118,7 @@ class AggregationScheme:
     subsets: int | None = None
 
     def __post_init__(self) -> None:
-        sizes = tuple(_plan_int("sizes", s, 1) for s in self.sizes)
+        sizes = tuple(_plan_value("sizes", s, 1) for s in self.sizes)
         if not sizes or any(a >= b for a, b in zip(sizes, sizes[1:])):
             raise SchemeError(f"sizes must be strictly increasing and >= 1: {sizes}")
         m = len(sizes)
@@ -131,7 +132,7 @@ class AggregationScheme:
                 f"sum |C_j| is {l1:.3g} for sizes {sizes[0]}..{sizes[-1]} (m={m}), past "
                 "2**52, so no bit of an estimate is significant: increase q or decrease m")
         if self.subsets is not None:
-            object.__setattr__(self, "subsets", _plan_int("subsets", self.subsets, 1))
+            object.__setattr__(self, "subsets", _plan_value("subsets", self.subsets, 1))
         evals = m if self.subsets is None else 1 + self.subsets * (m - 1)
         if evals > _MAX_EVALS:
             raise ComputeBudgetError(
@@ -171,17 +172,11 @@ def coeffs_closed_form(sizes) -> np.ndarray:
     return out
 
 
-def _plan_int(name: str, value, low: int | None = None) -> int:
-    try:  # check_int, refusing as every plan value is refused, with a SchemeError
-        return check_int(name, value, low)
+def _plan_value(name: str, value, low=None, check=check_int):
+    try:  # check_int or check_real, refusing as every plan value is refused, with a SchemeError
+        return check(name, value, low)
     except ValueError as exc:
         raise SchemeError(str(exc)) from None
-
-
-def _check_q(q: float) -> float:
-    if isinstance(q, (str, bytes)) or not (q > 1.0 and isfinite(q)):
-        raise SchemeError("q must be finite and > 1")
-    return float(q)
 
 
 def make_scheme(m: int, n: int, q: float = 2.0, subsets: int | None = None) -> AggregationScheme:
@@ -192,7 +187,7 @@ def make_scheme(m: int, n: int, q: float = 2.0, subsets: int | None = None) -> A
     (two levels landing on the same size) are errors rather than silent
     merges. The scheme derives its weights from the sizes and checks them.
     """
-    q, m, n = _check_q(q), _plan_int("m", m, 2), _plan_int("n", n)
+    q, m, n = _plan_value("q", q, 1, check_real), _plan_value("m", m, 2), _plan_value("n", n)
     # q**(m-1) overflows a float long before it could be below any n
     need = 2.0 * q ** (m - 1) if (m - 1) * log(q) < 700.0 else float("inf")
     if n < need:
@@ -221,9 +216,9 @@ def level_plan(mode: str, n: int, m: int, q: float, subsets: int) -> Aggregation
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    n, m, subsets = _plan_int("n", n, 1), _plan_int("m", m, 1), _plan_int("subsets", subsets, 1)
+    n, m = _plan_value("n", n, 1), _plan_value("m", m, 1)
+    subsets, q = _plan_value("subsets", subsets, 1), _plan_value("q", q, 1, check_real)
     if mode == "plugin":
-        _check_q(q)
         return AggregationScheme((n,))
     return make_scheme(m, n, q, subsets if mode == "jackknife" else None)
 

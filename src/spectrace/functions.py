@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import check_int, rng_from, write_csv
+from .linalg import check_int, check_real, rng_from, write_csv
 
 __all__ = [
     "TestFunction",
@@ -72,7 +72,7 @@ class TestFunction:
 
     def deriv(self, order: int, x):
         """Evaluate the order-th derivative (order 0 is f itself)."""
-        if not 0 <= order <= self.max_order:
+        if not 0 <= (order := check_int("order", order)) <= self.max_order:
             raise ValueError(
                 f"{self.name}: derivative order {order} outside [0, {self.max_order}]"
             )
@@ -85,8 +85,7 @@ class TestFunction:
     def derivative_bound(self, order: int, upper: float) -> float:
         """sup of |f^(order)| over [0, upper], as the max over
         ``_GRID_POINTS`` equally spaced points, both ends included."""
-        if not 0 <= upper < np.inf:  # np.linspace to inf or nan gives nan points
-            raise ValueError(f"upper must be finite and >= 0, got {upper!r}")
+        upper = check_real("upper", upper, 0, inclusive=True)  # np.linspace to inf gives nan
         return float(np.max(np.abs(self.deriv(order, np.linspace(0.0, upper, _GRID_POINTS)))))
 
     def lipschitz_fprime(self, upper: float) -> float:
@@ -164,9 +163,8 @@ def _rational() -> TestFunction:
 def _scaled_sine(omega: float = 1.0, power: float = 1.0) -> TestFunction:
     # f(x) = sin(omega x) / omega**power, so
     #   f^(j)(x) = omega**(j - power) * (sin, cos, -sin, -cos)[j mod 4](omega x)
-    if omega <= 0:
-        raise ValueError("omega must be > 0")
-    name = f"scaled_sine:{repr(float(omega))}"
+    omega = check_real("omega", omega, 0)
+    name = f"scaled_sine:{repr(omega)}"
     if power != 1.0:
         name += f":{repr(float(power))}"
 
@@ -183,9 +181,7 @@ def _bump(center: float = 2.0, width: float = 0.5, scale: float = 1.0) -> TestFu
     #   f^(j)(x) = scale * (-1/w)**j * phi_j(t) for j >= 1,
     # phi_k = He_k(t) exp(-t^2/2) the Hermite functions. He's recurrence runs on
     # phi itself, from exp(-t^2/2), so nothing overflows where that factor underflows.
-    if width <= 0:
-        raise ValueError("width must be > 0")
-    c, w, s = float(center), float(width), float(scale)
+    c, w, s = float(center), check_real("width", width, 0), float(scale)
     offset = float(np.exp(-0.5 * (c / w) ** 2))
     name = f"bump:{repr(c)}:{repr(w)}"
     if s != 1.0:

@@ -1,11 +1,12 @@
 """Covariance models, seeded Gaussian sampling, and symmetric eigendecompositions.
 
 Everything downstream (estimators, Monte Carlo) funnels through the
-primitives here, so determinism, eigenvalue hygiene (sorting, clipping of
-negative round-off) and the integer rule (:func:`check_int` reads every
-count, size and seed) are enforced once, in this module. Every spectrum of
-a sample or subsample comes from :func:`gram_spectra`, which picks the d x d
-Gram or its k x k dual. :func:`write_csv` writes every table the package outputs.
+primitives here, so determinism, eigenvalue hygiene (sorting, clipping of negative
+round-off) and the number rules (:func:`check_int` reads every count, size and seed,
+:func:`check_real` every real parameter, each refusing None and any other value that
+is no number by its name) are enforced once, in this module. Every spectrum of a sample
+or subsample comes from :func:`gram_spectra`, which picks the d x d Gram or its k x k
+dual. :func:`write_csv` writes every table the package outputs.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from enum import IntEnum, unique
-from math import isfinite
+from math import isfinite, nan
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ __all__ = [
     "CovarianceModel",
     "SampleSet",
     "check_int",
+    "check_real",
     "check_seed",
     "derive_seed",
     "rng_from",
@@ -66,17 +68,34 @@ class Stream(IntEnum):
     RATE = 4  # (master, n, RATE): the master seed of a rate sweep's size n
 
 
+def _read_float(value) -> float:
+    """``float(value)``; nan for a str and for any value ``float`` cannot read."""
+    try:
+        return nan if isinstance(value, (str, bytes)) else float(value)
+    except (TypeError, OverflowError):  # None, a list, a complex; a huge Fraction
+        return nan
+
+
 def check_int(name: str, value, low: int | None = None) -> int:
-    """``value`` as a Python int; a ValueError naming ``name`` unless it is integral
-    (``7``, ``7.0``, ``np.int64(7)``, ``True``; not ``2.5``, nan, inf or a str) and,
-    when ``low`` is given, >= ``low``. Any value but an int is read, and a count (one
-    with a floor) compared, through ``float``, which may raise TypeError or OverflowError."""
-    if not isinstance(value, int):  # an int is read exactly, whatever its size
-        if isinstance(value, (str, bytes)) or not float(value).is_integer():
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    """``value`` as a Python int; a ValueError naming ``name`` unless it is integral (7, 7.0,
+    ``np.int64(7)``, True; not 2.5, nan, inf, a str or None) and, when ``low`` is given,
+    >= ``low``. A count (one with a floor) past the float range raises OverflowError."""
+    if not isinstance(value, int) and not _read_float(value).is_integer():  # an int is exact
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if low is not None and float(value) < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
     return int(value)
+
+
+def check_real(name: str, value, low: float | None = None, inclusive: bool = False) -> float:
+    """``value`` as a Python float; a ValueError naming ``name`` unless ``float`` reads it
+    (not a str, None, a list or a complex) to a finite value and, when ``low`` is given,
+    > ``low``, or >= ``low`` when ``inclusive``."""
+    x = _read_float(value)
+    if not isfinite(x) or low is not None and not (x >= low if inclusive else x > low):
+        bound = "" if low is None else f" and {'>=' if inclusive else '>'} {low}"
+        raise ValueError(f"{name} must be finite{bound}, got {value!r}")
+    return x
 
 
 def check_seed(seed) -> int:
@@ -169,9 +188,7 @@ class CovarianceModel:
     @staticmethod
     def poly_decay(dim: int, beta: float) -> "CovarianceModel":
         """Spectrum lam_k = k**(-beta), k = 1..dim."""
-        dim = check_int("dim", dim, 1)
-        if not (beta >= 0 and isfinite(beta)):
-            raise ValueError("beta must be finite and >= 0")
+        dim, beta = check_int("dim", dim, 1), check_real("beta", beta, 0, inclusive=True)
         k = np.arange(1, dim + 1, dtype=float)
         return CovarianceModel(k ** -beta)
 

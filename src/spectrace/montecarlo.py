@@ -135,7 +135,7 @@ class ExperimentConfig:
         # level_plan floors n, m and subsets, at n and at each n_list size, and checks q
         for name, low in (("m", None), ("replications", 1), ("subsets", None), ("workers", 1),
                           ("n", None)):
-            if getattr(self, name) is not None:
+            if name != "n" or self.n is not None:  # n may be None when n_list is set
                 object.__setattr__(self, name, check_int(name, getattr(self, name), low))
         if self.n is None and self.n_list is None:
             raise ValueError("one of n or n_list must be set")

@@ -18,7 +18,7 @@ from math import pi, sqrt
 import numpy as np
 
 from .functions import TestFunction
-from .linalg import CLIP_REL, CovarianceModel, check_int
+from .linalg import CLIP_REL, CovarianceModel, check_int, check_real
 
 __all__ = [
     "RateBudget",
@@ -98,24 +98,15 @@ def rate_budget(
 # --- Marchenko-Pastur law --------------------------------------------------
 
 
-def _check_gamma(gamma: float) -> float:
-    gamma = float(gamma)
-    if not (gamma > 0.0 and np.isfinite(gamma)):
-        raise ValueError(f"gamma must be a positive finite number, got {gamma!r}")
-    return gamma
-
-
 def mp_support(gamma: float) -> tuple[float, float]:
     """Support edges ((1 - sqrt(g))**2, (1 + sqrt(g))**2) of the bulk."""
-    gamma = _check_gamma(gamma)
-    s = sqrt(gamma)
+    s = sqrt(check_real("gamma", gamma, 0))
     return (1.0 - s) ** 2, (1.0 + s) ** 2
 
 
 def mp_atom(gamma: float) -> float:
     """Mass at zero: max(0, 1 - 1/gamma); positive only for gamma > 1."""
-    gamma = _check_gamma(gamma)
-    return max(0.0, 1.0 - 1.0 / gamma)
+    return max(0.0, 1.0 - 1.0 / check_real("gamma", gamma, 0))
 
 
 def mp_cdf(gamma: float, x) -> np.ndarray | float:
@@ -132,7 +123,7 @@ def mp_cdf(gamma: float, x) -> np.ndarray | float:
     evaluated as arctan2 of its exact sine and cosine, since rounding
     pushes the plain asin argument off +-1 near the edges.
     """
-    gamma = _check_gamma(gamma)
+    gamma = check_real("gamma", gamma, 0)
     a, b = mp_support(gamma)
     sab = sqrt(a * b)
 

@@ -184,7 +184,7 @@ def test_level_plan_gives_only_the_jackknife_subsets():
                 level_plan(mode, n, m, 2.0, subsets)
     # q is a number: "2" is refused as a SchemeError, not read or failed on as a TypeError
     for build in (lambda q: make_scheme(2, 100, q), lambda q: level_plan("plugin", 40, 1, q, 7)):
-        with pytest.raises(SchemeError, match="^q must be finite and > 1$"):
+        with pytest.raises(SchemeError, match="^q must be finite and > 1, got '2'$"):
             build("2")
 
 

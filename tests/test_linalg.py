@@ -13,7 +13,7 @@ from spectrace.estimators import (
     level_plan,
     make_scheme,
 )
-from spectrace.functions import FunctionClassGrid, builtin, default_grid
+from spectrace.functions import FunctionClassGrid, _bump, _scaled_sine, builtin, default_grid
 from spectrace.functions import TestFunction as SmoothFunction
 from spectrace.linalg import (
     CLIP_REL,
@@ -24,6 +24,7 @@ from spectrace.linalg import (
     Stream,
     _symmetric_gram,
     check_int,
+    check_real,
     derive_seed,
     gram_spectra,
     load_samples_csv,
@@ -33,7 +34,7 @@ from spectrace.linalg import (
     sym_eigvalues,
 )
 from spectrace.montecarlo import ExperimentConfig
-from spectrace.theory import rate_budget
+from spectrace.theory import mp_atom, mp_cdf, mp_support, rate_budget
 
 
 def test_model_validation():
@@ -473,7 +474,8 @@ def test_check_int_reads_integral_spellings_and_refuses_the_rest():
         assert type(check_int("k", value)) is int and check_int("k", value) == 7
     assert type(check_int("k", True)) is int and check_int("k", True) == 1
     assert check_int("k", -3) == -3
-    for bad in (2.5, "7", b"7", float("nan"), float("inf"), np.float64(-0.5)):
+    for bad in (2.5, "7", b"7", float("nan"), float("inf"), np.float64(-0.5), None, [1],
+                np.array([3]), 1 + 0j):
         with pytest.raises(ValueError, match=f"^k must be an integer, got {re.escape(repr(bad))}$"):
             check_int("k", bad)
     with pytest.raises(ValueError, match="^k must be >= 1, got 0.0$"):
@@ -551,6 +553,9 @@ INTEGER_ENTRIES = [
      ValueError),
     ("TestFunction", lambda v: repr(SmoothFunction("linear", v, _linear)), "max_order", 1,
      ValueError),
+    # every family reads the order alike, so 7.0 gives what 7 gives in each
+    *((f"deriv.{name}", lambda v, f=builtin(name): f.deriv(v, 0.5), "order", None, ValueError)
+      for name in ("square", "log1p", "rational", "scaled_sine", "bump")),
     ("FunctionClassGrid", lambda v: _grid(FunctionClassGrid(v, [builtin("scaled_sine")])),
      "order", 1, ValueError),
     ("default_grid.order", lambda v: _grid(default_grid(v, 3, 1)), "m", 1, ValueError),
@@ -563,11 +568,16 @@ INTEGER_ENTRIES = [
       for key in ("n", "m", "subsets", "replications", "workers")),
 ]
 
+# entry points where None is a value: no subsets, B from the plan, or n from n_list
+NONE_IS_A_VALUE = {"AggregationScheme.subsets", "jackknife_estimate", "ExperimentConfig.n"}
+
 INTEGER_CASES = [
     pytest.param(entry, kind, id=f"{entry[0]}-{kind}")
     for entry in INTEGER_ENTRIES
-    for kind in ("7.0", "int64", "2.5", "'7'", "nan", "inf", "floor")
-    if kind != "floor" or entry[3] is not None
+    for kind in ("7.0", "int64", "2.5", "'7'", "nan", "inf", "None", "[1]", "array", "complex",
+                 "floor")
+    if (kind != "floor" or entry[3] is not None)
+    and (kind != "None" or entry[0] not in NONE_IS_A_VALUE)
 ]
 
 
@@ -581,9 +591,76 @@ def test_every_count_size_and_seed_follows_the_integer_rule(entry, kind):
         with pytest.raises(error, match=f"^{name} must be >= {low}, got {low - 1}$"):
             call(low - 1)
     else:
-        bad = {"2.5": 2.5, "'7'": "7", "nan": float("nan"), "inf": float("inf")}[kind]
+        bad = {"2.5": 2.5, "'7'": "7", "nan": float("nan"), "inf": float("inf"), "None": None,
+               "[1]": [1], "array": np.array([3]), "complex": 1 + 0j}[kind]
         with pytest.raises(error, match=f"^{name} must be an integer, got {re.escape(repr(bad))}$"):
             call(bad)
+
+
+def test_check_real_reads_real_spellings_and_refuses_the_rest():
+    for value in (2, 2.0, np.float64(2.0), np.float32(2.0), np.int64(2), np.array(2.0)):
+        assert type(check_real("x", value)) is float and check_real("x", value) == 2.0
+    assert check_real("x", -1e300) == -1e300
+    for bad in ("2", b"2", None, [2.0], np.array([2.0, 3.0]), 2 + 0j, float("nan"),
+                float("-inf"), 10 ** 400):
+        with pytest.raises(ValueError, match=f"^x must be finite, got {re.escape(repr(bad))}$"):
+            check_real("x", bad)
+    assert check_real("x", 0, 0, inclusive=True) == 0.0
+    with pytest.raises(ValueError, match="^x must be finite and > 0, got 0$"):
+        check_real("x", 0, 0)
+    with pytest.raises(ValueError, match="^x must be finite and >= 0, got -0.5$"):
+        check_real("x", -0.5, 0, inclusive=True)
+
+
+def _family(f):
+    return f.name, f.deriv(1, np.array([0.5, 3.0])).tolist()
+
+
+_LOG1P = builtin("log1p")
+
+# Every entry point that takes a real parameter: (label, call, the name its
+# messages give, its bound, whether the bound is inclusive, its refusal
+# class). Each reads 2.0 as a float, so 2 and np.float64(2.0) give what 2.0
+# gives, and refuses "2", None, nan, inf and a value past its bound. builtin
+# parses a test function's parameters from its name and hands them to the
+# family constructors, which are the entry points for omega and width here.
+REAL_ENTRIES = [
+    ("make_scheme.q", lambda v: _scheme(make_scheme(2, 100, v)), "q", 1, False, SchemeError),
+    ("level_plan.q", lambda v: _scheme(level_plan("jackknife", 100, 2, v, 3)), "q", 1, False,
+     SchemeError),
+    ("level_plan.plugin_q", lambda v: _scheme(level_plan("plugin", 100, 2, v, 3)), "q", 1,
+     False, SchemeError),
+    ("ExperimentConfig.q", _config("q"), "q", 1, False, SchemeError),
+    ("mp_support", mp_support, "gamma", 0, False, ValueError),
+    ("mp_atom", mp_atom, "gamma", 0, False, ValueError),
+    ("mp_cdf", lambda v: mp_cdf(v, np.linspace(-1.0, 6.0, 8)), "gamma", 0, False, ValueError),
+    ("poly_decay", lambda v: CovarianceModel.poly_decay(4, v).eigenvalues, "beta", 0, True,
+     ValueError),
+    ("derivative_bound", lambda v: _LOG1P.derivative_bound(1, v), "upper", 0, True, ValueError),
+    ("lipschitz_fprime", _LOG1P.lipschitz_fprime, "upper", 0, True, ValueError),
+    ("scaled_sine.omega", lambda v: _family(_scaled_sine(v)), "omega", 0, False, ValueError),
+    ("bump.width", lambda v: _family(_bump(2.0, v)), "width", 0, False, ValueError),
+]
+
+
+@pytest.mark.parametrize("entry, kind", [
+    pytest.param(entry, kind, id=f"{entry[0]}-{kind}")
+    for entry in REAL_ENTRIES
+    for kind in ("2", "float64", "'2'", "None", "nan", "inf", "bound")
+])
+def test_every_real_parameter_follows_the_real_rule(entry, kind):
+    _, call, name, low, inclusive, error = entry
+    spellings = {"2": 2, "float64": np.float64(2.0)}
+    if kind in spellings:  # equal objects, or bit-equal values
+        assert _exact(call(spellings[kind])) == _exact(call(2.0))
+        return
+    bad = {"'2'": "2", "None": None, "nan": float("nan"), "inf": float("inf"),
+           "bound": low - 1 if inclusive else low}[kind]
+    if kind == "bound" and inclusive:
+        call(low)  # the bound itself is in range
+    bound = f"{'>=' if inclusive else '>'} {low}, got {re.escape(repr(bad))}"
+    with pytest.raises(error, match=f"^{name} must be finite and {bound}$"):
+        call(bad)
 
 
 def test_sampleset_validation():
