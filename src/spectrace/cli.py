@@ -120,7 +120,8 @@ def _experiment_key(name: str, conv=None, **kw) -> _Key:
 
 _MODEL = _Key("model", required=True,
               help="identity:<d> | poly_decay:<d>:<beta> | custom:<v1>,<v2>,...")
-_F = _Key("f", required=True, help="test function, e.g. log1p or scaled_sine:0.5")
+_F = _Key("f", required=True, help="test function: identity, square, cube, log1p, rational, "
+         "scaled_sine:<omega>[:<power>] or bump:<center>:<width>[:<scale>]")
 _MODE = _experiment_key("mode", help=" | ".join(MODES))
 _M = _experiment_key("m", int, help="number of aggregation levels")
 _Q = _experiment_key("q", float, help="geometric spacing of subsample sizes")

@@ -1,12 +1,13 @@
 """Covariance models, seeded Gaussian sampling, and symmetric eigendecompositions.
 
-Everything downstream (estimators, Monte Carlo) funnels through the
-primitives here, so determinism, eigenvalue hygiene (sorting, clipping of negative
-round-off) and the number rules (:func:`check_int` reads every count, size and seed,
-:func:`check_real` every real parameter, each refusing None and any other value that
-is no number by its name) are enforced once, in this module. Every spectrum of a sample
-or subsample comes from :func:`gram_spectra`, which picks the d x d Gram or its k x k
-dual. :func:`write_csv` writes every table the package outputs.
+Everything downstream (estimators, Monte Carlo) funnels through the primitives here, so
+determinism, eigenvalue hygiene (sorting, clipping of negative round-off) and the number
+rules (:func:`check_int` reads every count, size and seed, :func:`check_real` every real
+parameter, each refusing None and any other value that is no number by its name) are
+enforced once, by the object that takes the number: a plan or a model its own, each
+test-function family its omega, power, center, width and scale; no parser re-checks them.
+Every spectrum of a sample or subsample comes from :func:`gram_spectra`, which picks the
+d x d Gram or its k x k dual. :func:`write_csv` writes every table the package outputs.
 """
 
 from __future__ import annotations

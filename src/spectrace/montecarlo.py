@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 from math import erf, erfc, sqrt
 from pathlib import Path
 from statistics import NormalDist
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -80,10 +80,8 @@ def parse_model(profile: str) -> CovarianceModel:
         if kind == "poly_decay" and len(parts) == 3:
             return CovarianceModel.poly_decay(int(parts[1]), float(parts[2]))
         if kind == "custom" and len(parts) == 2:
-            values = [float(v) for v in parts[1].split(",") if v.strip() != ""]
-            if not values:
-                raise ValueError("empty eigenvalue list")
-            return CovarianceModel.from_values(values)
+            return CovarianceModel.from_values(
+                [float(v) for v in parts[1].split(",") if v.strip() != ""])
     except ValueError as exc:
         raise ValueError(f"bad model profile {profile!r}: {exc}") from exc
     raise ValueError(
@@ -102,10 +100,11 @@ class ExperimentConfig:
     Python ints, and stores q, refused as a str, as a float, so equal configs
     hash equally (q=2 and q=2.0, n=np.int64(100) and n=100). A config with
     ``replications`` or ``workers`` below 1, a seed ``check_seed`` refuses,
-    an ``n_list`` that is no rate-sweep design (fewer than three distinct
-    sizes, or a span under a factor of four), a plan (``level_plan``, which
-    owns n, m, q and subsets) that cannot run at its n or at each n_list
-    size, or a model or f that does not parse is not built.
+    an ``n_list`` that is no rate-sweep design (not a non-string sequence of
+    sizes, fewer than three distinct sizes, or a span under a factor of
+    four), a plan (``level_plan``, which owns n, m, q and subsets) that
+    cannot run at its n or at each n_list size, or a model or f that does
+    not parse is not built.
 
     Construction keeps what it built, as attributes outside the fields (so
     ``asdict`` and ``config_hash`` do not see them): ``covariance``, the
@@ -140,6 +139,8 @@ class ExperimentConfig:
         if self.n is None and self.n_list is None:
             raise ValueError("one of n or n_list must be set")
         if self.n_list is not None:
+            if isinstance(self.n_list, (str, bytes)) or not isinstance(self.n_list, Sequence):
+                raise ValueError(f"n_list must be a sequence of sizes, got {self.n_list!r}")
             object.__setattr__(self, "n_list", tuple(check_int("n_list", v) for v in self.n_list))
             ns = sorted(set(self.n_list))
             if len(ns) < 3:

@@ -995,20 +995,25 @@ def test_bad_mode_and_standardize_exit_2_before_any_output(tmp_path, capsys):
         # too many parameters, and non-finite ones
         (("estimate", *named_f, "log1p:2"), "takes no parameters"),
         (("estimate", *named_f, "scaled_sine:1:2:3"), "at most 2"),
-        (("estimate", *named_f, "scaled_sine:nan"), "must be finite"),
-        (("estimate", *named_f, "scaled_sine:inf"), "must be finite"),
-        (("estimate", *named_f, "bump:nan:1"), "must be finite"),
-        (("estimate", *named_f, "scaled_sine:2:inf"), "must be finite"),
-        (("normality", *named_f, "bump:1:inf", "--reps", "200"), "must be finite"),
-        # finite parameters whose Python-float powers overflow
-        (("estimate", *named_f, "bump:1:1e-300"), "'bump:1:1e-300' overflow a float"),
+        (("estimate", *named_f, "scaled_sine:nan"), "omega must be finite"),
+        (("estimate", *named_f, "scaled_sine:inf"), "omega must be finite"),
+        (("estimate", *named_f, "bump:nan:1"), "center must be finite"),
+        (("estimate", *named_f, "scaled_sine:2:inf"), "power must be finite"),
+        (("normality", *named_f, "bump:1:inf", "--reps", "200"), "width must be finite"),
+        # finite parameters whose Python-float powers overflow, in f or only at a
+        # higher order, refused when f is built, as an order not finite at 0 is
+        (("estimate", *named_f, "bump:1:1e-300"),
+         "bump:1.0:1e-300: derivative of order 0 is inf at 0"),
         (("normality", *named_f, "scaled_sine:1e-300:5", "--reps", "200"),
-         "'scaled_sine:1e-300:5' overflow a float"),
-        # ... or overflow only at a higher order, caught when f is built at 0
+         "scaled_sine:1e-300:5.0: derivative of order 0 is inf at 0"),
         (("estimate", "--model", "identity:2", "--f", "scaled_sine:1e200:-1", "--n", "20",
-          "--seed", "1"), "'scaled_sine:1e200:-1' overflow a float"),
+          "--seed", "1"), "scaled_sine:1e+200:-1.0: derivative of order 1 is inf at 0"),
         (("normality", *named_f, "bump:0:1e-300", "--reps", "200"),
-         "'bump:0:1e-300' overflow a float"),
+         "bump:0.0:1e-300: derivative of order 2 is inf at 0"),
+        (("estimate", *named_f, "bump:2:1e-200"),
+         "bump:2.0:1e-200: derivative of order 0 is inf at 0"),
+        (("estimate", *named_f, "bump:2:0.5:1e308"),
+         "bump:2.0:0.5:1e+308: derivative of order 1 is inf at 0"),
         # a data path that is not a file, and empty model or f names
         (("estimate", *no_model, "--data", str(tmp_path / "missing.csv")),
          "data file not found"),
@@ -1033,6 +1038,8 @@ def test_bad_mode_and_standardize_exit_2_before_any_output(tmp_path, capsys):
          "latin1.cfg: not UTF-8 text"),
         (("normality", *no_model, "--n", "100", "--model", ""), "model profile"),
         (("estimate", *no_model, "--n", "100", "--model", ""), "model profile"),
+        (("estimate", *no_model, "--n", "100", "--model", "custom:"),
+         "bad model profile 'custom:': eigenvalues must be a nonempty 1-d vector"),
         # k**-inf would be the rank-1 model [1, 0, 0, 0, 0]
         (("normality", *no_model, "--n", "40", "--reps", "200", "--model",
           "poly_decay:5:inf"), "beta must be finite"),

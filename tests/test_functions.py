@@ -1,3 +1,4 @@
+import re
 from math import factorial
 
 import mpmath
@@ -10,6 +11,7 @@ from spectrace.functions import TestFunction as SmoothFunction
 from spectrace.functions import (
     FunctionClassGrid,
     _bump,
+    _scaled_sine,
     builtin,
     default_grid,
     grid_to_csv,
@@ -140,10 +142,15 @@ def test_unknown_function_and_bad_params_rejected():
     with pytest.raises(ValueError, match="'scaled_sine' takes at most 2 parameters, got 3"):
         builtin("scaled_sine:1:2:3")
     # finite parameters whose Python-float powers overflow, in f or only in a
-    # higher order: f' = 1e400 cos(1e200 x), and w**-2 = 1e600 in the bump's f''
-    for name in ("bump:1:1e-300", "scaled_sine:1e-300:5", "scaled_sine:1e200:-1",
-                 "bump:0:1e-300"):
-        with pytest.raises(ValueError, match=f"test function '{name}' overflow a float"):
+    # higher order: f' = 1e400 cos(1e200 x), and w**-2 = 1e600 in the bump's f'';
+    # the order probe refuses them as it refuses an order that is not finite
+    for name, message in (
+        ("bump:1:1e-300", "bump:1.0:1e-300: derivative of order 0"),
+        ("scaled_sine:1e-300:5", "scaled_sine:1e-300:5.0: derivative of order 0"),
+        ("scaled_sine:1e200:-1", "scaled_sine:1e+200:-1.0: derivative of order 1"),
+        ("bump:0:1e-300", "bump:0.0:1e-300: derivative of order 2"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)} is inf at 0$"):
             builtin(name)
 
 
@@ -152,15 +159,23 @@ def test_nonvanishing_function_rejected_at_construction():
         SmoothFunction("flat", 0, lambda j, x: np.zeros_like(x))
     with pytest.raises(ValueError, match="vanish"):
         SmoothFunction("shifted", 1, lambda j, x: x + 1.0 if j == 0 else np.ones_like(x))
-    # a NaN f(0), from a constructor or from a non-finite center, fails too (a
-    # non-finite omega is refused before f is built, by check_real)
-    with pytest.raises(ValueError, match=r"f\(0\) = nan, must vanish"):
+    # a NaN f(0) fails as any order that is not finite at 0 does (a non-finite
+    # center is refused before f is built, by check_real)
+    with pytest.raises(ValueError, match="^odd: derivative of order 0 is nan at 0$"):
         SmoothFunction("odd", 1, lambda j, x: np.full_like(x, np.nan))
-    with pytest.raises(ValueError, match=r"f\(0\) = nan, must vanish"):
+    with pytest.raises(ValueError, match="^center must be finite, got nan$"):
         _bump(np.nan, 1.0)
-    # so does any order that is not finite at 0
     with pytest.raises(ValueError, match="steep: derivative of order 2 is inf at 0"):
         SmoothFunction("steep", 3, lambda j, x: np.full_like(x, np.inf if j == 2 else 0.0))
+    # ... and so does an order whose Python-float power overflows at 0, called
+    # directly as default_grid calls the families
+    for make, message in (
+        (lambda: _scaled_sine(1e200), "scaled_sine:1e+200: derivative of order 3"),
+        (lambda: _bump(2.0, 1e-200), "bump:2.0:1e-200: derivative of order 0"),
+        (lambda: _bump(2.0, 0.5, 1e308), "bump:2.0:0.5:1e+308: derivative of order 1"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)} is inf at 0$"):
+            make()
 
 
 _MAGNITUDE = hst.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
@@ -187,10 +202,11 @@ def test_parameters_are_refused_when_built_or_every_order_evaluates(name):
 
 
 def test_builtin_refuses_non_finite_parameters():
-    # f(0) is NaN for the first three; the last two would give f == 0
-    for name in ("scaled_sine:nan", "scaled_sine:inf", "bump:nan:1",
-                 "scaled_sine:2:inf", "bump:1:inf"):
-        with pytest.raises(ValueError, match=f"'{name}' must be finite"):
+    # the family reads each parameter with check_real and names it
+    for name, parameter in (("scaled_sine:nan", "omega"), ("scaled_sine:inf", "omega"),
+                            ("bump:nan:1", "center"), ("scaled_sine:2:inf", "power"),
+                            ("bump:1:inf", "width"), ("bump:1:2:-inf", "scale")):
+        with pytest.raises(ValueError, match=f"^{parameter} must be finite"):
             builtin(name)
 
 

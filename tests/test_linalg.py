@@ -621,9 +621,10 @@ _LOG1P = builtin("log1p")
 # Every entry point that takes a real parameter: (label, call, the name its
 # messages give, its bound, whether the bound is inclusive, its refusal
 # class). Each reads 2.0 as a float, so 2 and np.float64(2.0) give what 2.0
-# gives, and refuses "2", None, nan, inf and a value past its bound. builtin
-# parses a test function's parameters from its name and hands them to the
-# family constructors, which are the entry points for omega and width here.
+# gives, and refuses "2", None, nan, inf and a value past its bound, if it has
+# one. builtin parses a test function's parameters from its name and hands them
+# to the family constructors, which are the entry points for omega, power,
+# center, width and scale here.
 REAL_ENTRIES = [
     ("make_scheme.q", lambda v: _scheme(make_scheme(2, 100, v)), "q", 1, False, SchemeError),
     ("level_plan.q", lambda v: _scheme(level_plan("jackknife", 100, 2, v, 3)), "q", 1, False,
@@ -639,7 +640,11 @@ REAL_ENTRIES = [
     ("derivative_bound", lambda v: _LOG1P.derivative_bound(1, v), "upper", 0, True, ValueError),
     ("lipschitz_fprime", _LOG1P.lipschitz_fprime, "upper", 0, True, ValueError),
     ("scaled_sine.omega", lambda v: _family(_scaled_sine(v)), "omega", 0, False, ValueError),
+    ("scaled_sine.power", lambda v: _family(_scaled_sine(1.0, v)), "power", None, False,
+     ValueError),
+    ("bump.center", lambda v: _family(_bump(v, 0.5)), "center", None, False, ValueError),
     ("bump.width", lambda v: _family(_bump(2.0, v)), "width", 0, False, ValueError),
+    ("bump.scale", lambda v: _family(_bump(2.0, 0.5, v)), "scale", None, False, ValueError),
 ]
 
 
@@ -647,6 +652,7 @@ REAL_ENTRIES = [
     pytest.param(entry, kind, id=f"{entry[0]}-{kind}")
     for entry in REAL_ENTRIES
     for kind in ("2", "float64", "'2'", "None", "nan", "inf", "bound")
+    if kind != "bound" or entry[3] is not None
 ])
 def test_every_real_parameter_follows_the_real_rule(entry, kind):
     _, call, name, low, inclusive, error = entry
@@ -658,8 +664,8 @@ def test_every_real_parameter_follows_the_real_rule(entry, kind):
            "bound": low - 1 if inclusive else low}[kind]
     if kind == "bound" and inclusive:
         call(low)  # the bound itself is in range
-    bound = f"{'>=' if inclusive else '>'} {low}, got {re.escape(repr(bad))}"
-    with pytest.raises(error, match=f"^{name} must be finite and {bound}$"):
+    bound = "" if low is None else f" and {'>=' if inclusive else '>'} {low}"
+    with pytest.raises(error, match=f"^{name} must be finite{bound}, got {re.escape(repr(bad))}$"):
         call(bad)
 
 

@@ -1,3 +1,4 @@
+import re
 import sys
 from dataclasses import asdict, fields, replace
 from math import sqrt
@@ -203,6 +204,11 @@ def test_config_hash_ignores_workers_only():
             ExperimentConfig(**{**base, key: value})
     with pytest.raises(ValueError, match="n_list must be an integer"):
         ExperimentConfig(**{**base, "n": None, "n_list": (50, 100.5, 200)})
+    # n_list is a sequence of sizes: not one size, and not text read a character at a time
+    for value in (5, "10,20,40", b"\x0a\x14\x28", {10, 20, 40}):
+        with pytest.raises(ValueError, match=f"^n_list must be a sequence of sizes, got "
+                                             f"{re.escape(repr(value))}$"):
+            ExperimentConfig(**{**base, "n": None, "n_list": value})
 
 
 def test_trace_variance_matches_gaussian_moments():
